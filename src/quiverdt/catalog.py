@@ -18,9 +18,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import framing, monad
 from .framing import FramedQuiverWithPotential
 from .monad import MonadTemplate, Slot
-from .ncalg import Arrow, Potential, Quiver
+from .ncalg import Arrow, Potential, Quiver, relations_from_potential
 
 
 class NotInCatalog(KeyError):
@@ -739,6 +740,27 @@ def get_monad_template(template: str) -> MonadTemplate:
             marked=frozenset({"Gf"}),
         )
     raise NotInCatalog(template)
+
+
+def monad_case(template: str):
+    """The assembled monad of a stored template, with its marked symbols at
+    zero, and the relation set its d^2 is certified against: the
+    potential's relations for c3 and y20, the framed relations at zero
+    framing for every other template."""
+    tpl = get_monad_template(template)
+    if template.lower() in ("c3", "y20"):
+        q, w = get_quiver_with_potential(template)
+        rels = relations_from_potential(q, w)
+    else:
+        fq = get_framed_example(template)
+        rels = framing.framed_relations(
+            framing.specialize(fq, framing.FramingStructure.zero(fq))
+        )
+        q = rels.quiver
+    c = monad.assemble(
+        tpl, [a.name for a in q.arrows], marked_values={name: 0 for name in tpl.marked}
+    )
+    return c, rels
 
 
 # -- shift matrices -----------------------------------------------------------------

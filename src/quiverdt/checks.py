@@ -36,10 +36,13 @@ class CheckResult:
     order: int
     mismatch: tuple | None
     seconds: float
+    detail: str | None = None  # why a check without a coefficient mismatch failed
 
     def describe(self) -> str:
         if self.equal:
             return f"{self.name}: equal through total degree {self.order} ({self.seconds:.2f}s)"
+        if self.mismatch is None:
+            return f"{self.name}: FAILED: {self.detail}"
         e, ca, cb = self.mismatch
         return (
             f"{self.name}: FIRST MISMATCH at exponent {e}: "
@@ -203,25 +206,17 @@ def check_character_limits(order: int = 12, t_max: int = 25) -> CheckResult:
 
 def check_monad_certification() -> CheckResult:
     """d^2 = 0 modulo relations for every stored monad template."""
-    from . import catalog, framing, monad, ncalg
+    from . import catalog, monad
 
     t0 = time.time()
     for tpl_id in catalog.monad_template_ids():
-        tpl = catalog.get_monad_template(tpl_id)
-        if tpl_id in ("c3", "y20"):
-            q, w = catalog.get_quiver_with_potential(tpl_id)
-            rels = ncalg.relations_from_potential(q, w)
-            syms = [a.name for a in q.arrows]
-        else:
-            fq = catalog.get_framed_example(tpl_id)
-            rels = framing.framed_relations(
-                framing.specialize(fq, framing.FramingStructure.zero(fq))
+        c, rels = catalog.monad_case(tpl_id)
+        try:
+            monad.certify_d_squared(c, rels, raise_on_failure=True)
+        except monad.NotInIdeal as exc:
+            return CheckResult(
+                f"monad ({tpl_id})", False, 0, None, time.time() - t0, detail=str(exc)
             )
-            syms = [a.name for a in rels.quiver.arrows]
-        c = monad.assemble(tpl, syms, marked_values={name: 0 for name in tpl.marked})
-        report = monad.certify_d_squared(c, rels)
-        if not report.certified:
-            return CheckResult(f"monad ({tpl_id})", False, 0, None, time.time() - t0)
     return CheckResult("monad-certification", True, 0, None, time.time() - t0)
 
 

@@ -52,6 +52,9 @@ def cmd_catalog(args) -> int:
         for t in catalog.monad_template_ids():
             print(f"monad     {t}")
         return 0
+    if args.id is None:
+        print("usage: quiverdt catalog show <id> [--json]", file=sys.stderr)
+        return 2
     entry = catalog.get_entry(args.id)
     if args.json:
         _emit_json(
@@ -117,18 +120,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_monad(args) -> int:
-    tpl = catalog.get_monad_template(args.id)
-    if args.id in ("c3", "y20"):
-        q, w = catalog.get_quiver_with_potential(args.id)
-        rels = ncalg.relations_from_potential(q, w)
-        syms = [a.name for a in q.arrows]
-    else:
-        fq = catalog.get_framed_example(args.id)
-        rels = framing.framed_relations(
-            framing.specialize(fq, framing.FramingStructure.zero(fq))
-        )
-        syms = [a.name for a in rels.quiver.arrows]
-    c = monad.assemble(tpl, syms, marked_values={name: 0 for name in tpl.marked})
+    c, rels = catalog.monad_case(args.id)
+    tpl = c.template
     report = monad.certify_d_squared(c, rels)
     payload = {
         "template": tpl.label,
@@ -282,6 +275,7 @@ def cmd_compare(args) -> int:
                     "mismatch": None
                     if r.mismatch is None
                     else {"exp": list(r.mismatch[0]), "a": r.mismatch[1], "b": r.mismatch[2]},
+                    **({"detail": r.detail} if r.detail else {}),
                 }
                 for r in results
             ]

@@ -338,28 +338,14 @@ def numeric_solution_builder(points: Sequence[tuple], rank_one_arrows=("I", "J")
 
 def _is_cyclic(b1, b2, i_col, n: int) -> bool:
     """Krylov span of the framing column under words in B1, B2 fills V."""
-    span: list[list[Fraction]] = []
-
-    def reduce(vec: list[Fraction]) -> list[Fraction] | None:
-        v = list(vec)
-        for row in span:
-            lead = next((k for k, x in enumerate(row) if x != 0), None)
-            if lead is not None and v[lead] != 0:
-                f = v[lead] / row[lead]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v if any(x != 0 for x in v) else None
-
+    span = linalg.Echelon(int)
     frontier = [[i_col[r][0] for r in range(n)]]
-    while frontier:
+    while frontier and len(span) < n:
         nxt = []
         for vec in frontier:
-            red = reduce(vec)
-            if red is None:
+            if not span.add(dict(enumerate(vec)), len(span)):
                 continue
-            span.append(red)
             for mat in (b1, b2):
                 nxt.append([sum(mat[r][k] * vec[k] for k in range(n)) for r in range(n)])
         frontier = nxt
-        if len(span) == n:
-            return True
     return len(span) == n

@@ -1,13 +1,16 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of :class:`fractions.Fraction`.  Everything
-here is dense and intended for the small systems that show up in relation
-checks, ideal membership, and monad rank counts.
+Matrices are tuples of tuples of :class:`fractions.Fraction`; the matrix
+helpers are dense and meant for the small numeric representations of monad
+and relation checks.  :class:`Echelon` is the one row reduction: sparse, over
+dict vectors, and shared by ideal membership, rank and the cyclicity check.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from typing import Callable, Hashable, Mapping
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -60,62 +63,67 @@ def max_abs(a: Matrix) -> Fraction:
     return best
 
 
+class Echelon:
+    """Incremental row echelon form over sparse vectors ``key -> Fraction``.
+
+    ``order`` maps a key to a sortable value; the pivot of a stored row is
+    its least key in that order, scaled to 1.  Each stored row carries the
+    combination ``tag -> coefficient`` of inserted vectors that it equals.
+    """
+
+    def __init__(self, order: Callable[[Hashable], object]):
+        self._order = order
+        self._rows: dict = {}  # pivot key -> (row, combination)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def reduce(self, vec: Mapping) -> tuple[dict, dict]:
+        """``(remainder, combination)`` with ``vec = remainder + sum(c * v_tag)``
+        over the combination; the remainder vanishes at every pivot key."""
+        rem = {k: Fraction(c) for k, c in vec.items() if c != 0}
+        comb: dict = {}
+        heap = [(self._order(k), k) for k in rem if k in self._rows]
+        heapq.heapify(heap)
+        while heap:
+            _, k = heapq.heappop(heap)
+            f = rem.get(k)
+            if f is None:
+                continue
+            row, row_comb = self._rows[k]
+            # a row's keys all follow its pivot, so popped keys never return
+            for key, x in row.items():
+                if key not in rem:
+                    rem[key] = -f * x
+                    if key in self._rows:
+                        heapq.heappush(heap, (self._order(key), key))
+                elif (new := rem[key] - f * x) != 0:
+                    rem[key] = new
+                else:
+                    del rem[key]
+            for tag, x in row_comb.items():
+                comb[tag] = comb.get(tag, 0) + f * x
+        return rem, {t: c for t, c in comb.items() if c != 0}
+
+    def add(self, vec: Mapping, tag: Hashable) -> bool:
+        """Insert ``vec`` under ``tag``; True when it was independent of the
+        rows already stored."""
+        rem, comb = self.reduce(vec)
+        if not rem:
+            return False
+        pivot = min(rem, key=self._order)
+        inv = 1 / rem[pivot]
+        row_comb = {t: -c * inv for t, c in comb.items()}
+        row_comb[tag] = row_comb.get(tag, 0) + inv
+        self._rows[pivot] = ({k: c * inv for k, c in rem.items()}, row_comb)
+        return True
+
+
 def rank(a: Matrix) -> int:
-    rows = [list(r) for r in a]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    rk = 0
-    col = 0
-    for col in range(nc):
-        pivot = None
-        for i in range(rk, nr):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        pv = rows[rk][col]
-        rows[rk] = [x / pv for x in rows[rk]]
-        for i in range(nr):
-            if i != rk and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == nr:
-            break
-    return rk
-
-
-def solve(a: Matrix, b: list[Fraction]):
-    """One solution x of A x = b, or None if the system is inconsistent."""
-    nr, nc = shape(a)
-    rows = [list(a[i]) + [Fraction(b[i])] for i in range(nr)]
-    pivots: list[tuple[int, int]] = []
-    rk = 0
-    for col in range(nc):
-        pivot = None
-        for i in range(rk, nr):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        pv = rows[rk][col]
-        rows[rk] = [x / pv for x in rows[rk]]
-        for i in range(nr):
-            if i != rk and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        pivots.append((rk, col))
-        rk += 1
-    for i in range(rk, nr):
-        if rows[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for r, c in pivots:
-        x[c] = rows[r][nc]
-    return x
+    span = Echelon(int)
+    for i, row in enumerate(a):
+        span.add(dict(enumerate(row)), i)
+    return len(span)
 
 
 def is_nilpotent(a: Matrix) -> bool:

@@ -335,9 +335,6 @@ class Potential:
         return Potential(quiver, {})
 
     def __add__(self, other: "Potential") -> "Potential":
-        if other.quiver.arrows != self.quiver.arrows:
-            # allow adding a potential written on a subquiver of the same arrows
-            pass
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, Fraction(0)) + c
@@ -470,7 +467,7 @@ def relations_from_potential(q: Quiver, W: Potential) -> RelationSet:
 class MembershipCertificate:
     """Expresses the query as ``sum(coeff * u * r * v)`` over listed triples."""
 
-    parts: list[tuple[Fraction, Path, int, Path]]  # (coeff, u, relation index, v)
+    parts: list[tuple[Fraction, Path, int, Path]]  # (coeff, u, index in relations.relations, v)
 
     def expand(self, q: Quiver, relations: RelationSet) -> NCPoly:
         total = NCPoly.zero()
@@ -505,7 +502,10 @@ def ideal_membership(
 ) -> MembershipResult:
     """Decide membership of ``p`` in the two-sided ideal generated by the
     relations, allowing path coefficients ``u, v`` of length at most the
-    bound.  Solves one rational linear system over the finite word basis.
+    bound.  Every nonzero ``u*r*v`` goes into one sparse echelon form, with
+    pivots at the least word in :meth:`Path.sort_key` order; ``p`` reduced
+    by it leaves either nothing (the combination is the certificate) or the
+    residual, which vanishes at every pivot word.
 
     Raises :class:`BoundTooSmall` when no product ``u*r*v`` under the bound
     can reach the longest word of ``p`` (a retry with a larger bound may
@@ -514,21 +514,19 @@ def ideal_membership(
     """
     if word_length_bound < 0:
         raise BoundTooSmall("negative word length bound")
-    rels = [r for r in relations.nonzero()]
     if p.is_zero():
         return MembershipResult(True, MembershipCertificate([]), None)
+    rels = [(ridx, r) for ridx, r in enumerate(relations.relations) if not r.poly.is_zero()]
     if rels:
-        min_rel = min(r.poly.max_length() for r in rels)
-        reach = 2 * word_length_bound + max(r.poly.max_length() for r in rels)
+        reach = 2 * word_length_bound + max(r.poly.max_length() for _, r in rels)
         if p.max_length() > reach:
             raise BoundTooSmall(
                 f"bound {word_length_bound} cannot reach words of length {p.max_length()}"
             )
-        del min_rel
     words = _paths_up_to(q, word_length_bound)
-    columns: list[tuple[Fraction, Path, int, Path]] = []
-    column_vecs: list[dict[Path, Fraction]] = []
-    for ridx, r in enumerate(rels):
+    order = lambda w: w.sort_key(q)
+    span = linalg.Echelon(order)
+    for ridx, r in rels:
         for u in words:
             if u.target(q) != r.src:
                 continue
@@ -537,66 +535,16 @@ def ideal_membership(
                 if v.source(q) != r.tgt:
                     continue
                 urv = nc_mul(q, ur, NCPoly.from_path(v))
-                if urv.is_zero():
-                    continue
-                columns.append((Fraction(1), u, ridx, v))
-                column_vecs.append(urv.terms)
-    basis: list[Path] = sorted(
-        {w for vec in column_vecs for w in vec} | set(p.terms),
-        key=lambda w: w.sort_key(q),
-    )
-    index = {w: i for i, w in enumerate(basis)}
-    a_rows = [[Fraction(0)] * len(columns) for _ in basis]
-    for j, vec in enumerate(column_vecs):
-        for w, c in vec.items():
-            a_rows[index[w]][j] = c
-    b = [p.terms.get(w, Fraction(0)) for w in basis]
-    sol = linalg.solve(linalg.mat(a_rows), b) if columns else None
-    if sol is None and columns:
-        pass
-    if sol is not None:
-        parts = [
-            (coeff, u, ridx, v)
-            for coeff, (one, u, ridx, v) in zip(sol, columns)
-            if coeff != 0
-        ]
-        cert = MembershipCertificate(parts)
-        return MembershipResult(True, cert, None)
-    # residual: project p onto the orthogonal complement of the column span
-    # by re-solving for the best representable part; with exact arithmetic
-    # the simplest faithful residual is p minus any least-squares-free
-    # partial combination, so report p reduced by the span via elimination.
-    residual = _residual_after_projection(q, p, basis, column_vecs)
-    return MembershipResult(False, None, residual)
-
-
-def _residual_after_projection(q, p, basis, column_vecs) -> NCPoly:
-    """Reduce p by the column span via Gaussian elimination and return what
-    is left (zero would mean membership, so here it is always nonzero)."""
-    index = {w: i for i, w in enumerate(basis)}
-    rows = []
-    for vec in column_vecs:
-        dense = [Fraction(0)] * len(basis)
-        for w, c in vec.items():
-            dense[index[w]] = c
-        rows.append(dense)
-    target = [p.terms.get(w, Fraction(0)) for w in basis]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        row = list(row)
-        for col, pivot in pivots.items():
-            if row[col] != 0:
-                f = row[col]
-                row = [x - f * y for x, y in zip(row, pivot)]
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
-        if lead is not None:
-            pv = row[lead]
-            pivots[lead] = [x / pv for x in row]
-    for col, pivot in pivots.items():
-        if target[col] != 0:
-            f = target[col]
-            target = [x - f * y for x, y in zip(target, pivot)]
-    return NCPoly({w: c for w, c in zip(basis, target) if c != 0})
+                if not urv.is_zero():
+                    span.add(urv.terms, (u, ridx, v))
+    residual, combination = span.reduce(p.terms)
+    if residual:
+        # in word order, so render() without a quiver lists it the same way
+        return MembershipResult(
+            False, None, NCPoly({w: residual[w] for w in sorted(residual, key=order)})
+        )
+    parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
+    return MembershipResult(True, MembershipCertificate(parts), None)
 
 
 # -- Euler form and block dimensions -----------------------------------------

@@ -3,11 +3,14 @@
 These deliberately use different algorithms from the package: box piles as
 explicit downward-closed subsets of the lattice grown by breadth-first
 search with set deduplication, partition counts by the bounded-part
-recurrence, and nested chains by filtering plain tuples.
+recurrence, and nested chains by filtering plain tuples.  Ideal membership
+and rank have dense Gaussian-elimination references here, independent of
+the package's sparse echelon form.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -135,3 +138,103 @@ def _partitions(n, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
+
+
+# -- dense exact linear algebra -------------------------------------------------
+
+
+def _dense_echelon(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan in place over the first ``ncols`` columns, first nonzero
+    row as pivot; returns the (row, column) pivot positions."""
+    pivots = []
+    rk = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rk, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        pv = rows[rk][col]
+        rows[rk] = [x / pv for x in rows[rk]]
+        for i in range(len(rows)):
+            if i != rk and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
+        pivots.append((rk, col))
+        rk += 1
+    return pivots
+
+
+def rank_dense(a) -> int:
+    rows = [[Fraction(x) for x in r] for r in a]
+    return len(_dense_echelon(rows, len(rows[0]) if rows else 0))
+
+
+def solve_dense(a, b):
+    """One solution x of A x = b, or None if the system is inconsistent."""
+    nc = len(a[0]) if a else 0
+    rows = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(len(a))]
+    pivots = _dense_echelon(rows, nc)
+    if any(rows[i][nc] != 0 for i in range(len(pivots), len(rows))):
+        return None
+    x = [Fraction(0)] * nc
+    for r, c in pivots:
+        x[c] = rows[r][nc]
+    return x
+
+
+def _residual_dense(p, basis, column_vecs):
+    """Reduce p by the column span, pivoting each column at its first
+    nonzero basis word, and return the remainder as ``word -> coeff``."""
+    index = {w: i for i, w in enumerate(basis)}
+    pivots: dict[int, list[Fraction]] = {}
+    for vec in column_vecs:
+        row = [Fraction(0)] * len(basis)
+        for w, c in vec.items():
+            row[index[w]] = c
+        for col, pivot in pivots.items():
+            if row[col] != 0:
+                f = row[col]
+                row = [x - f * y for x, y in zip(row, pivot)]
+        lead = next((i for i, x in enumerate(row) if x != 0), None)
+        if lead is not None:
+            pv = row[lead]
+            pivots[lead] = [x / pv for x in row]
+    target = [p.terms.get(w, Fraction(0)) for w in basis]
+    for col, pivot in pivots.items():
+        if target[col] != 0:
+            f = target[col]
+            target = [x - f * y for x, y in zip(target, pivot)]
+    return {w: c for w, c in zip(basis, target) if c != 0}
+
+
+def ideal_membership_dense(q, p, relations, word_length_bound):
+    """Bounded ideal membership by one dense solve over the word basis and,
+    for non-members, a second dense elimination for the residual.  Returns
+    ``(success, certificate parts, residual terms)``; certificate parts are
+    ``(coeff, u, relation index, v)`` as in the package."""
+    from quiverdt import ncalg
+
+    words = ncalg._paths_up_to(q, word_length_bound)
+    columns, column_vecs = [], []
+    for ridx, r in enumerate(relations.relations):
+        for u in words:
+            if u.target(q) != r.src:
+                continue
+            ur = ncalg.nc_mul(q, ncalg.NCPoly.from_path(u), r.poly)
+            for v in words:
+                if v.source(q) != r.tgt:
+                    continue
+                urv = ncalg.nc_mul(q, ur, ncalg.NCPoly.from_path(v))
+                if not urv.is_zero():
+                    columns.append((u, ridx, v))
+                    column_vecs.append(urv.terms)
+    basis = sorted(
+        {w for vec in column_vecs for w in vec} | set(p.terms), key=lambda w: w.sort_key(q)
+    )
+    a = [[vec.get(w, Fraction(0)) for vec in column_vecs] for w in basis]
+    b = [p.terms.get(w, Fraction(0)) for w in basis]
+    sol = solve_dense(a, b) if columns else None
+    if sol is None and not p.is_zero():
+        return False, None, _residual_dense(p, basis, column_vecs)
+    parts = [(c, u, ridx, v) for c, (u, ridx, v) in zip(sol or [], columns) if c != 0]
+    return True, parts, None

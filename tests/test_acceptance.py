@@ -77,18 +77,7 @@ def test_criterion_09_monad_certification():
     wanted = ("c3", "adhm3d", "pervsystem-conifold", "kn", "ny3d")
     ok = True
     for tpl_id in wanted:
-        tpl = catalog.get_monad_template(tpl_id)
-        if tpl_id == "c3":
-            q, w = catalog.get_quiver_with_potential("c3")
-            rels = ncalg.relations_from_potential(q, w)
-            syms = [a.name for a in q.arrows]
-        else:
-            fq = catalog.get_framed_example(tpl_id)
-            rels = framing.framed_relations(
-                framing.specialize(fq, framing.FramingStructure.zero(fq))
-            )
-            syms = [a.name for a in rels.quiver.arrows]
-        c = monad.assemble(tpl, syms, marked_values={m: 0 for m in tpl.marked})
+        c, rels = catalog.monad_case(tpl_id)
         ok = ok and monad.certify_d_squared(c, rels).certified
     report(9, "d^2 certificates for five templates", ok, t0, 30)
 

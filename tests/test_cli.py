@@ -28,6 +28,11 @@ def test_catalog_show_unknown_exits_2(capsys):
     assert code == 2 and "catalog" in err
 
 
+def test_catalog_show_without_id_is_usage_error(capsys):
+    code, _, err = run_capture(capsys, ["catalog", "show"])
+    assert code == 2 and "usage" in err
+
+
 def test_quiver_dot_marks_fixed_arrows(capsys):
     code, out, _ = run_capture(capsys, ["quiver", "adhm3d", "--framed", "--dot"])
     assert code == 0

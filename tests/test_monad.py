@@ -71,7 +71,9 @@ def test_certify_c3():
     assert report.certified
     # certificates re-expand to the composite entries they certify
     for cert in report.entries:
-        assert cert.membership.success
+        entry = monad.compose_stage(c, cert.stage)[cert.row][cert.col]
+        component = monad.entry_to_ncpolys(entry, c.terms[cert.stage][cert.col].vertex)[cert.exps]
+        assert cert.membership.certificate.expand(rels.quiver, rels) == component
 
 
 def test_certify_fails_with_empty_relations():
@@ -94,15 +96,7 @@ def test_certify_can_raise_not_in_ideal():
 
 @pytest.mark.parametrize("template_id", catalog.monad_template_ids())
 def test_certify_all_templates(template_id):
-    tpl = catalog.get_monad_template(template_id)
-    if template_id in ("c3", "y20"):
-        q, w = catalog.get_quiver_with_potential(template_id)
-        rels = ncalg.relations_from_potential(q, w)
-        syms = [a.name for a in q.arrows]
-    else:
-        rels = framed_relations(template_id)
-        syms = [a.name for a in rels.quiver.arrows]
-    c = monad.assemble(tpl, syms, marked_values={m: 0 for m in tpl.marked})
+    c, rels = catalog.monad_case(template_id)
     assert monad.certify_d_squared(c, rels).certified
 
 

@@ -1,18 +1,24 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverdt import linalg
+import oracles
+from quiverdt import catalog, framing, linalg
 from quiverdt.ncalg import (
     Arrow,
     BoundTooSmall,
+    MembershipCertificate,
     NCAlgError,
     NCPoly,
     Path,
     Potential,
     Quiver,
+    Relation,
+    RelationSet,
     UnknownArrow,
+    _paths_up_to,
     block_dims,
     chi_form,
     cyclic_derivative,
@@ -241,6 +247,71 @@ def test_membership_bound_too_small():
         ideal_membership(q, p, rels, 0)
 
 
+def test_membership_certificate_indexes_all_relations():
+    """Certificate parts name relations by position in ``relations.relations``,
+    zero relations included, because that is what ``expand`` reads."""
+    q = c3()
+    rels = relations_from_potential(q, commutator_potential(q))
+    padded = RelationSet(q, [Relation("0", "0", NCPoly.zero()), *rels.relations])
+    p = padded.relations[1].poly
+    result = ideal_membership(q, p, padded, 0)
+    assert result.success
+    assert result.certificate.expand(q, padded) == p
+
+
+def _membership_systems():
+    out = {}
+    for g in ("c3", "conifold"):
+        q, w = catalog.get_quiver_with_potential(g)
+        out[g] = (q, relations_from_potential(q, w))
+    fq = catalog.get_framed_example("pervsystem-c3")
+    framed = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq)))
+    out["pervsystem-c3"] = (framed.quiver, framed.relations)
+    return out
+
+
+MEMBERSHIP_SYSTEMS = _membership_systems()
+
+
+@lru_cache(maxsize=None)
+def _membership_pieces(name, bound):
+    """Every nonzero u*r*v under the bound, and the words a query may add."""
+    q, rels = MEMBERSHIP_SYSTEMS[name]
+    words = _paths_up_to(q, bound)
+    products = []
+    for r in rels:
+        for u in words:
+            for v in words:
+                urv = nc_mul(q, nc_mul(q, NCPoly.from_path(u), r.poly), NCPoly.from_path(v))
+                if not urv.is_zero():
+                    products.append(urv)
+    return products, _paths_up_to(q, bound + 1)
+
+
+COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(MEMBERSHIP_SYSTEMS)), st.integers(0, 1), st.data())
+def test_membership_matches_dense_oracle(name, bound, data):
+    q, rels = MEMBERSHIP_SYSTEMS[name]
+    products, extra = _membership_pieces(name, bound)
+    p = NCPoly.zero()
+    for i, c in data.draw(st.lists(st.tuples(st.integers(0, len(products) - 1), COEFFS), max_size=6)):
+        p = p + products[i].scale(c)
+    for i, c in data.draw(st.lists(st.tuples(st.integers(0, len(extra) - 1), COEFFS), max_size=2)):
+        p = p + NCPoly.from_path(extra[i], c)
+    result = ideal_membership(q, p, rels, bound)
+    success, parts, residual = oracles.ideal_membership_dense(q, p, rels, bound)
+    assert result.success == success
+    if success:
+        assert MembershipCertificate(parts).expand(q, rels) == p
+        assert result.residual is None
+        assert result.certificate.expand(q, rels) == p
+    else:
+        assert result.residual.terms == residual
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["A", "B", "C", "D"]), st.sampled_from(["A", "B", "C", "D"]))
 def test_membership_roundtrip_on_padded_relations(left, right):
@@ -353,3 +424,58 @@ def test_numeric_residual_shape_mismatch():
 
     with pytest.raises(ShapeMismatch):
         numeric_relation_residual(q, rels, {"B1": linalg.zeros(1, 2)}, {"0": 2})
+
+
+# -- the shared eliminator ---------------------------------------------------------
+
+
+def test_rank_small_cases():
+    assert linalg.rank(()) == 0
+    assert linalg.rank(linalg.zeros(3, 2)) == 0
+    assert linalg.rank(linalg.identity(3)) == 3
+    assert linalg.rank(linalg.mat([[1, 2], [2, 4], [0, 0]])) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.one_of(
+                st.just([0] * cols),
+                st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.data(),
+)
+def test_rank_matches_dense_oracle(rows, data):
+    # append combinations of existing rows so rank-deficient matrices are common
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        k = data.draw(st.integers(-2, 2))
+        rows.append([x + k * y for x, y in zip(rows[a], rows[b])])
+    m = linalg.mat(rows)
+    assert linalg.rank(m) == oracles.rank_dense(m)
+    # a reduced vector is its remainder plus the reported combination of rows,
+    # and the remainder is empty exactly when the vector lies in the row span
+    span = linalg.Echelon(int)
+    for i, row in enumerate(rows):
+        span.add(dict(enumerate(row)), i)
+    target = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows[0]), max_size=len(rows[0])))
+    rem, comb = span.reduce(dict(enumerate(target)))
+    for j, x in enumerate(target):
+        assert rem.get(j, 0) + sum(c * rows[i][j] for i, c in comb.items()) == x
+    assert (not rem) == (oracles.rank_dense(m + (tuple(target),)) == len(span))
+
+
+def test_echelon_tracks_combinations():
+    span = linalg.Echelon(str)
+    assert span.add({"a": 1, "b": 1}, "r0")
+    assert span.add({"a": 1, "c": 1}, "r1")  # stored as r0 - r1, pivot b
+    assert not span.add({"a": 2, "b": 1, "c": 1}, "r2")
+    assert len(span) == 2
+    rem, comb = span.reduce({"a": 2, "b": 3, "c": -1, "d": 5})
+    assert rem == {"d": 5}
+    assert comb == {"r0": 3, "r1": -1}
