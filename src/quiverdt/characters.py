@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import QSeries, binomial_factor
+from .qseries import QSeries, compare, factor_product, macmahon
 
 EVEN, ODD = 0, 1
 
@@ -115,20 +115,33 @@ def generator_count(ws: WeightMultiset) -> int:
     return sum(ws.values())
 
 
+Factors = dict[tuple[tuple[int, ...], int], int]  # ((exponent,), sign) -> power
+
+
+def _pochhammer_factors(order: int, pochhammers) -> Factors:
+    """Factor multiset of a product of pochhammers ``(w, power[, sign])``,
+    each standing for prod_{k>=w} (1 - sign*q^k)**power (sign 1 if omitted)."""
+    factors: Factors = {}
+    for w, power, *sign in pochhammers:
+        for k in range(w, order + 1):
+            key = ((k,), sign[0] if sign else 1)
+            factors[key] = factors.get(key, 0) + power
+    return factors
+
+
+def character_factors(ws: WeightMultiset, order: int) -> Factors:
+    """Factor multiset of the vacuum character of a strong-generator weight
+    multiset: each even generator of weight w contributes
+    prod_{k>=0} (1 - q^(w+k))^-1, each odd one prod_{k>=0} (1 + q^(w+k))."""
+    pochhammers = [
+        (w, -mult) if parity == EVEN else (w, mult, -1) for (w, parity), mult in ws.items()
+    ]
+    return _pochhammer_factors(order, pochhammers)
+
+
 def character(ws: WeightMultiset, order: int) -> QSeries:
-    """Vacuum character of a strong-generator weight multiset: each even
-    generator of weight w contributes prod_{k>=0} (1 - q^(w+k))^-1, each odd
-    one prod_{k>=0} (1 + q^(w+k))."""
-    result = QSeries.one(("q",), order)
-    for (w, parity), mult in sorted(ws.items()):
-        k = 0
-        while w + k <= order:
-            if parity == EVEN:
-                result = result * binomial_factor(("q",), order, (w + k,), 1, -mult)
-            else:
-                result = result * binomial_factor(("q",), order, (w + k,), -1, mult)
-            k += 1
-    return result
+    """Vacuum character of a strong-generator weight multiset."""
+    return factor_product(("q",), order, character_factors(ws, order))
 
 
 def character_from_shift(shift, t: int, order: int) -> QSeries:
@@ -138,50 +151,28 @@ def character_from_shift(shift, t: int, order: int) -> QSeries:
 # -- closed forms of the displayed character figures -------------------------
 
 
+# figure kind -> its pochhammers (see _pochhammer_factors) at rank r
+FIGURE_POCHHAMMERS = {
+    "glr-principal": lambda r: [(j + 1, -1) for j in range(r)],
+    "gl2-s0": lambda r: [(j + 1, -4) for j in range(r)],
+    "gl2-s1": lambda r: [(1, 1), (r, 2)] + [(j + 1, -4) for j in range(r)],
+    "gl2-s2": lambda r: [(1, 1), (2, 1), (r, 2), (r + 1, -2)] + [(j + 1, -4) for j in range(r)],
+    "glrr": lambda r: [(j + 1, -2) for j in range(r)] + [(j + 1, 2, -1) for j in range(r)],
+}
+
+
+def figure_factors(kind: str, r: int, order: int) -> Factors:
+    """Factor multiset of the displayed vacuum-character product formula of
+    a figure kind at rank r, with factors that do not depend on the inner
+    product index read globally."""
+    if kind not in FIGURE_POCHHAMMERS:
+        raise CharacterError(f"unknown figure kind {kind!r}")
+    return _pochhammer_factors(order, FIGURE_POCHHAMMERS[kind](r))
+
+
 def figure_series(kind: str, r: int, order: int) -> QSeries:
-    """The displayed vacuum-character product formulas, with factors that do
-    not depend on the inner product index read globally.
-
-    kind: "glr-principal", "gl2-s0", "gl2-s1", "gl2-s2", "glrr".
-    """
-    q = ("q",)
-    one = QSeries.one(q, order)
-
-    def pochhammer(w: int, power: int, sign: int = 1) -> QSeries:
-        # prod_{k>=1} (1 - sign*q^(k + w - 1))**power
-        out = one
-        k = 1
-        while k + w - 1 <= order:
-            out = out * binomial_factor(q, order, (k + w - 1,), sign, power)
-            k += 1
-        return out
-
-    if kind == "glr-principal":
-        out = one
-        for j in range(r):
-            out = out * pochhammer(j + 1, -1)
-        return out
-    if kind == "gl2-s0":
-        out = one
-        for j in range(r):
-            out = out * pochhammer(j + 1, -4)
-        return out
-    if kind == "gl2-s1":
-        out = pochhammer(1, 1) * pochhammer(r, 2)
-        for j in range(r):
-            out = out * pochhammer(j + 1, -4)
-        return out
-    if kind == "gl2-s2":
-        out = pochhammer(1, 1) * pochhammer(2, 1) * pochhammer(r, 2) * pochhammer(r + 1, -2)
-        for j in range(r):
-            out = out * pochhammer(j + 1, -4)
-        return out
-    if kind == "glrr":
-        out = one
-        for j in range(r):
-            out = out * pochhammer(j + 1, -2) * pochhammer(j + 1, 2, sign=-1)
-        return out
-    raise CharacterError(f"unknown figure kind {kind!r}")
+    """The displayed vacuum-character product formula of a figure kind."""
+    return factor_product(("q",), order, figure_factors(kind, r, order))
 
 
 def figure_pyramid(kind: str, r: int):
@@ -212,32 +203,21 @@ def limit_series(m: int, n: int, sub: tuple[int, ...], order: int) -> QSeries:
     """Closed-form large-rank limit of the vacuum characters for the
     supported shift data: gl2 with subdiagonal (0), (1), (2), and gl(1|1)
     with subdiagonal (0)."""
-    q = ("q",)
+    every = range(1, order + 1)
     if (m, n) == (2, 0) and sub in ((0,), (1,), (2,)):
-        out = macmahon_power(order, 4)
-        s = sub[0]
-        for w in range(1, s + 1):
-            k = 1
-            while k + w - 1 <= order:
-                out = out * binomial_factor(q, order, (k + w - 1,), 1, 1)
-                k += 1
-        return out
-    if (m, n) == (1, 1) and sub == (0,):
+        # prod_k (1 - q^k)^(-4k), times prod_{k>=w} (1 - q^k) for w = 1..sub
+        pochhammers = [(w, -4) for w in every] + [(w, 1) for w in range(1, sub[0] + 1)]
+    elif (m, n) == (1, 1) and sub == (0,):
         # prod_k (1 + q^k)^(2k) (1 - q^k)^(-2k)
-        out = QSeries.one(q, order)
-        for k in range(1, order + 1):
-            out = out * binomial_factor(q, order, (k,), -1, 2 * k)
-            out = out * binomial_factor(q, order, (k,), 1, -2 * k)
-        return out
-    raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
+        pochhammers = [(w, -2) for w in every] + [(w, 2, -1) for w in every]
+    else:
+        raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
+    return factor_product(("q",), order, _pochhammer_factors(order, pochhammers))
 
 
 def macmahon_power(order: int, power: int) -> QSeries:
     """prod_k (1 - q^k)^(-power*k) as a series in q."""
-    out = QSeries.one(("q",), order)
-    for k in range(1, order + 1):
-        out = out * binomial_factor(("q",), order, (k,), 1, -power * k)
-    return out
+    return macmahon(None, order, vars=("q",), power=power)
 
 
 @dataclass
@@ -259,7 +239,5 @@ def limit_check(shift, order: int, t_max: int) -> LimitReport:
         )
     got = character_from_shift(shift, t_max, order)
     want = limit_series(shift.m, shift.n, shift.sub, order)
-    from .qseries import compare
-
     mismatch = compare(got, want, order)
     return LimitReport(order=order, t_used=t_max, equal=mismatch is None, mismatch=mismatch)

@@ -51,18 +51,18 @@ class CheckResult:
 
 
 def _result(name, order, t0, mismatch) -> CheckResult:
-    return CheckResult(name, mismatch is None, order, mismatch, time.time() - t0)
+    return CheckResult(name, mismatch is None, order, mismatch, time.perf_counter() - t0)
 
 
 def check_c3_dt(order: int = 12) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = partitions.plane_partition_series(order)
     want = macmahon(None, order, vars=("q",))
     return _result("c3-dt", order, t0, compare(got, want))
 
 
 def check_vw_rank1(order: int = 12) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = partitions.partition_series(order)
     want = euler_factor(("q",), order, power=-1)
     return _result("vw-rank1", order, t0, compare(got, want))
@@ -87,7 +87,7 @@ _XQ_TO_Q01 = Substitution(
 
 
 def check_conifold_ncdt(order: int = 10) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     target = substitute(_XQ_TO_Q01, _xq_product(order, inverse_outer=True))
     pyramids = partitions.pyramid_series(order)
     signed = substitute(
@@ -100,7 +100,7 @@ def check_conifold_ncdt(order: int = 10) -> CheckResult:
 
 
 def check_y20_ncdt(order: int = 10) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     target = substitute(_XQ_TO_Q01, _xq_product(order, inverse_outer=False))
     colored = partitions.plane_partition_series(order, colors=2)
     signed = substitute(
@@ -115,7 +115,7 @@ def check_y20_ncdt(order: int = 10) -> CheckResult:
 def check_ym0_ncdt(m: int = 3, order: int = 8) -> CheckResult:
     """Cyclically colored count against M(1,q)^m times paired interval
     factors M(x_[a,b]^{+-1}, q) under q -> -q0...q_(m-1), x_i -> q_i."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     xs = tuple(f"x{i}" for i in range(1, m))
     vars_ = xs + ("q",)
     grading = (1,) * (m - 1) + (m,)
@@ -139,7 +139,7 @@ def check_ym0_ncdt(m: int = 3, order: int = 8) -> CheckResult:
 
 
 def check_nested_gl(order: int = 10, ranks=(1, 2, 3, 4)) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     for r in ranks:
         got = partitions.nested_series(r, order)
         want = characters.character(
@@ -147,14 +147,14 @@ def check_nested_gl(order: int = 10, ranks=(1, 2, 3, 4)) -> CheckResult:
         )
         mismatch = compare(got, want)
         if mismatch is not None:
-            return CheckResult(f"nested-gl (rank {r})", False, order, mismatch, time.time() - t0)
-    return CheckResult("nested-gl", True, order, None, time.time() - t0)
+            return _result(f"nested-gl (rank {r})", order, t0, mismatch)
+    return _result("nested-gl", order, t0, None)
 
 
 def check_blowup(order: int = 8) -> CheckResult:
     """Lattice sum against sum_k q^(k^2/2) / eta-squared, in the doubled
     variable qh with qh^2 = q."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = partitions.blowup_series(order)
     qh = ("qh",)
     eta2 = euler_factor(qh, 2 * order, q=Mono(1, (2,)), power=-2)
@@ -169,7 +169,7 @@ def check_blowup(order: int = 8) -> CheckResult:
 
 
 def check_character_figures(order: int = 20, max_rank: int = 5) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     for kind in ("glr-principal", "gl2-s0", "gl2-s1", "gl2-s2", "glrr"):
         for r in range(1, max_rank + 1):
             p = characters.figure_pyramid(kind, r)
@@ -177,14 +177,12 @@ def check_character_figures(order: int = 20, max_rank: int = 5) -> CheckResult:
             want = characters.figure_series(kind, r, order)
             mismatch = compare(got, want)
             if mismatch is not None:
-                return CheckResult(
-                    f"character-figures ({kind}, r={r})", False, order, mismatch, time.time() - t0
-                )
-    return CheckResult("character-figures", True, order, None, time.time() - t0)
+                return _result(f"character-figures ({kind}, r={r})", order, t0, mismatch)
+    return _result("character-figures", order, t0, None)
 
 
 def check_character_limits(order: int = 12, t_max: int = 25) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = [
         ShiftMatrix(2, 0, (0,)),
         ShiftMatrix(2, 0, (1,)),
@@ -194,30 +192,25 @@ def check_character_limits(order: int = 12, t_max: int = 25) -> CheckResult:
     for shift in cases:
         report = characters.limit_check(shift, order, t_max)
         if not report.equal:
-            return CheckResult(
-                f"character-limits (m={shift.m}, n={shift.n}, sub={shift.sub})",
-                False,
-                order,
-                report.mismatch,
-                time.time() - t0,
-            )
-    return CheckResult("character-limits", True, order, None, time.time() - t0)
+            name = f"character-limits (m={shift.m}, n={shift.n}, sub={shift.sub})"
+            return _result(name, order, t0, report.mismatch)
+    return _result("character-limits", order, t0, None)
 
 
 def check_monad_certification() -> CheckResult:
     """d^2 = 0 modulo relations for every stored monad template."""
     from . import catalog, monad
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     for tpl_id in catalog.monad_template_ids():
         c, rels = catalog.monad_case(tpl_id)
         try:
             monad.certify_d_squared(c, rels, raise_on_failure=True)
         except monad.NotInIdeal as exc:
             return CheckResult(
-                f"monad ({tpl_id})", False, 0, None, time.time() - t0, detail=str(exc)
+                f"monad ({tpl_id})", False, 0, None, time.perf_counter() - t0, detail=str(exc)
             )
-    return CheckResult("monad-certification", True, 0, None, time.time() - t0)
+    return CheckResult("monad-certification", True, 0, None, time.perf_counter() - t0)
 
 
 COMPARE_TARGETS = {

@@ -95,6 +95,10 @@ def cmd_relations(args) -> int:
         quiver, relation_list = rels.quiver, list(rels.relations)
     except catalog.NotInCatalog:
         quiver, w = catalog.get_quiver_with_potential(args.id)
+        if args.framing is not None:
+            msg = f"usage: --framing needs a framed example; {args.id!r} is an unframed geometry"
+            print(msg, file=sys.stderr)
+            return 2
         relation_list = list(ncalg.relations_from_potential(quiver, w))
     if args.json:
         _emit_json(
@@ -122,6 +126,19 @@ def cmd_relations(args) -> int:
 def cmd_monad(args) -> int:
     c, rels = catalog.monad_case(args.id)
     tpl = c.template
+    if args.numeric:
+        with open(args.numeric) as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict) or "points" not in data:
+            raise ValueError(f"{args.numeric}: no 'points' key")
+        points = [tuple(Fraction(str(x)) for x in p) for p in data["points"]]
+        rep, cyclic = framing.numeric_solution_builder(points)
+        unbound = [a.name for a in tpl.quiver.arrows if a.name not in rep]
+        if unbound:
+            raise ValueError(
+                f"no numeric witness for template {tpl.label}: "
+                f"unbound arrows {', '.join(unbound)}"
+            )
     report = monad.certify_d_squared(c, rels)
     payload = {
         "template": tpl.label,
@@ -133,16 +150,11 @@ def cmd_monad(args) -> int:
         ],
     }
     if args.numeric:
-        with open(args.numeric) as handle:
-            data = json.load(handle)
-        points = [tuple(Fraction(str(x)) for x in p) for p in data["points"]]
-        rep, cyclic = framing.numeric_solution_builder(points)
         dims = {"0": len(points), "inf": 1}
-        rep_used = {k: v for k, v in rep.items() if tpl.quiver.has_arrow(k)}
         tables = []
         for p in points:
             res = monad.evaluate(
-                c, rep_used, dims, (p[0], p[1], 0), resolution_certified=True
+                c, rep, dims, (p[0], p[1], 0), resolution_certified=True
             )
             tables.append(
                 {
@@ -364,7 +376,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (catalog.NotInCatalog, KeyError) as exc:
+    except catalog.NotInCatalog as exc:
         print(f"not in catalog: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

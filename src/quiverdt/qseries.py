@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -46,7 +47,7 @@ class Mono:
 
 
 def _add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class QSeries:
@@ -164,31 +165,18 @@ class QSeries:
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z")
-        zero_exps = (0,) * len(self.vars)
-        for e in self.coeffs:
-            if e != zero_exps and self.grade(e) == 0:
+        zero = (0,) * len(self.vars)
+        by_grade: dict[int, dict[tuple[int, ...], int]] = {}
+        for e, c in self.coeffs.items():
+            g = self.grade(e)
+            if g == 0 and e != zero:
                 raise ConeViolation(
                     f"cannot invert: non-constant monomial {e} has grade 0; "
                     "use a grading vector that weights it positively"
                 )
-        by_grade: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in self.coeffs.items():
-            by_grade.setdefault(self.grade(e), {})[e] = c
-        zero = (0,) * len(self.vars)
-        inv: dict[tuple[int, ...], int] = {zero: c0}
-        inv_by_grade: dict[int, dict[tuple[int, ...], int]] = {0: {zero: c0}}
-        for g in range(1, self.order + 1):
-            level: dict[tuple[int, ...], int] = {}
-            for h in range(1, g + 1):
-                for ea, ca in by_grade.get(h, {}).items():
-                    for eb, cb in inv_by_grade.get(g - h, {}).items():
-                        e = _add_exps(ea, eb)
-                        level[e] = level.get(e, 0) - c0 * ca * cb
-            level = {e: c for e, c in level.items() if c}
-            if level:
-                inv_by_grade[g] = level
-                inv.update(level)
-        return self._like(inv)
+            by_grade.setdefault(g, {})[e] = c
+        # a * inv = 1: inv_e = -c0 * sum_f a_f * inv_(e-f) over grade(f) > 0
+        return self._like(_grade_recurrence(self.order, zero, c0, by_grade, lambda g, c: -c0 * c))
 
     def __pow__(self, k: int) -> "QSeries":
         if k < 0:
@@ -245,31 +233,92 @@ class QSeries:
         return f"QSeries(vars={self.vars}, order={self.order}, {n} terms)"
 
 
-# -- factor helpers ------------------------------------------------------
+# -- factor products -----------------------------------------------------
+
+
+def _grade_recurrence(order, zero, c0, rhs, finish) -> dict[tuple[int, ...], int]:
+    """Coefficients ``a`` of a series with ``a_zero = c0`` that obey, grade
+    by grade, ``a_e = finish(g, sum_f rhs_f * a_(e-f))`` for every e of
+    grade g >= 1, the sum running over the terms of ``rhs`` (grade ->
+    {exps: coeff}) of positive grade."""
+    levels = [{zero: c0}]
+    for g in range(1, order + 1):
+        level: dict[tuple[int, ...], int] = {}
+        for h in range(1, g + 1):
+            for f, b in rhs.get(h, {}).items():
+                for e, a in levels[g - h].items():
+                    key = _add_exps(f, e)
+                    level[key] = level.get(key, 0) + b * a
+        levels.append({e: finish(g, c) for e, c in level.items() if c})
+    return {e: c for level in levels for e, c in level.items()}
+
+
+def factor_product(vars, order, factors: Mapping, grading=None) -> QSeries:
+    """``prod (1 - sign*m)**power`` over a multiset ``{(exps, sign): power}``
+    of monomials ``m``, expanded in one pass.
+
+    The grade-weighted Euler operator ``D = sum w_i x_i d/dx_i`` multiplies
+    a monomial of grade g by g, so ``D F = F * D log F`` with
+    ``D log F = -sum power * g(m) * sign**k * m**k`` over the factors and
+    k >= 1.  Its grade-g part gives ``g * a_e = sum_f b_f * a_(e-f)``, so
+    each coefficient follows from lower grades by one exact integer
+    division.  A grade-0 factor is invisible to D; with a non-negative
+    power it is a polynomial, expanded directly and multiplied in last.
+    """
+    one = QSeries.one(vars, order, grading)
+    zero = (0,) * len(one.vars)
+    flat = one  # product of the grade-0 factors
+    log_deriv: dict[int, dict[tuple[int, ...], int]] = {}  # grade -> {exps: b}
+    for (exps, sign), power in factors.items():
+        exps = tuple(exps)
+        g = one.grade(exps)
+        if g < 0 or (g == 0 and power < 0):
+            raise ConeViolation(
+                f"(1 - m)**{power} for m = {exps} of grade {g} leaves the truncation cone; "
+                "choose a grading that weights m positively"
+            )
+        if len(exps) != len(zero):
+            raise QSeriesError("exponent vector length mismatch")
+        if g == 0:
+            flat = flat * (one - QSeries.monomial(vars, order, exps, sign, grading)) ** power
+            continue
+        for k in range(1, order // g + 1):
+            level = log_deriv.setdefault(k * g, {})
+            e = tuple(k * x for x in exps)
+            level[e] = level.get(e, 0) - power * g * sign ** k
+    coeffs = _grade_recurrence(order, zero, 1, log_deriv, lambda g, c: c // g)
+    series = QSeries(vars, order, coeffs, grading)
+    return series if flat is one else flat * series
 
 
 def binomial_factor(vars, order, exps, sign=1, power=1, grading=None) -> QSeries:
     """``(1 - sign*m)**power`` for a single monomial ``m`` and any integer
-    power, expanded directly (geometric series for negative powers)."""
-    one = QSeries.one(vars, order, grading)
-    weights = one.grading
-    g = sum(w * e for w, e in zip(weights, exps))
-    if g < 0:
-        raise ConeViolation(f"monomial {exps} has negative grade")
-    if power >= 0:
-        return (one - QSeries.monomial(vars, order, exps, sign, weights)) ** power
-    if g == 0:
-        raise ConeViolation(
-            f"cannot invert (1 - m) for grade-0 monomial {exps}; "
-            "choose a grading that weights it positively"
-        )
-    coeffs: dict[tuple[int, ...], int] = {}
-    j = 0
-    while j * g <= order:
-        coeffs[tuple(j * e for e in exps)] = sign ** j
-        j += 1
-    geo = QSeries(vars, order, coeffs, weights)
-    return geo ** (-power)
+    power."""
+    return factor_product(vars, order, {(tuple(exps), sign): power}, grading)
+
+
+def _q_product(vars, order, q: Mono | None, grading, power_at, x: Mono | None = None) -> QSeries:
+    """``prod_{k>=1} (1 - X*Q**k)**power_at(k)``.  ``X`` defaults to 1 and
+    ``Q`` to the last variable; factors beyond the truncation order are
+    dropped."""
+    vars = tuple(vars)
+    n = len(vars)
+    if q is None:
+        q = Mono(1, tuple(0 if i < n - 1 else 1 for i in range(n)))
+    if x is None:
+        x = Mono(1, (0,) * n)
+    weights = QSeries.one(vars, order, grading).grading
+    gq = sum(w * e for w, e in zip(weights, q.exps))
+    gx = sum(w * e for w, e in zip(weights, x.exps))
+    if gq <= 0:
+        raise ConeViolation("q-monomial must have positive grade")
+    factors = {}
+    k = 1
+    while gx + k * gq <= order:
+        exps = tuple(xe + k * qe for xe, qe in zip(x.exps, q.exps))
+        factors[(exps, x.sign * q.sign ** k)] = power_at(k)
+        k += 1
+    return factor_product(vars, order, factors, weights)
 
 
 def macmahon(x: Mono | None, order: int, vars=("x", "q"), q: Mono | None = None,
@@ -281,49 +330,12 @@ def macmahon(x: Mono | None, order: int, vars=("x", "q"), q: Mono | None = None,
     With a Laurent ``X`` the grading must weight every factor positively,
     e.g. grading (1, 2) on (x, q) for M(x**-1, q).
     """
-    vars = tuple(vars)
-    n = len(vars)
-    if q is None:
-        q = Mono(1, tuple(0 if i < n - 1 else 1 for i in range(n)))
-    if x is None:
-        x = Mono(1, (0,) * n)
-    result = QSeries.one(vars, order, grading)
-    weights = result.grading
-    gq = sum(w * e for w, e in zip(weights, q.exps))
-    gx = sum(w * e for w, e in zip(weights, x.exps))
-    if gq <= 0:
-        raise ConeViolation("q-monomial must have positive grade")
-    k = 1
-    while True:
-        exps = tuple(xe + k * qe for xe, qe in zip(x.exps, q.exps))
-        g = gx + k * gq
-        if g < 0:
-            raise ConeViolation(f"factor k={k} leaves the truncation cone")
-        if g > order:
-            break
-        sign = x.sign * (q.sign ** k)
-        result = result * binomial_factor(vars, order, exps, sign, -k * power, weights)
-        k += 1
-    return result
+    return _q_product(vars, order, q, grading, lambda k: -k * power, x)
 
 
 def euler_factor(vars, order, q: Mono | None = None, grading=None, power: int = 1) -> QSeries:
     """``prod_{k>=1} (1 - Q**k)**power`` (so ``power=-1`` is the partition series)."""
-    vars = tuple(vars)
-    n = len(vars)
-    if q is None:
-        q = Mono(1, tuple(0 if i < n - 1 else 1 for i in range(n)))
-    result = QSeries.one(vars, order, grading)
-    weights = result.grading
-    gq = sum(w * e for w, e in zip(weights, q.exps))
-    if gq <= 0:
-        raise ConeViolation("q-monomial must have positive grade")
-    k = 1
-    while k * gq <= order:
-        exps = tuple(k * e for e in q.exps)
-        result = result * binomial_factor(vars, order, exps, q.sign ** k, power, weights)
-        k += 1
-    return result
+    return _q_product(vars, order, q, grading, lambda k: power)
 
 
 # -- substitution --------------------------------------------------------

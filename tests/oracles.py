@@ -5,7 +5,9 @@ explicit downward-closed subsets of the lattice grown by breadth-first
 search with set deduplication, partition counts by the bounded-part
 recurrence, and nested chains by filtering plain tuples.  Ideal membership
 and rank have dense Gaussian-elimination references here, independent of
-the package's sparse echelon form.
+the package's sparse echelon form.  Products of ``(1 - sign*m)**power``
+factors are expanded one factor at a time by ring arithmetic, independent
+of the package's logarithmic-derivative recurrence.
 """
 
 from __future__ import annotations
@@ -238,3 +240,41 @@ def ideal_membership_dense(q, p, relations, word_length_bound):
         return False, None, _residual_dense(p, basis, column_vecs)
     parts = [(c, u, ridx, v) for c, (u, ridx, v) in zip(sol or [], columns) if c != 0]
     return True, parts, None
+
+
+# -- factor-by-factor q-series products -----------------------------------------
+
+
+def binomial_factor_by_powers(vars, order, exps, sign=1, power=1, grading=None):
+    """``(1 - sign*m)**power`` for a single monomial ``m``: repeated squaring
+    for a non-negative power, else the geometric series of ``m`` raised to
+    ``-power``."""
+    from quiverdt.qseries import ConeViolation, QSeries
+
+    one = QSeries.one(vars, order, grading)
+    weights = one.grading
+    g = sum(w * e for w, e in zip(weights, exps))
+    if g < 0:
+        raise ConeViolation(f"monomial {exps} has negative grade")
+    if power >= 0:
+        return (one - QSeries.monomial(vars, order, exps, sign, weights)) ** power
+    if g == 0:
+        raise ConeViolation(f"cannot invert (1 - m) for grade-0 monomial {exps}")
+    coeffs: dict[tuple[int, ...], int] = {}
+    j = 0
+    while j * g <= order:
+        coeffs[tuple(j * e for e in exps)] = sign ** j
+        j += 1
+    geo = QSeries(vars, order, coeffs, weights)
+    return geo ** (-power)
+
+
+def factor_product_by_factors(vars, order, factors, grading=None):
+    """The product of a factor multiset ``{(exps, sign): power}``, multiplied
+    in one factor at a time."""
+    from quiverdt.qseries import QSeries
+
+    out = QSeries.one(vars, order, grading)
+    for (exps, sign), power in factors.items():
+        out = out * binomial_factor_by_powers(vars, order, exps, sign, power, grading)
+    return out

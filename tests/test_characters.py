@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from quiverdt import characters as C
 from quiverdt import partitions as P
 from quiverdt.catalog import ShiftMatrix
@@ -108,6 +109,18 @@ def test_figures_match_pyramid_rule():
         for r in range(1, 5):
             got = C.character(C.generator_weights(C.figure_pyramid(kind, r)), 14)
             assert compare(got, C.figure_series(kind, r, 14)) is None, (kind, r)
+
+
+@pytest.mark.parametrize("kind", sorted(C.FIGURE_POCHHAMMERS))
+def test_figures_against_factor_by_factor_oracle(kind):
+    # each side of character-figures, built by factor_product, equals the
+    # other side's multiset expanded one factor at a time
+    for r in range(1, 6):
+        ws = C.generator_weights(C.figure_pyramid(kind, r))
+        pyramid_side = oracles.factor_product_by_factors(("q",), 20, C.character_factors(ws, 20))
+        figure_side = oracles.factor_product_by_factors(("q",), 20, C.figure_factors(kind, r, 20))
+        assert C.character(ws, 20) == figure_side, (kind, r)
+        assert C.figure_series(kind, r, 20) == pyramid_side, (kind, r)
 
 
 def test_figure_pyramids_match_shift_construction():

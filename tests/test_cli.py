@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from quiverdt import catalog
 from quiverdt.cli import run
 
 
@@ -66,6 +69,15 @@ def test_relations_with_framing_file(tmp_path, capsys):
     assert code == 0 and "d/dI" in out
 
 
+@pytest.mark.parametrize("geometry", ["c3", "conifold", "y20", "y30"])
+def test_relations_framing_on_unframed_geometry_is_usage_error(tmp_path, capsys, geometry):
+    path = tmp_path / "framing.json"
+    path.write_text(json.dumps({"ranks": {"inf": 1}, "arrows": {}}))
+    for framing_file in (str(path), str(tmp_path / "missing.json")):
+        code, out, err = run_capture(capsys, ["relations", geometry, "--framing", framing_file])
+        assert code == 2 and "usage" in err and "--framing" in err and out == ""
+
+
 def test_monad_verify(capsys):
     code, out, _ = run_capture(capsys, ["monad", "verify", "ny3d"])
     assert code == 0 and "certified" in out
@@ -82,6 +94,49 @@ def test_monad_verify_numeric(tmp_path, capsys):
     data = json.loads(out)
     assert data["certified"] is True
     assert all(t["sheaf"] == [0, 0, 0, 1] for t in data["numeric"]["cohomology"])
+
+
+def test_monad_verify_numeric_without_points_key(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"pts": [["0", "0"]]}))
+    code, _, err = run_capture(capsys, ["monad", "verify", "c3", "--numeric", str(path)])
+    assert code == 2 and "'points'" in err and "catalog" not in err
+
+
+@pytest.mark.parametrize(
+    "template, unbound",
+    [
+        ("y20", "E, F, A, C, B, D"),
+        ("kn", "E, F, A, C, B, D, Gf"),
+        ("pervsystem-conifold", "A, C, B, D"),
+        ("adhm3d", "Af"),
+        ("ny3d", "A, C, B, D"),
+    ],
+)
+def test_numeric_rejects_template_without_witness(tmp_path, capsys, template, unbound):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [["0", "0"], ["1", "0"]]}))
+    code, out, err = run_capture(capsys, ["monad", "verify", template, "--numeric", str(path)])
+    assert code == 2 and out == ""
+    assert f"no numeric witness for template {template}: unbound arrows {unbound}" in err
+
+
+def test_monad_verify_numeric_on_framed_c3(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [["0", "0"], ["1", "0"]]}))
+    code, out, _ = run_capture(
+        capsys, ["monad", "verify", "pervsystem-c3", "--numeric", str(path), "--json"]
+    )
+    assert code == 0 and len(json.loads(out)["numeric"]["cohomology"]) == 2
+
+
+def test_stray_key_error_is_not_reported_as_not_in_catalog(monkeypatch):
+    def broken(template):
+        raise KeyError("E")
+
+    monkeypatch.setattr(catalog, "monad_case", broken)
+    with pytest.raises(KeyError):
+        run(["monad", "verify", "c3"])
 
 
 def test_count_families(capsys):

@@ -1,16 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from quiverdt.qseries import (
     ConeViolation,
     Mono,
     NonUnitConstantTerm,
     QSeries,
+    QSeriesError,
     Substitution,
     binomial_factor,
     compare,
     coefficients_in_single_var,
     euler_factor,
+    factor_product,
     format_terms,
     macmahon,
     substitute,
@@ -130,3 +135,69 @@ def test_binomial_factor_negative_power():
     f = binomial_factor(("q",), 5, (1,), 1, -2)
     # (1-q)^-2 = sum (k+1) q^k
     assert coefficients_in_single_var(f) == [1, 2, 3, 4, 5, 6]
+
+
+def _outcome(build, *args):
+    """``("ok", series)`` or ``("raises", exception class)``."""
+    try:
+        return ("ok", build(*args))
+    except QSeriesError as exc:
+        return ("raises", type(exc))
+
+
+def _random_factor_case(seed):
+    """A uniformly drawn (vars, grading, factor multiset, order): univariate,
+    or (x, q) with grading (1, 2) and Laurent x^-1, x^-2; signs +-1, powers
+    -4..4, orders 0..25.  Negative-grade and grade-0 monomials occur too."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        vars, grading = ("q",), None
+        monomial = lambda: (rng.randint(-1, 4),)
+    else:
+        vars, grading = ("x", "q"), (1, 2)
+        monomial = lambda: (rng.randint(-2, 2), rng.randint(0, 2))
+    factors = {
+        (monomial(), rng.choice((1, -1))): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))
+    }
+    return vars, grading, factors, rng.randint(0, 25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_factor_product_matches_factor_by_factor_oracle(seed):
+    vars, grading, factors, order = _random_factor_case(seed)
+    assert _outcome(factor_product, vars, order, factors, grading) == _outcome(
+        oracles.factor_product_by_factors, vars, order, factors, grading
+    )
+
+
+@pytest.mark.parametrize(
+    "vars, grading, exps, power",
+    [
+        (("q",), None, (-1,), 0),  # negative grade, even at power 0
+        (("x", "q"), (1, 2), (-1, 0), 2),
+        (("q",), None, (0,), -1),  # grade-0 monomial with a negative power
+        (("x", "q"), (1, 1), (-1, 1), -2),
+    ],
+)
+def test_factor_product_cone_violations(vars, grading, exps, power):
+    for build in (factor_product, oracles.factor_product_by_factors):
+        for sign in (1, -1):
+            with pytest.raises(ConeViolation):
+                build(vars, 6, {(exps, sign): power}, grading)
+
+
+def test_factor_product_grade_zero_monomial_with_nonnegative_power():
+    # (1 + x^-1*q)^2 has every term at grade 0 under grading (1, 1)
+    got = factor_product(("x", "q"), 3, {((-1, 1), -1): 2, ((0, 1), 1): -1}, (1, 1))
+    want = oracles.factor_product_by_factors(
+        ("x", "q"), 3, {((-1, 1), -1): 2, ((0, 1), 1): -1}, (1, 1)
+    )
+    assert got == want and got.coefficient((-2, 2)) == 1
+    assert factor_product(("q",), 4, {((0,), 1): 3}) == QSeries.zero(("q",), 4)
+
+
+def test_factor_product_exponent_length_mismatch():
+    for build in (factor_product, oracles.factor_product_by_factors):
+        with pytest.raises(QSeriesError):
+            build(("q",), 5, {((1, 1), 1): -1})
