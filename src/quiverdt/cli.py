@@ -20,16 +20,48 @@ def _emit_json(data) -> None:
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
 
 
+def _rational(where: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: {value!r} is not a rational number") from None
+
+
 def _load_framing(fq, path: str | None):
     if path is None:
         return framing.FramingStructure.zero(fq)
     with open(path) as handle:
         data = json.load(handle)
-    matrices = {
-        name: tuple(tuple(Fraction(x) for x in row) for row in rows)
-        for name, rows in data.get("arrows", {}).items()
-    }
-    ranks = {v: int(r) for v, r in data.get("ranks", {}).items()}
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a framing file holds a JSON object with 'ranks' and 'arrows'")
+    for key in data:
+        if key not in ("ranks", "arrows"):
+            raise ValueError(f"{path}: unknown key {key!r} (expected 'ranks', 'arrows')")
+    arrows, given_ranks = data.get("arrows", {}), data.get("ranks", {})
+    marked = [a.name for a in fq.quiver.arrows if a.marked]
+    for key, entries, allowed, what in (
+        ("arrows", arrows, marked, "marked arrow"),
+        ("ranks", given_ranks, sorted(fq.framing_vertices), "framing vertex"),
+    ):
+        if not isinstance(entries, dict):
+            raise ValueError(f"{path}: {key!r} must be a JSON object")
+        for name in entries:
+            if name not in allowed:
+                raise ValueError(
+                    f"{path}: {key} key {name!r} is not a {what} of {fq.label} "
+                    f"(expected one of {', '.join(allowed)})"
+                )
+    matrices = {}
+    for name, rows in arrows.items():
+        where = f"{path}: arrows[{name!r}]"
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"{where}: a matrix is a list of rows, got {rows!r}")
+        matrices[name] = tuple(tuple(_rational(where, x) for x in row) for row in rows)
+    ranks = {}
+    for v, r in given_ranks.items():
+        if not str(r).isdecimal():
+            raise ValueError(f"{path}: ranks[{v!r}] = {r!r} is not a non-negative integer")
+        ranks[v] = int(r)
     for v in fq.framing_vertices:
         ranks.setdefault(v, 1)
     for a in fq.quiver.arrows:
@@ -38,6 +70,27 @@ def _load_framing(fq, path: str | None):
                 (Fraction(0),) * ranks[a.src] for _ in range(ranks[a.tgt])
             )
     return framing.FramingStructure(ranks, matrices)
+
+
+def _load_points(path: str) -> list[tuple[Fraction, Fraction]]:
+    """Plane points of a ``--numeric`` file: the C3 point witness has
+    B3 = 0, so every point is an [x, y] pair (z = 0)."""
+    with open(path) as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict) or "points" not in data:
+        raise ValueError(f"{path}: no 'points' key")
+    if not isinstance(data["points"], list):
+        raise ValueError(f"{path}: 'points' must be a list of [x, y] pairs, got {data['points']!r}")
+    points = []
+    for k, p in enumerate(data["points"]):
+        where = f"{path}: points[{k}]"
+        if not isinstance(p, list) or len(p) != 2:
+            raise ValueError(
+                f"{where} = {p!r} is not an [x, y] pair (the point witness has B3 = 0, "
+                "so points lie in the plane z = 0)"
+            )
+        points.append((_rational(where, str(p[0])), _rational(where, str(p[1]))))
+    return points
 
 
 # -- subcommands -------------------------------------------------------------
@@ -127,11 +180,7 @@ def cmd_monad(args) -> int:
     c, rels = catalog.monad_case(args.id)
     tpl = c.template
     if args.numeric:
-        with open(args.numeric) as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict) or "points" not in data:
-            raise ValueError(f"{args.numeric}: no 'points' key")
-        points = [tuple(Fraction(str(x)) for x in p) for p in data["points"]]
+        points = _load_points(args.numeric)
         rep, cyclic = framing.numeric_solution_builder(points)
         unbound = [a.name for a in tpl.quiver.arrows if a.name not in rep]
         if unbound:

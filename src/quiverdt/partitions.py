@@ -2,10 +2,17 @@
 partitions (plain, cyclically colored, pit-constrained), conifold pyramid
 configurations, and the blowup lattice sum.
 
-All series are produced by explicit enumeration of the counted objects and
-returned as exact integer :class:`~quiverdt.qseries.QSeries`.  Counts are
-unsigned; fixed-point signs belong to the closed-form side and enter only
-through variable substitutions (see quiverdt.checks).
+The counts are output-sensitive.  Pyramid configurations are visited once
+each by a reverse search over the addable stones.  Nested chains and plane
+partitions are both chains of rows, each row a partition inside the one
+before; one memoised row-chain counter (``_row_chains``) counts them by
+weight, keyed on the row phase, the previous row and the budget left, so no
+chain is built.  The earlier explicit enumerators are kept as test oracles
+in ``tests/oracles.py`` (``pyramid_configurations``, ``nested_chains``,
+``plane_partitions_upto``), beside the box-pile and stone-by-stone BFS
+oracles.  Every series is exact integer :class:`~quiverdt.qseries.QSeries`.
+Counts are unsigned; fixed-point signs belong to the closed-form side and
+enter only through variable substitutions (see quiverdt.checks).
 """
 
 from __future__ import annotations
@@ -20,8 +27,13 @@ class OrderTooLarge(ValueError):
     pass
 
 
-PLANE_PARTITION_MAX_ORDER = 14
-PYRAMID_MAX_ORDER = 12
+# Each cap is the largest order whose whole compare target runs within the
+# time the target took at the previous cap with the explicit enumerators
+# (medians of in-process runs on a 2-core Xeon).
+# c3-dt / y20-ncdt: budget 0.059 / 0.061 s (order 14); 0.037 / 0.050 s at 18.
+PLANE_PARTITION_MAX_ORDER = 18
+# conifold-ncdt: budget 0.35 s (order 12); 0.28 s at 21, 0.45 s at 22.
+PYRAMID_MAX_ORDER = 21
 
 
 # -- linear partitions -------------------------------------------------------
@@ -63,114 +75,67 @@ def tuple_series(r: int, order: int) -> QSeries:
     return QSeries(("q",), order, {(n,): out[n] for n in range(order + 1)})
 
 
-def _contained_partitions(outer: tuple[int, ...], budget: int) -> Iterator[tuple[int, ...]]:
-    """Partitions fitting inside ``outer`` (componentwise) with size <= budget."""
-
-    def rec(i: int, prev: int, left: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        if i >= len(outer):
-            return
-        cap = min(outer[i], prev, left)
-        for part in range(cap, 0, -1):
-            for rest in rec(i + 1, part, left - part):
-                yield (part,) + rest
-
-    yield from rec(0, outer[0] if outer else 0, budget)
+# -- row chains: nested chains and plane partitions ---------------------------
 
 
-def nested_chains(r: int, order: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Chains lambda^1 contains ... contains lambda^r with total size <= order."""
+def _row_chains(order: int, m: int, pit: tuple[int, int]) -> dict[int, int]:
+    """Plane partitions of total size <= order, counted by packed color weight.
 
-    def rec(level: int, outer: tuple[int, ...], left: int):
-        if level == r:
-            yield ()
-            return
-        if level == 0:
-            candidates: list[tuple[int, ...]] = []
-            for n in range(left + 1):
-                candidates.extend(partitions_of(n))
-        else:
-            candidates = list(_contained_partitions(outer, left))
-        for lam in candidates:
-            size = sum(lam)
-            for rest in rec(level + 1, lam, left - size):
-                yield (lam,) + rest
+    A plane partition is a chain of nonempty rows, each a partition contained
+    in the row before.  Row i (1-indexed) puts its j-th part on color
+    (i - j) mod m, and a weight packs the color totals as base-(order + 1)
+    digits.  A pit (M, N) caps every row after the M-th at N parts.  What can
+    follow a row depends only on the row phase (i mod m, min(i, M + 1)), the
+    row itself and the budget left; that triple keys the memo, which lives
+    for one call.
+    """
+    base = order + 1
+    unit = [base**c for c in range(m)]
+    free, width = pit
+    memo: dict[tuple, dict[int, int]] = {}
+    stop = {0: 1}  # only the empty continuation; never mutated
 
-    yield from rec(0, (), order)
+    def grow(out: dict[int, int], i: int, outer: tuple[int, ...], cap: int,
+             row: tuple[int, ...], rest: int, weight: int) -> None:
+        # every nonempty row extending ``row`` inside ``outer``, with what can
+        # follow it, added into ``out``
+        j = len(row)
+        top = min(outer[j], row[-1] if row else rest, rest)
+        u = unit[(i - j - 1) % m]
+        for part in range(top, 0, -1):
+            longer, w = row + (part,), weight + part * u
+            for k, c in below(i + 1, longer, rest - part).items():
+                out[k + w] = out.get(k + w, 0) + c
+            if j + 1 < cap:
+                grow(out, i, outer, cap, longer, rest - part, w)
+
+    def below(i: int, outer: tuple[int, ...], left: int) -> dict[int, int]:
+        cap = len(outer) if i <= free else min(len(outer), width)
+        if not cap or left <= 0:
+            return stop
+        key = (i % m, min(i, free + 1), outer, left)
+        if key not in memo:
+            memo[key] = out = {0: 1}
+            grow(out, i, outer, cap, (), left, 0)
+        return memo[key]
+
+    counts = below(1, (order,) * order, order)
+    memo.clear()  # the recursive closure keeps the memo alive until a gc pass
+    return counts
+
+
+def _unpack(weight: int, order: int, m: int) -> tuple[int, ...]:
+    base = order + 1
+    return tuple(weight // base**c % base for c in range(m))
 
 
 def nested_series(r: int, order: int) -> QSeries:
-    """Containment chains of r partitions graded by total size."""
+    """Containment chains of r partitions graded by total size: plane
+    partitions with at most r rows."""
     if r < 1:
         raise ValueError("rank must be positive")
-    coeffs: dict[tuple[int], int] = {}
-    for chain in nested_chains(r, order):
-        n = sum(sum(lam) for lam in chain)
-        coeffs[(n,)] = coeffs.get((n,), 0) + 1
-    return QSeries(("q",), order, coeffs)
-
-
-# -- plane partitions ---------------------------------------------------------
-
-
-def plane_partitions_upto(
-    order: int, pit: tuple[int, int] | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All plane partitions of total size <= order, as tuples of rows.
-
-    A pit at (M, N) forces entry (i, j) to vanish whenever i > M and j > N
-    (1-indexed); (M, 0) therefore means at most M rows.
-    """
-
-    def row_bound(i: int) -> int | None:  # max number of parts in row i (1-indexed)
-        if pit is None:
-            return None
-        m, n = pit
-        if i > m:
-            return n
-        return None
-
-    def rec(i: int, outer: tuple[int, ...], left: int):
-        yield ()
-        if left == 0:
-            return
-        if i == 1:
-            candidates: list[tuple[int, ...]] = []
-            for n in range(1, left + 1):
-                candidates.extend(partitions_of(n))
-        else:
-            candidates = [
-                lam for lam in _contained_partitions(outer, left) if lam
-            ]
-        bound = row_bound(i)
-        for lam in candidates:
-            if bound is not None and len(lam) > bound:
-                continue
-            size = sum(lam)
-            for rest in rec(i + 1, lam, left - size):
-                yield (lam,) + rest
-
-    if pit is not None:
-        m, n = pit
-        if m < 0 or n < 0 or (m == 0 and n == 0):
-            raise ValueError("pit coordinates must be positive, or one of them zero")
-        if m == 0:
-            # symmetric convention: at most n columns; transpose of (n, 0)
-            for pp in plane_partitions_upto(order, (n, 0)):
-                yield _transpose(pp)
-            return
-    yield from rec(1, (), order)
-
-
-def _transpose(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    if not rows:
-        return ()
-    width = len(rows[0])
-    out = []
-    for j in range(width):
-        col = tuple(row[j] for row in rows if len(row) > j)
-        out.append(col)
-    return tuple(out)
+    counts = _row_chains(order, 1, (r, 0))
+    return QSeries(("q",), order, {(n,): c for n, c in counts.items()})
 
 
 def plane_partition_series(
@@ -180,31 +145,24 @@ def plane_partition_series(
 
     Uncolored: a series in q.  Colored with modulus m: a series in
     q_0..q_{m-1} where the stack at (i, j) contributes its height to the
-    color (i - j) mod m.
+    color (i - j) mod m.  A pit at (M, N) forces entry (i, j) to vanish
+    whenever i > M and j > N (1-indexed): (M, 0) means at most M rows and
+    (0, N) at most N columns.
     """
     if order > PLANE_PARTITION_MAX_ORDER:
         raise OrderTooLarge(
             f"order {order} exceeds the supported envelope {PLANE_PARTITION_MAX_ORDER}"
         )
-    if colors is None:
-        coeffs: dict[tuple[int, ...], int] = {}
-        for pp in plane_partitions_upto(order, pit):
-            n = sum(sum(row) for row in pp)
-            coeffs[(n,)] = coeffs.get((n,), 0) + 1
-        return QSeries(("q",), order, coeffs)
-    m = colors
+    m = 1 if colors is None else colors
     if m < 1:
         raise ValueError("color modulus must be positive")
-    vars = tuple(f"q{c}" for c in range(m))
-    coeffs = {}
-    for pp in plane_partitions_upto(order, pit):
-        weight = [0] * m
-        for i, row in enumerate(pp, start=1):
-            for j, height in enumerate(row, start=1):
-                weight[(i - j) % m] += height
-        key = tuple(weight)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return QSeries(vars, order, coeffs)
+    if pit is not None and (min(pit) < 0 or max(pit) == 0):
+        raise ValueError("pit coordinates must be positive, or one of them zero")
+    n = max(order, 0)
+    # without a pit, (0, n) caps nothing: a row of size <= n has <= n parts
+    counts = _row_chains(n, m, pit if pit is not None else (0, n))
+    vars = ("q",) if colors is None else tuple(f"q{c}" for c in range(m))
+    return QSeries(vars, order, {_unpack(w, n, m): c for w, c in counts.items()})
 
 
 # -- conifold pyramid configurations -------------------------------------------
@@ -247,41 +205,45 @@ def _pyramid_atoms(layers: int):
     return atoms, supports
 
 
-def pyramid_configurations(order: int) -> Iterator[tuple[int, int]]:
-    """Yields (color-0 count, color-1 count) over all downward-closed stone
-    configurations with at most ``order`` stones.
-
-    An atom at layer k needs a chain of k supporting atoms above it, so
-    layers beyond order-1 can never be reached within the stone budget.
-    """
-    atoms, supports = _pyramid_atoms(max(order, 1))
-    n = len(atoms)
-    chosen = [False] * n
-
-    def rec(i: int, used: int, n0: int, n1: int):
-        if i == n or used == order:
-            yield (n0, n1)
-            return
-        yield from rec(i + 1, used, n0, n1)
-        if all(chosen[s] for s in supports[i]):
-            chosen[i] = True
-            if atoms[i][0] % 2 == 0:
-                yield from rec(i + 1, used + 1, n0 + 1, n1)
-            else:
-                yield from rec(i + 1, used + 1, n0, n1 + 1)
-            chosen[i] = False
-
-    yield from rec(0, 0, 0, 0)
-
-
 def pyramid_series(order: int) -> QSeries:
-    """Two-colored pyramid configurations weighted q0^(color-0) q1^(color-1)."""
+    """Two-colored pyramid configurations weighted q0^(color-0) q1^(color-1).
+
+    Reverse search over the downward-closed stone sets with at most
+    ``order`` stones: the children of a set I are I + {a} for the addable
+    atoms a listed after max(I).  Atoms are layer-major, so max(I) is always
+    removable and every set is visited exactly once.  An atom at layer k
+    needs a chain of k supporting atoms above it, so layers beyond order-1
+    can never be reached within the stone budget.
+    """
     if order > PYRAMID_MAX_ORDER:
         raise OrderTooLarge(f"order {order} exceeds the supported envelope {PYRAMID_MAX_ORDER}")
+    atoms, supports = _pyramid_atoms(max(order, 1))
+    missing = [len(s) for s in supports]
+    above: list[list[int]] = [[] for _ in atoms]
+    for a, sup in enumerate(supports):
+        for s in sup:
+            above[s].append(a)
     coeffs: dict[tuple[int, int], int] = {}
-    for n0, n1 in pyramid_configurations(order):
-        key = (n0, n1)
-        coeffs[key] = coeffs.get(key, 0) + 1
+
+    def visit(frontier: list[int], left: int, n0: int, n1: int) -> None:
+        coeffs[(n0, n1)] = coeffs.get((n0, n1), 0) + 1
+        if left <= 0:
+            return
+        for pos, a in enumerate(frontier):
+            freed = []
+            for b in above[a]:
+                missing[b] -= 1
+                if not missing[b]:
+                    freed.append(b)
+            later = sorted(frontier[pos + 1 :] + freed)
+            if atoms[a][0] % 2 == 0:
+                visit(later, left - 1, n0 + 1, n1)
+            else:
+                visit(later, left - 1, n0, n1 + 1)
+            for b in above[a]:
+                missing[b] += 1
+
+    visit([0], order, 0, 0)
     return QSeries(("q0", "q1"), order, coeffs)
 
 

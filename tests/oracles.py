@@ -3,11 +3,17 @@
 These deliberately use different algorithms from the package: box piles as
 explicit downward-closed subsets of the lattice grown by breadth-first
 search with set deduplication, partition counts by the bounded-part
-recurrence, and nested chains by filtering plain tuples.  Ideal membership
-and rank have dense Gaussian-elimination references here, independent of
-the package's sparse echelon form.  Products of ``(1 - sign*m)**power``
-factors are expanded one factor at a time by ring arithmetic, independent
-of the package's logarithmic-derivative recurrence.
+recurrence, and nested chains by filtering plain tuples.  The package's
+earlier enumerators are kept here as well: the atom-list walk over pyramid
+configurations (``pyramid_configurations``) and the row-by-row generation of
+nested chains and plane partitions (``nested_chains``,
+``plane_partitions_upto``, with pit (0, N) by transposition); the pyramid
+oracles build their stone poset from the geometry (``pyramid_stones``), not
+from the package.  Ideal membership and rank have dense Gaussian-elimination
+references here, independent of the package's sparse echelon form.
+Products of ``(1 - sign*m)**power`` factors are expanded one factor at a
+time by ring arithmetic, independent of the package's
+logarithmic-derivative recurrence.
 """
 
 from __future__ import annotations
@@ -80,12 +86,38 @@ def colored_plane_partition_counts_by_boxes(order: int, m: int) -> dict[tuple[in
     return weights
 
 
+def pyramid_stones(layers: int):
+    """Stones of the two-colored pyramid, layer-major, with their supports.
+
+    Layer k (color k mod 2) has been split ceil(k/2) times along x and
+    floor(k/2) times along y, so its stones form the grid x in {-a, -a+2,
+    ..., a}, y in {-b, -b+2, ..., b} with a = ceil(k/2), b = floor(k/2).  A
+    stone of an odd layer rests on the stones at x - 1 and x + 1 of the layer
+    above, a stone of an even layer on those at y - 1 and y + 1; edge stones
+    have only one of the two.  Returns ``(atoms, supports)`` with atoms
+    ``(k, (x, y))`` and supports as lists of atom indices.
+    """
+    atoms = []
+    for k in range(layers):
+        a, b = (k + 1) // 2, k // 2
+        atoms += [(k, (x, y)) for x in range(-a, a + 1, 2) for y in range(-b, b + 1, 2)]
+    index = {atom: i for i, atom in enumerate(atoms)}
+    supports = []
+    for k, (x, y) in atoms:
+        if k == 0:
+            near = []
+        elif k % 2 == 1:
+            near = [(x - 1, y), (x + 1, y)]
+        else:
+            near = [(x, y - 1), (x, y + 1)]
+        supports.append([index[(k - 1, p)] for p in near if (k - 1, p) in index])
+    return atoms, supports
+
+
 def pyramid_weights_by_bfs(order: int) -> dict[tuple[int, int], int]:
     """Two-colored pyramid ideals grown stone by stone with set dedup,
     independently of the depth-first enumerator in the package."""
-    from quiverdt.partitions import _pyramid_atoms
-
-    atoms, supports = _pyramid_atoms(max(order, 1))
+    atoms, supports = pyramid_stones(max(order, 1))
     weights: dict[tuple[int, int], int] = {(0, 0): 1}
     level = {frozenset()}
     for _ in range(order):
@@ -101,6 +133,140 @@ def pyramid_weights_by_bfs(order: int) -> dict[tuple[int, int], int]:
             n1 = len(ideal) - n0
             weights[(n0, n1)] = weights.get((n0, n1), 0) + 1
         level = nxt
+    return weights
+
+
+def pyramid_configurations(order: int):
+    """Yields (color-0 count, color-1 count) over all downward-closed stone
+    configurations with at most ``order`` stones, walking the atom list and
+    branching on each atom whose supports are present.
+
+    An atom at layer k needs a chain of k supporting atoms above it, so
+    layers beyond order-1 can never be reached within the stone budget.
+    """
+    atoms, supports = pyramid_stones(max(order, 1))
+    n = len(atoms)
+    chosen = [False] * n
+
+    def rec(i: int, used: int, n0: int, n1: int):
+        if i == n or used == order:
+            yield (n0, n1)
+            return
+        yield from rec(i + 1, used, n0, n1)
+        if all(chosen[s] for s in supports[i]):
+            chosen[i] = True
+            if atoms[i][0] % 2 == 0:
+                yield from rec(i + 1, used + 1, n0 + 1, n1)
+            else:
+                yield from rec(i + 1, used + 1, n0, n1 + 1)
+            chosen[i] = False
+
+    yield from rec(0, 0, 0, 0)
+
+
+def _contained_partitions(outer, budget):
+    """Partitions fitting inside ``outer`` (componentwise) with size <= budget."""
+
+    def rec(i, prev, left):
+        yield ()
+        if i >= len(outer):
+            return
+        cap = min(outer[i], prev, left)
+        for part in range(cap, 0, -1):
+            for rest in rec(i + 1, part, left - part):
+                yield (part,) + rest
+
+    yield from rec(0, outer[0] if outer else 0, budget)
+
+
+def nested_chains(r: int, order: int):
+    """Chains lambda^1 contains ... contains lambda^r with total size <= order."""
+
+    def rec(level, outer, left):
+        if level == r:
+            yield ()
+            return
+        if level == 0:
+            candidates = []
+            for n in range(left + 1):
+                candidates.extend(_partitions(n))
+        else:
+            candidates = list(_contained_partitions(outer, left))
+        for lam in candidates:
+            size = sum(lam)
+            for rest in rec(level + 1, lam, left - size):
+                yield (lam,) + rest
+
+    yield from rec(0, (), order)
+
+
+def plane_partitions_upto(order: int, pit=None):
+    """All plane partitions of total size <= order, as tuples of rows.
+
+    A pit at (M, N) forces entry (i, j) to vanish whenever i > M and j > N
+    (1-indexed); (M, 0) therefore means at most M rows, and (0, N) is the
+    transpose of (N, 0).
+    """
+
+    def row_bound(i):  # max number of parts in row i (1-indexed)
+        if pit is None:
+            return None
+        m, n = pit
+        if i > m:
+            return n
+        return None
+
+    def rec(i, outer, left):
+        yield ()
+        if left == 0:
+            return
+        if i == 1:
+            candidates = []
+            for n in range(1, left + 1):
+                candidates.extend(_partitions(n))
+        else:
+            candidates = [lam for lam in _contained_partitions(outer, left) if lam]
+        bound = row_bound(i)
+        for lam in candidates:
+            if bound is not None and len(lam) > bound:
+                continue
+            size = sum(lam)
+            for rest in rec(i + 1, lam, left - size):
+                yield (lam,) + rest
+
+    if pit is not None:
+        m, n = pit
+        if m < 0 or n < 0 or (m == 0 and n == 0):
+            raise ValueError("pit coordinates must be positive, or one of them zero")
+        if m == 0:
+            for pp in plane_partitions_upto(order, (n, 0)):
+                yield _transpose(pp)
+            return
+    yield from rec(1, (), order)
+
+
+def _transpose(rows):
+    if not rows:
+        return ()
+    width = len(rows[0])
+    out = []
+    for j in range(width):
+        col = tuple(row[j] for row in rows if len(row) > j)
+        out.append(col)
+    return tuple(out)
+
+
+def plane_partition_weights(order: int, colors=None, pit=None) -> dict[tuple[int, ...], int]:
+    """Weights of ``plane_partitions_upto``: total size, or the color totals
+    with the stack at (i, j) on color (i - j) mod colors."""
+    m = colors or 1
+    weights: dict[tuple[int, ...], int] = {}
+    for pp in plane_partitions_upto(order, pit):
+        w = [0] * m
+        for i, row in enumerate(pp, start=1):
+            for j, height in enumerate(row, start=1):
+                w[(i - j) % m] += height
+        weights[tuple(w)] = weights.get(tuple(w), 0) + 1
     return weights
 
 

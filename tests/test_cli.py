@@ -78,6 +78,28 @@ def test_relations_framing_on_unframed_geometry_is_usage_error(tmp_path, capsys,
         assert code == 2 and "usage" in err and "--framing" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ([{"ranks": {"inf": 1}}], "JSON object"),
+        ({"rank": {"inf": 2}}, "'rank'"),
+        ({"arrows": {"Zz": [[1]]}}, "'Zz'"),
+        ({"arrows": {"I": [[1]]}}, "'I'"),
+        ({"ranks": {"0": 2}}, "'0'"),
+        ({"ranks": {"inf": "two"}}, "'inf'"),
+        ({"ranks": {"inf": 1.5}}, "'inf'"),
+        ({"arrows": []}, "'arrows'"),
+        ({"arrows": {"Af": 3}}, "'Af'"),
+        ({"arrows": {"Af": [["x"]]}}, "'Af'"),
+    ],
+)
+def test_malformed_framing_file_is_usage_error(tmp_path, capsys, spec, named):
+    path = tmp_path / "framing.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_capture(capsys, ["relations", "adhm3d", "--framing", str(path)])
+    assert code == 2 and out == "" and named in err
+
+
 def test_monad_verify(capsys):
     code, out, _ = run_capture(capsys, ["monad", "verify", "ny3d"])
     assert code == 0 and "certified" in out
@@ -101,6 +123,24 @@ def test_monad_verify_numeric_without_points_key(tmp_path, capsys):
     path.write_text(json.dumps({"pts": [["0", "0"]]}))
     code, _, err = run_capture(capsys, ["monad", "verify", "c3", "--numeric", str(path)])
     assert code == 2 and "'points'" in err and "catalog" not in err
+
+
+@pytest.mark.parametrize(
+    "points, named",
+    [
+        (3, "'points'"),
+        ([["1"]], "points[0]"),
+        ([["0", "0"], ["1", "2", "3"]], "points[1]"),
+        ([["0", "0", "0"]], "points[0]"),
+        ([["1", "a"]], "points[0]"),
+        ([{"x": 1, "y": 2}], "points[0]"),
+    ],
+)
+def test_monad_verify_numeric_rejects_malformed_points(tmp_path, capsys, points, named):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": points}))
+    code, out, err = run_capture(capsys, ["monad", "verify", "c3", "--numeric", str(path)])
+    assert code == 2 and out == "" and named in err
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,16 @@ def test_nested_series_values_match_filter_oracle():
         assert coeffs(P.nested_series(r, 6)) == oracles.nested_counts_by_filter(r, 6)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_nested_series_matches_chain_oracle(r):
+    for order in range(11):
+        want: dict[tuple[int], int] = {}
+        for chain in oracles.nested_chains(r, order):
+            n = (sum(sum(lam) for lam in chain),)
+            want[n] = want.get(n, 0) + 1
+        assert P.nested_series(r, order).coeffs == want, order
+
+
 def test_nested_monotone_in_rank():
     low = coeffs(P.nested_series(2, 8))
     high = coeffs(P.nested_series(3, 8))
@@ -90,6 +100,27 @@ def test_pit_general_counts_are_between():
     assert all(a <= b <= c for a, b, c in zip(rows2, pit21, unconstrained))
 
 
+@pytest.mark.parametrize("pit", [None, (2, 0), (0, 2), (2, 1), (10, 10)])
+@pytest.mark.parametrize("colors", [None, 1, 2, 3])
+def test_plane_partition_series_matches_row_oracle(colors, pit):
+    # (0, N) is checked against the transposed (N, 0) partitions, which moves
+    # color c to -c mod m
+    for order in range(11):
+        got = P.plane_partition_series(order, colors=colors, pit=pit)
+        assert got.coeffs == oracles.plane_partition_weights(order, colors, pit), order
+        assert got.vars == (("q",) if colors is None else tuple(f"q{c}" for c in range(colors)))
+
+
+def test_plane_partition_bad_arguments():
+    for pit in ((0, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="pit"):
+            P.plane_partition_series(4, pit=pit)
+    with pytest.raises(ValueError, match="color modulus"):
+        P.plane_partition_series(4, colors=0)
+    with pytest.raises(ValueError):
+        P.plane_partition_series(-1)
+
+
 def test_colored_collapse_to_uncolored():
     colored = P.plane_partition_series(8, colors=3)
     sub = Substitution(
@@ -100,9 +131,9 @@ def test_colored_collapse_to_uncolored():
 
 def test_order_envelope_enforced():
     with pytest.raises(P.OrderTooLarge):
-        P.plane_partition_series(15)
+        P.plane_partition_series(19)
     with pytest.raises(P.OrderTooLarge):
-        P.pyramid_series(13)
+        P.pyramid_series(22)
 
 
 # -- pyramids ------------------------------------------------------------------------
@@ -128,6 +159,28 @@ def test_pyramid_supports_need_both_stones():
     # two color-0 stones cannot appear without at least one color-1 stone
     s = P.pyramid_series(4)
     assert s.coefficient((2, 0)) == 0
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_pyramid_series_matches_atom_walk_oracle(order):
+    want: dict[tuple[int, int], int] = {}
+    for key in oracles.pyramid_configurations(order):
+        want[key] = want.get(key, 0) + 1
+    assert P.pyramid_series(order).coeffs == want
+
+
+# the weights the BFS oracle gave at order 6 when it read the package's atom
+# poset; its own stone builder must reproduce them
+PYRAMID_WEIGHTS_6 = {
+    (0, 0): 1, (1, 0): 1, (1, 1): 2, (1, 2): 1, (2, 1): 4, (2, 2): 8,
+    (2, 3): 4, (3, 1): 2, (3, 2): 14, (3, 3): 24, (4, 2): 8,
+}
+
+
+def test_pyramid_stone_oracle_reproduces_recorded_weights():
+    for order in range(7):
+        want = {k: v for k, v in PYRAMID_WEIGHTS_6.items() if sum(k) <= order}
+        assert oracles.pyramid_weights_by_bfs(order) == want, order
 
 
 def test_pyramid_matches_bfs_oracle():
