@@ -472,12 +472,10 @@ def get_framed_example(example: str) -> FramedQuiverWithPotential:
 # -- monad templates --------------------------------------------------------------
 
 
-def monad_template_ids() -> tuple[str, ...]:
-    return ("c3", "y20", "pervsystem-c3", "pervsystem-conifold", "adhm3d", "kn", "ny3d")
-
-
-def _c3_monad_rows(with_framing: bool):
-    B1, B2, B3 = ("B1",), ("B2",), ("B3",)
+def _c3_monad_rows(framing: str | None):
+    """The Koszul complex of the C^3 chart; ``framing`` is None,
+    "pervsystem" or "adhm3d"."""
+    B1, B2, B3, I, J = ("B1",), ("B2",), ("B3",), ("I",), ("J",)
     d1 = [
         [[(1, O_, B1), (-1, X, ())]],
         [[(1, Y, ()), (-1, O_, B2)]],
@@ -495,32 +493,16 @@ def _c3_monad_rows(with_framing: bool):
             [(1, Z, ()), (-1, O_, B3)],
         ]
     ]
-    if with_framing:
+    if framing == "pervsystem":
         d2.append([[], [], []])
-        d3[0].append([(1, O_, ("I",))])
+        d3[0].append([(1, O_, I)])
+    elif framing == "adhm3d":
+        d1.append([[(1, O_, J)]])
+        for i, extra in enumerate([[], [], [(1, O_, I)]]):
+            d2[i].append(extra)
+        d2.append([[], [], [(-1, O_, J)], [(1, O_, ("Af",)), (-1, Z, ())]])
+        d3[0].append([(1, O_, I)])
     return d1, d2, d3
-
-
-def _entry_matrix_to_blocks(terms, matrices):
-    out = []
-    for stage, mat in enumerate(matrices):
-        rows, cols = len(terms[stage + 1]), len(terms[stage])
-        by_word: dict = {}
-        for i, row in enumerate(mat):
-            for j, entry_terms in enumerate(row):
-                for coeff, exps, wd in entry_terms:
-                    m = by_word.setdefault(
-                        tuple(wd), [[dict() for _ in range(cols)] for _ in range(rows)]
-                    )
-                    cell = m[i][j]
-                    cell[tuple(exps)] = cell.get(tuple(exps), Fraction(0)) + Fraction(coeff)
-        out.append(
-            {
-                w: tuple(tuple({e: c for e, c in cell.items() if c != 0} for cell in row) for row in m)
-                for w, m in by_word.items()
-            }
-        )
-    return tuple(out)
 
 
 def _conifold_monad_rows(framing: str | None):
@@ -628,138 +610,96 @@ def _y20_monad_rows(framing: str | None):
     return d1, d2, d3
 
 
+# Slot shorthand: (line-bundle degree, vertex) per summand.
+_C3_SLOT = ((0, "0"),)
+_PAIR = ((0, "0"), (1, "1"))
+_CONIFOLD_MID = ((1, "0"), (1, "0"), (0, "1"), (0, "1"))
+_Y20_MID = ((0, "0"), (1, "0"), (1, "0"), (1, "1"), (0, "1"), (0, "1"))
+_INF = ((0, "inf"),)
+
+# template -> (geometry, framed example or None, slot terms, differential rows)
+_MONAD_TEMPLATES = {
+    "c3": ("c3", None, (_C3_SLOT, _C3_SLOT * 3, _C3_SLOT * 3, _C3_SLOT), _c3_monad_rows(None)),
+    "y20": ("y20", None, (_PAIR, _Y20_MID, _Y20_MID, _PAIR), _y20_monad_rows(None)),
+    "pervsystem-c3": (
+        "c3", "pervsystem-c3",
+        (_C3_SLOT, _C3_SLOT * 3, _C3_SLOT * 3 + _INF, _C3_SLOT), _c3_monad_rows("pervsystem"),
+    ),
+    "pervsystem-conifold": (
+        "conifold", "pervsystem-conifold",
+        (_PAIR, _CONIFOLD_MID, _CONIFOLD_MID + _INF, _PAIR), _conifold_monad_rows("pervsystem"),
+    ),
+    "adhm3d": (
+        "c3", "adhm3d",
+        (_C3_SLOT, _C3_SLOT * 3 + _INF, _C3_SLOT * 3 + _INF, _C3_SLOT), _c3_monad_rows("adhm3d"),
+    ),
+    "kn": (
+        "y20", "kn",
+        (_PAIR, _Y20_MID + _INF, _Y20_MID + _INF, _PAIR), _y20_monad_rows("kn"),
+    ),
+    "ny3d": (
+        "conifold", "ny3d",
+        (_PAIR, _CONIFOLD_MID + ((1, "inf"),), _CONIFOLD_MID + _INF, _PAIR),
+        _conifold_monad_rows("ny3d"),
+    ),
+}
+
+
+def monad_template_ids() -> tuple[str, ...]:
+    return tuple(_MONAD_TEMPLATES)
+
+
+def _monad_spec(template: str) -> tuple:
+    try:
+        return _MONAD_TEMPLATES[template.lower()]
+    except KeyError:
+        raise NotInCatalog(template) from None
+
+
+def _entry_matrix(rows) -> tuple:
+    """A differential from rows of entries, each a list of ``(coeff, exps,
+    word)`` terms."""
+    out = []
+    for row in rows:
+        cells = []
+        for terms in row:
+            cell: monad.Entry = {}
+            for coeff, exps, wd in terms:
+                cell[exps, wd] = cell.get((exps, wd), Fraction(0)) + Fraction(coeff)
+            cells.append({k: c for k, c in cell.items() if c != 0})
+        out.append(tuple(cells))
+    return tuple(out)
+
+
 def get_monad_template(template: str) -> MonadTemplate:
-    t = template.lower()
-    s = Slot
-    if t == "c3":
-        q, _ = get_quiver_with_potential("c3")
-        terms = ((s(0, "0"),), (s(0, "0"),) * 3, (s(0, "0"),) * 3, (s(0, "0"),))
-        d1, d2, d3 = _c3_monad_rows(with_framing=False)
-        return MonadTemplate(
-            "c3", ("x", "y", "z"), (0, 0, 0), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), q,
-        )
-    if t == "pervsystem-c3":
-        fq = get_framed_example("pervsystem-c3")
-        terms = (
-            (s(0, "0"),),
-            (s(0, "0"),) * 3,
-            (s(0, "0"),) * 3 + (s(0, "inf"),),
-            (s(0, "0"),),
-        )
-        d1, d2, d3 = _c3_monad_rows(with_framing=True)
-        return MonadTemplate(
-            t, ("x", "y", "z"), (0, 0, 0), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), fq.quiver,
-        )
-    if t == "adhm3d":
-        fq = get_framed_example("adhm3d")
-        terms = (
-            (s(0, "0"),),
-            (s(0, "0"),) * 3 + (s(0, "inf"),),
-            (s(0, "0"),) * 3 + (s(0, "inf"),),
-            (s(0, "0"),),
-        )
-        B1, B2, B3, I, J, Af = ("B1",), ("B2",), ("B3",), ("I",), ("J",), ("Af",)
-        d1 = [
-            [[(1, O_, B1), (-1, X, ())]],
-            [[(1, Y, ()), (-1, O_, B2)]],
-            [[(1, O_, B3), (-1, Z, ())]],
-            [[(1, O_, J)]],
-        ]
-        d2 = [
-            [[], [(1, O_, B3), (-1, Z, ())], [(1, O_, B2), (-1, Y, ())], []],
-            [[(1, O_, B3), (-1, Z, ())], [], [(1, X, ()), (-1, O_, B1)], []],
-            [[(1, Y, ()), (-1, O_, B2)], [(1, X, ()), (-1, O_, B1)], [], [(1, O_, I)]],
-            [[], [], [(-1, O_, J)], [(1, O_, Af), (-1, Z, ())]],
-        ]
-        d3 = [
-            [
-                [(1, X, ()), (-1, O_, B1)],
-                [(1, Y, ()), (-1, O_, B2)],
-                [(1, Z, ()), (-1, O_, B3)],
-                [(1, O_, I)],
-            ]
-        ]
-        return MonadTemplate(
-            t, ("x", "y", "z"), (0, 0, 0), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), fq.quiver,
-            marked=frozenset({"Af"}),
-        )
-    if t == "pervsystem-conifold":
-        fq = get_framed_example("pervsystem-conifold")
-        terms = (
-            (s(0, "0"), s(1, "1")),
-            (s(1, "0"), s(1, "0"), s(0, "1"), s(0, "1")),
-            (s(1, "0"), s(1, "0"), s(0, "1"), s(0, "1"), s(0, "inf")),
-            (s(0, "0"), s(1, "1")),
-        )
-        d1, d2, d3 = _conifold_monad_rows("pervsystem")
-        return MonadTemplate(
-            t, ("x", "y", "z"), (-1, -1, 1), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), fq.quiver,
-        )
-    if t == "ny3d":
-        fq = get_framed_example("ny3d")
-        terms = (
-            (s(0, "0"), s(1, "1")),
-            (s(1, "0"), s(1, "0"), s(0, "1"), s(0, "1"), s(1, "inf")),
-            (s(1, "0"), s(1, "0"), s(0, "1"), s(0, "1"), s(0, "inf")),
-            (s(0, "0"), s(1, "1")),
-        )
-        d1, d2, d3 = _conifold_monad_rows("ny3d")
-        return MonadTemplate(
-            t, ("x", "y", "z"), (-1, -1, 1), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), fq.quiver,
-        )
-    if t == "y20":
-        q, _ = get_quiver_with_potential("y20")
-        terms = (
-            (s(0, "0"), s(1, "1")),
-            (s(0, "0"), s(1, "0"), s(1, "0"), s(1, "1"), s(0, "1"), s(0, "1")),
-            (s(0, "0"), s(1, "0"), s(1, "0"), s(1, "1"), s(0, "1"), s(0, "1")),
-            (s(0, "0"), s(1, "1")),
-        )
-        d1, d2, d3 = _y20_monad_rows(None)
-        return MonadTemplate(
-            t, ("x", "y", "z"), (-2, 0, 1), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), q,
-        )
-    if t == "kn":
-        fq = get_framed_example("kn")
-        terms = (
-            (s(0, "0"), s(1, "1")),
-            (s(0, "0"), s(1, "0"), s(1, "0"), s(1, "1"), s(0, "1"), s(0, "1"), s(0, "inf")),
-            (s(0, "0"), s(1, "0"), s(1, "0"), s(1, "1"), s(0, "1"), s(0, "1"), s(0, "inf")),
-            (s(0, "0"), s(1, "1")),
-        )
-        d1, d2, d3 = _y20_monad_rows("kn")
-        return MonadTemplate(
-            t, ("x", "y", "z"), (-2, 0, 1), terms,
-            _entry_matrix_to_blocks(terms, [d1, d2, d3]), fq.quiver,
-            marked=frozenset({"Gf"}),
-        )
-    raise NotInCatalog(template)
+    """A stored monad template: the chart coordinates and twists come from
+    its geometry, the quiver from its framed example (or the geometry when
+    unframed)."""
+    geometry, example, terms, rows = _monad_spec(template)
+    entry = get_entry(geometry)
+    quiver = entry.quiver if example is None else get_framed_example(example).quiver
+    return MonadTemplate(
+        template.lower(), entry.coords, entry.twists,
+        tuple(tuple(Slot(d, v) for d, v in term) for term in terms),
+        tuple(_entry_matrix(d) for d in rows), quiver,
+    )
 
 
 def monad_case(template: str):
     """The assembled monad of a stored template, with its marked symbols at
     zero, and the relation set its d^2 is certified against: the
-    potential's relations for c3 and y20, the framed relations at zero
-    framing for every other template."""
+    potential's relations for an unframed template, the framed relations at
+    zero framing for a framed one."""
     tpl = get_monad_template(template)
-    if template.lower() in ("c3", "y20"):
-        q, w = get_quiver_with_potential(template)
-        rels = relations_from_potential(q, w)
+    geometry, example, _, _ = _monad_spec(template)
+    if example is None:
+        rels = relations_from_potential(*get_quiver_with_potential(geometry))
     else:
-        fq = get_framed_example(template)
+        fq = get_framed_example(example)
         rels = framing.framed_relations(
             framing.specialize(fq, framing.FramingStructure.zero(fq))
         )
-        q = rels.quiver
-    c = monad.assemble(
-        tpl, [a.name for a in q.arrows], marked_values={name: 0 for name in tpl.marked}
-    )
+    c = monad.assemble(tpl, {a.name: 0 for a in tpl.quiver.arrows if a.marked})
     return c, rels
 
 

@@ -1,14 +1,17 @@
 """Command-line front door.
 
 Subcommands: catalog, quiver, relations, monad, count, series, character,
-compare.  Exit codes: 0 success, 1 verification mismatch, 2 usage error.
-JSON output is deterministic (sorted keys, fixed separators).
+compare.  Exit codes: 0 success, 1 verification mismatch, 2 usage error,
+141 when the reader of stdout goes away (128 + SIGPIPE, the status of a
+process the signal ends).  JSON output is deterministic (sorted keys, fixed
+separators).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -200,11 +203,16 @@ def cmd_monad(args) -> int:
     }
     if args.numeric:
         dims = {"0": len(points), "inf": 1}
+        rep = {name: m for name, m in rep.items() if rels.quiver.has_arrow(name)}
         tables = []
         for p in points:
-            res = monad.evaluate(
-                c, rep, dims, (p[0], p[1], 0), resolution_certified=True
-            )
+            try:
+                res = monad.evaluate(
+                    c, rep, dims, (p[0], p[1], 0), relations=rels, resolution_certified=True
+                )
+            except monad.RelationsViolated as exc:
+                print(f"numeric witness of {tpl.label}: {exc}", file=sys.stderr)
+                return 1
             tables.append(
                 {
                     "point": [str(x) for x in (p[0], p[1], 0)],
@@ -424,7 +432,19 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away: say nothing.  Point the descriptor at devnull
+        # so the interpreter's final flush of what is still buffered is
+        # silent too.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 141  # no descriptor, so nothing is flushed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except catalog.NotInCatalog as exc:
         print(f"not in catalog: {exc}", file=sys.stderr)
         return 2

@@ -10,26 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from . import linalg
 from .ncalg import (
+    MembershipResult,
+    NCAlgError,
     NCPoly,
     Path,
     Quiver,
     RelationSet,
+    UnknownArrow,
     ideal_membership,
-    MembershipResult,
-    path_matrix,
+    numeric_relation_residual,
+    path_sum_matrix,
     trivial_path,
 )
 
 
 class MonadError(ValueError):
-    pass
-
-
-class RoleMismatch(MonadError):
     pass
 
 
@@ -53,26 +53,15 @@ class Slot:
 
 @dataclass(frozen=True)
 class MonadTemplate:
-    """Shapes of the graded free modules plus, for each word in the
-    representation symbols (the empty word for the pure coordinate part),
-    its coordinate-matrix block of every differential."""
+    """Shapes of the graded free modules and the differentials between
+    them, each a rows x cols matrix of entries."""
 
     label: str
     coords: tuple[str, ...]
     twists: tuple[int, ...]  # per-coordinate line-bundle twist; 0 = unconstrained chart direction
     terms: tuple[tuple[Slot, ...], ...]
-    blocks: tuple[dict[tuple[str, ...], tuple[tuple[dict, ...], ...]], ...]
+    diffs: tuple[tuple[tuple[Entry, ...], ...], ...]
     quiver: Quiver  # arrows the words may use (marked symbols included)
-    marked: frozenset[str] = frozenset()
-
-    def words(self) -> set[tuple[str, ...]]:
-        out: set[tuple[str, ...]] = set()
-        for block in self.blocks:
-            out.update(block.keys())
-        return out
-
-    def symbols(self) -> set[str]:
-        return {name for w in self.words() for name in w}
 
 
 @dataclass
@@ -85,65 +74,46 @@ class MonadComplex:
         return self.template.terms
 
 
-def assemble(template: MonadTemplate, symbols: Sequence[str],
+def assemble(template: MonadTemplate,
              marked_values: Mapping[str, Fraction] | None = None) -> MonadComplex:
-    """Tensor each per-word block with its word and sum into one differential
-    per stage.  ``symbols`` must cover every unmarked arrow appearing in the
-    template's words; marked symbols may instead be bound to scalars
-    (rank-one framing slots) through ``marked_values``.
-    """
-    marked_values = dict(marked_values or {})
-    have = set(symbols)
-    for name in template.symbols():
-        if name in template.marked:
-            continue
-        if name not in have:
-            raise RoleMismatch(f"template word uses unknown symbol {name!r}")
-    diffs: list[list[list[Entry]]] = []
-    for stage, block in enumerate(template.blocks):
-        rows = len(template.terms[stage + 1])
-        cols = len(template.terms[stage])
-        mat: list[list[Entry]] = [[{} for _ in range(cols)] for _ in range(rows)]
-        for word, coeff_matrix in block.items():
-            scalar = Fraction(1)
-            reduced_word = []
-            for name in word:
-                if name in template.marked:
-                    if name not in marked_values:
-                        reduced_word.append(name)
-                    else:
-                        scalar *= Fraction(marked_values[name])
-                else:
-                    reduced_word.append(name)
-            if scalar == 0:
-                continue
-            wkey = tuple(reduced_word)
-            for i in range(rows):
-                for j in range(cols):
-                    poly = coeff_matrix[i][j]
-                    for exps, c in poly.items():
-                        c = Fraction(c) * scalar
-                        if c == 0:
-                            continue
-                        key = (tuple(exps), wkey)
-                        mat[i][j][key] = mat[i][j].get(key, Fraction(0)) + c
-        for i in range(rows):
-            for j in range(cols):
-                mat[i][j] = {k: c for k, c in mat[i][j].items() if c != 0}
-        diffs.append(mat)
+    """Bind marked symbols to scalars (rank-one framing slots) and validate
+    the result; a marked symbol left out of ``marked_values`` stays in its
+    words."""
+    values = {name: Fraction(v) for name, v in (marked_values or {}).items()}
+    for name in values:
+        if not any(a.name == name and a.marked for a in template.quiver.arrows):
+            raise MonadError(f"{name!r} is not a marked arrow of {template.label}")
+    diffs = [[[_bind(e, values) for e in row] for row in mat] for mat in template.diffs]
     complex_ = MonadComplex(template, diffs)
     _validate_complex(complex_)
     return complex_
 
 
+def _bind(e: Entry, values: Mapping[str, Fraction]) -> Entry:
+    out: Entry = {}
+    for (exps, word), c in e.items():
+        for name in word:
+            if name in values:
+                c *= values[name]
+        if c != 0:
+            key = (exps, tuple(name for name in word if name not in values))
+            out[key] = out.get(key, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
 def _validate_complex(c: MonadComplex) -> None:
-    """Shape composability of every nonzero entry, plus the line-bundle
-    degree bound on coordinate monomials."""
+    """The shape of every differential, composability of every nonzero
+    entry with its slots, and the line-bundle degree bound on coordinate
+    monomials."""
     q = c.template.quiver
     twists = c.template.twists
+    if len(c.diffs) != len(c.terms) - 1:
+        raise MonadError(f"{len(c.terms)} terms need {len(c.terms) - 1} differentials")
     for stage, mat in enumerate(c.diffs):
         src_slots = c.terms[stage]
         tgt_slots = c.terms[stage + 1]
+        if len(mat) != len(tgt_slots) or any(len(row) != len(src_slots) for row in mat):
+            raise MonadError(f"stage {stage}: differential is not {len(tgt_slots)} x {len(src_slots)}")
         for i, row in enumerate(mat):
             for j, e in enumerate(row):
                 for (exps, word), coeff in e.items():
@@ -152,10 +122,12 @@ def _validate_complex(c: MonadComplex) -> None:
                         p = Path(tuple(word))
                         try:
                             p.validate(q)
-                        except Exception as exc:
+                        except UnknownArrow as exc:
                             raise MonadError(
-                                f"stage {stage} entry ({i},{j}): {exc}"
+                                f"stage {stage} entry ({i},{j}): word {word} uses unknown arrow {exc}"
                             ) from exc
+                        except NCAlgError as exc:
+                            raise MonadError(f"stage {stage} entry ({i},{j}): {exc}") from exc
                         if p.source(q) != sv or p.target(q) != tv:
                             raise MonadError(
                                 f"stage {stage} entry ({i},{j}): word {word} does not "
@@ -243,13 +215,6 @@ class CertificationReport:
     entries: list[EntryCertificate]
     failures: list[EntryCertificate]
 
-    def summary(self) -> str:
-        status = "certified" if self.certified else "FAILED"
-        return (
-            f"{self.label}: d^2 {status}; {len(self.entries)} nonzero composite "
-            f"components reduced, {len(self.failures)} failures"
-        )
-
 
 def certify_d_squared(
     c: MonadComplex, relations, word_length_bound: int = 1,
@@ -306,9 +271,6 @@ class EvaluationResult:
     fiber_cohomology: list[int]  # ranks of the evaluated fiber complex
     sheaf_fibers: list[int | None]  # None = not determined by fiber data alone
 
-    def exact_away_from_last(self) -> bool:
-        return all(h == 0 for h in self.fiber_cohomology[:-1])
-
 
 def evaluate(
     c: MonadComplex,
@@ -336,12 +298,14 @@ def evaluate(
     if len(point) != len(c.template.coords):
         raise MonadError("point has wrong number of coordinates")
     if relations is not None:
-        from .ncalg import numeric_relation_residual
-
         rel_quiver, rel_set = _unwrap_relations(relations)
         residuals = numeric_relation_residual(rel_quiver, rel_set, dict(rep), dims)
-        if any(r != 0 for r in residuals):
-            raise RelationsViolated(f"relation residuals {residuals} are not all zero")
+        for r, res in zip(rel_set, residuals):
+            if res != 0:
+                raise RelationsViolated(
+                    f"relation d/d{r.arrow}: {r.poly.render(rel_quiver)} = 0 ({r.src} -> {r.tgt}) "
+                    f"fails on the representation by {res}"
+                )
     sizes = [sum(dims.get(s.vertex, 0) for s in term) for term in c.terms]
     quiver = c.template.quiver
     mats: list[linalg.Matrix] = []
@@ -353,22 +317,16 @@ def evaluate(
                 continue
             block_row = []
             for j, e in enumerate(row):
-                src = dims.get(c.terms[stage][j].vertex, 0)
+                sv = c.terms[stage][j].vertex
+                src = dims.get(sv, 0)
                 if src == 0:
                     continue
-                total = linalg.zeros(tgt, src)
-                for (exps, word), coeff in e.items():
-                    if any(dims.get(quiver.arrow(name).src, 0) == 0 for name in word):
-                        continue  # factors through a zero space
-                    value = coeff
-                    for x, k in zip(point, exps):
-                        value *= x ** k
-                    if value == 0:
-                        continue
-                    p = Path(tuple(word)) if word else trivial_path(c.terms[stage][j].vertex)
-                    m = path_matrix(quiver, p, rep, dims)
-                    total = linalg.add(total, linalg.scale(m, value))
-                block_row.append(total)
+                terms = (
+                    (Path(word) if word else trivial_path(sv),
+                     coeff * prod(x ** k for x, k in zip(point, exps)))
+                    for (exps, word), coeff in e.items()
+                )
+                block_row.append(path_sum_matrix(quiver, terms, rep, dims, tgt, src))
             blocks.append(block_row)
         mats.append(_assemble_blocks(blocks))
     d2_zero = True

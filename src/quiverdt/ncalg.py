@@ -155,9 +155,12 @@ class Path:
         if self.base is not None:
             q.vertex_index(self.base)
             return
-        for cur, nxt in zip(self.arrows, self.arrows[1:]):
-            if q.arrow(cur).tgt != q.arrow(nxt).src:
-                raise NCAlgError(f"word {self.arrows} is not composable at {cur}->{nxt}")
+        arrows = [q.arrow(name) for name in self.arrows]
+        for cur, nxt in zip(arrows, arrows[1:]):
+            if cur.tgt != nxt.src:
+                raise NCAlgError(
+                    f"word {self.arrows} is not composable at {cur.name}->{nxt.name}"
+                )
 
     def sort_key(self, q: Quiver):
         if self.base is not None:
@@ -629,6 +632,20 @@ def path_matrix(q: Quiver, p: Path, rep: Mapping[str, linalg.Matrix], dims: DimV
     return m
 
 
+def path_sum_matrix(
+    q: Quiver, terms: Iterable[tuple[Path, Fraction]], rep: Mapping[str, linalg.Matrix],
+    dims: DimVector, rows: int, cols: int,
+) -> linalg.Matrix:
+    """``sum(coeff * path_matrix(p))`` over the ``(p, coeff)`` terms, as a
+    rows x cols matrix; a path through a zero space contributes nothing."""
+    total = linalg.zeros(rows, cols)
+    for p, c in terms:
+        if c == 0 or any(dims.get(q.arrow(name).src, 0) == 0 for name in p.arrows):
+            continue
+        total = linalg.add(total, linalg.scale(path_matrix(q, p, rep, dims), c))
+    return total
+
+
 def _check_rep_shapes(q: Quiver, rep: Mapping[str, linalg.Matrix], dims: DimVector) -> None:
     for name, m in rep.items():
         a = q.arrow(name)
@@ -655,10 +672,5 @@ def numeric_relation_residual(
         if rows == 0 or cols == 0:
             out.append(Fraction(0))
             continue
-        total = linalg.zeros(rows, cols)
-        for p, c in r.poly.terms.items():
-            if any(dims.get(q.arrow(name).src, 0) == 0 for name in p.arrows):
-                continue  # the path factors through the zero space
-            total = linalg.add(total, linalg.scale(path_matrix(q, p, rep, dims), c))
-        out.append(linalg.max_abs(total))
+        out.append(linalg.max_abs(path_sum_matrix(q, r.poly.terms.items(), rep, dims, rows, cols)))
     return out

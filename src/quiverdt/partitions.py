@@ -17,9 +17,6 @@ enter only through variable substitutions (see quiverdt.checks).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator
-
 from .qseries import QSeries
 
 
@@ -39,34 +36,31 @@ PYRAMID_MAX_ORDER = 21
 # -- linear partitions -------------------------------------------------------
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n with parts bounded by max_part, largest part first."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+def partition_counts(order: int) -> list[int]:
+    """Partition counts p(0), ..., p(order), allowing parts 1, 2, ... one
+    size at a time: c[n] += c[n - k].  O(order^2) integer additions."""
+    c = [1] + [0] * order
+    for k in range(1, order + 1):
+        for n in range(k, order + 1):
+            c[n] += c[n - k]
+    return c
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    return sum(1 for _ in partitions_of(n))
+    return partition_counts(n)[n] if n >= 0 else 0
 
 
 def partition_series(order: int) -> QSeries:
     """Coefficient of q^n counts partitions of n."""
-    coeffs = {(n,): partition_count(n) for n in range(order + 1)}
-    return QSeries(("q",), order, coeffs)
+    counts = partition_counts(order)
+    return QSeries(("q",), order, {(n,): counts[n] for n in range(order + 1)})
 
 
 def tuple_series(r: int, order: int) -> QSeries:
     """r-tuples of partitions graded by total size (r-fold convolution)."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    counts = [partition_count(n) for n in range(order + 1)]
+    counts = partition_counts(order)
     out = [1] + [0] * order
     for _ in range(r):
         out = [
@@ -258,6 +252,7 @@ def blowup_series(order: int, k_max: int | None = None) -> QSeries:
     weight fits the order).  Returned in the doubled variable qh with
     qh^2 = q, so exponents stay integral; grade bound is 2*order in qh.
     """
+    counts = partition_counts(order)
     coeffs: dict[tuple[int], int] = {}
     k = 0
     while k * k <= 2 * order and (k_max is None or k <= k_max):
@@ -266,7 +261,7 @@ def blowup_series(order: int, k_max: int | None = None) -> QSeries:
         for n0 in range(pair_budget + 1):
             for n1 in range(pair_budget - n0 + 1):
                 weight = k * k + 2 * (n0 + n1)  # exponent of qh
-                count = partition_count(n0) * partition_count(n1) * multiplicity
+                count = counts[n0] * counts[n1] * multiplicity
                 coeffs[(weight,)] = coeffs.get((weight,), 0) + count
         k += 1
     return QSeries(("qh",), 2 * order, coeffs)

@@ -103,9 +103,6 @@ class QSeries:
     def constant_term(self) -> int:
         return self.coeffs.get((0,) * len(self.vars), 0)
 
-    def truncate(self, order: int) -> "QSeries":
-        return QSeries(self.vars, min(order, self.order), self.coeffs, self.grading)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -3,7 +3,8 @@
 These deliberately use different algorithms from the package: box piles as
 explicit downward-closed subsets of the lattice grown by breadth-first
 search with set deduplication, partition counts by the bounded-part
-recurrence, and nested chains by filtering plain tuples.  The package's
+recurrence and by explicit enumeration (``partitions_of``), and nested
+chains by filtering plain tuples.  The package's
 earlier enumerators are kept here as well: the atom-list walk over pyramid
 configurations (``pyramid_configurations``) and the row-by-row generation of
 nested chains and plane partitions (``nested_chains``,
@@ -20,6 +21,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+
+def partitions_of(n: int, max_part: int | None = None):
+    """All partitions of n with parts bounded by max_part, largest part
+    first, generated one by one."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)

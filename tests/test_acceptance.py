@@ -87,7 +87,7 @@ def test_criterion_10_numeric_monad_exactness():
     tpl = catalog.get_monad_template("c3")
     q, w = catalog.get_quiver_with_potential("c3")
     rels = ncalg.relations_from_potential(q, w)
-    c = monad.assemble(tpl, [a.name for a in q.arrows])
+    c = monad.assemble(tpl)
     plane_points = [(0, 0), (1, 0), (0, 1)]
     rng = random.Random(2026)
     ok = True

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from quiverdt import catalog
+from quiverdt import catalog, framing, linalg
 from quiverdt.cli import run
 
 
@@ -168,6 +171,73 @@ def test_monad_verify_numeric_on_framed_c3(tmp_path, capsys):
         capsys, ["monad", "verify", "pervsystem-c3", "--numeric", str(path), "--json"]
     )
     assert code == 0 and len(json.loads(out)["numeric"]["cohomology"]) == 2
+
+
+@pytest.mark.parametrize("template", ["c3", "pervsystem-c3"])
+def test_numeric_witness_violating_a_relation_exits_1(tmp_path, capsys, monkeypatch, template):
+    def non_commuting(points):
+        rep = {
+            "B1": linalg.mat([[0, 1], [0, 0]]),
+            "B2": linalg.mat([[0, 0], [1, 0]]),
+            "B3": linalg.zeros(2, 2),
+            "I": linalg.mat([[1], [1]]),
+            "J": linalg.zeros(1, 2),
+        }
+        return rep, True
+
+    monkeypatch.setattr(framing, "numeric_solution_builder", non_commuting)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [["0", "0"], ["1", "0"]]}))
+    code, out, err = run_capture(capsys, ["monad", "verify", template, "--numeric", str(path)])
+    assert code == 1 and out == ""
+    assert f"numeric witness of {template}: relation d/dB3" in err
+
+
+def test_missing_numeric_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, _, err = run_capture(capsys, ["monad", "verify", "c3", "--numeric", str(missing)])
+    assert code == 2 and "error:" in err
+
+
+def test_closed_stdout_pipe_is_not_a_usage_error(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = run(["catalog", "list"])
+        monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_stdout_that_refuses_writes_is_not_a_usage_error(monkeypatch, capsys):
+    class Gone:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    code = run(["catalog", "list"])
+    monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_gone_before_output_leaves_stderr_empty():
+    """A real process whose stdout pipe is closed before it writes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys, time; time.sleep(0.3); from quiverdt.cli import main; main()",
+         "relations", "adhm3d"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_stray_key_error_is_not_reported_as_not_in_catalog(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ def c3_complex():
     tpl = catalog.get_monad_template("c3")
     q, w = catalog.get_quiver_with_potential("c3")
     rels = ncalg.relations_from_potential(q, w)
-    return monad.assemble(tpl, [a.name for a in q.arrows]), rels
+    return monad.assemble(tpl), rels
 
 
 def framed_relations(example):
@@ -28,11 +29,7 @@ def test_c3_assembled_entries():
 
 
 def test_adhm_assembled_shape():
-    tpl = catalog.get_monad_template("adhm3d")
-    rels = framed_relations("adhm3d")
-    c = monad.assemble(
-        tpl, [a.name for a in rels.quiver.arrows], marked_values={"Af": 0}
-    )
+    c = monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"Af": 0})
     assert len(c.diffs[0]) == 4 and len(c.diffs[1]) == 4 and len(c.diffs[2]) == 1
     # fourth row of the middle differential carries the framing block -z
     corner = c.diffs[1][3][3]
@@ -40,26 +37,41 @@ def test_adhm_assembled_shape():
 
 
 def test_ny_assembled_quadratic_entries():
-    tpl = catalog.get_monad_template("ny3d")
-    rels = framed_relations("ny3d")
-    c = monad.assemble(tpl, [a.name for a in rels.quiver.arrows])
+    c = monad.assemble(catalog.get_monad_template("ny3d"))
     top_left = c.diffs[1][0][0]
     assert ((0, 1, 1), ()) in top_left  # the zy part
     assert ((0, 0, 0), ("C", "D")) in top_left  # quadratic word, C traversed first
 
 
-def test_assemble_role_mismatch():
-    tpl = catalog.get_monad_template("c3")
-    with pytest.raises(monad.RoleMismatch):
-        monad.assemble(tpl, ["B1", "B2"])  # B3 missing
+def _with_entry(tpl, stage, i, j, entry):
+    """A copy of the template with one differential entry replaced."""
+    diffs = [[list(row) for row in mat] for mat in tpl.diffs]
+    diffs[stage][i][j] = entry
+    return dataclasses.replace(
+        tpl, label="broken", diffs=tuple(tuple(map(tuple, mat)) for mat in diffs)
+    )
+
+
+def test_assemble_names_stage_and_entry_of_unknown_arrow():
+    bad = _with_entry(catalog.get_monad_template("c3"), 1, 2, 0, {((0, 0, 0), ("ZZ",)): Fraction(1)})
+    with pytest.raises(monad.MonadError, match=r"stage 1 entry \(2,0\): word \('ZZ',\) uses unknown arrow ZZ"):
+        monad.assemble(bad)
+
+
+def test_assemble_rejects_binding_an_unmarked_arrow():
+    with pytest.raises(monad.MonadError, match="not a marked arrow"):
+        monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"B1": 0})
 
 
 def test_marked_symbol_left_unbound_stays_in_entries():
-    tpl = catalog.get_monad_template("adhm3d")
-    rels = framed_relations("adhm3d")
-    c = monad.assemble(tpl, [a.name for a in rels.quiver.arrows])
+    c = monad.assemble(catalog.get_monad_template("adhm3d"))
     corner = c.diffs[1][3][3]
     assert ((0, 0, 0), ("Af",)) in corner
+
+
+def test_marked_symbol_bound_to_a_scalar_scales_its_term():
+    c = monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"Af": 3})
+    assert c.diffs[1][3][3] == {((0, 0, 0), ()): Fraction(3), ((0, 0, 1), ()): Fraction(-1)}
 
 
 # -- certification ---------------------------------------------------------------
@@ -94,10 +106,35 @@ def test_certify_can_raise_not_in_ideal():
         monad.certify_d_squared(c, empty, raise_on_failure=True)
 
 
+# template -> number of nonzero d^2 components certified
+COMPONENTS = {
+    "c3": 6,
+    "y20": 12,
+    "pervsystem-c3": 6,
+    "pervsystem-conifold": 8,
+    "adhm3d": 8,
+    "kn": 14,
+    "ny3d": 10,
+}
+
+
 @pytest.mark.parametrize("template_id", catalog.monad_template_ids())
 def test_certify_all_templates(template_id):
     c, rels = catalog.monad_case(template_id)
-    assert monad.certify_d_squared(c, rels).certified
+    report = monad.certify_d_squared(c, rels)
+    assert report.certified
+    assert len(report.entries) == COMPONENTS[template_id]
+
+
+@pytest.mark.parametrize("template_id", catalog.monad_template_ids())
+def test_monad_case_uses_framed_relations_exactly_for_framed_templates(template_id):
+    c, rels = catalog.monad_case(template_id)
+    framed = template_id in catalog.framed_example_ids()
+    assert isinstance(rels, framing.FramedRelationSet) == framed
+    if framed:
+        assert c.template.quiver == catalog.get_framed_example(template_id).quiver
+    else:
+        assert rels.quiver == catalog.get_quiver_with_potential(template_id)[0]
 
 
 # -- numeric evaluation ------------------------------------------------------------
@@ -162,7 +199,7 @@ def test_adhm_evaluate_generic_point_exact():
     tpl = catalog.get_monad_template("adhm3d")
     rels = framed_relations("adhm3d")
     rep, _ = framing.numeric_solution_builder([(2, 3)])
-    c = monad.assemble(tpl, [a.name for a in rels.quiver.arrows], marked_values={"Af": 0})
+    c = monad.assemble(tpl, marked_values={"Af": 0})
     res = monad.evaluate(
         c, rep, {"0": 1, "inf": 1}, (5, 7, 1), relations=rels
     )
@@ -177,7 +214,7 @@ def test_y20_monad_resolves_curve_module():
     tpl = catalog.get_monad_template("y20")
     q, w = catalog.get_quiver_with_potential("y20")
     rels = ncalg.relations_from_potential(q, w)
-    c = monad.assemble(tpl, [a.name for a in q.arrows])
+    c = monad.assemble(tpl)
     dims = {"0": 1, "1": 0}
     rep = {
         a.name: linalg.zeros(dims[a.tgt], dims[a.src]) for a in q.arrows
@@ -195,7 +232,7 @@ def test_conifold_monad_resolves_curve_module():
     simple sits along {x = 0, y = 0} with the third coordinate free."""
     tpl = catalog.get_monad_template("pervsystem-conifold")
     rels = framed_relations("pervsystem-conifold")
-    c = monad.assemble(tpl, [a.name for a in rels.quiver.arrows])
+    c = monad.assemble(tpl)
     dims = {"0": 1, "1": 0, "inf": 0}
     rep = {a.name: linalg.zeros(dims[a.tgt], dims[a.src]) for a in rels.quiver.arrows}
     for z in (0, 7):
@@ -208,14 +245,15 @@ def test_conifold_monad_resolves_curve_module():
 
 def test_validate_rejects_ill_typed_entry():
     tpl = catalog.get_monad_template("pervsystem-conifold")
-    quiver = tpl.quiver
-    bad_blocks = list(tpl.blocks)
-    stage0 = dict(bad_blocks[0])
-    # move a B-block where an A-block belongs: word no longer composes
-    stage0[("B", "B")] = stage0.pop(("B",))
-    bad_blocks[0] = stage0
-    bad = monad.MonadTemplate(
-        "broken", tpl.coords, tpl.twists, tpl.terms, tuple(bad_blocks), quiver
-    )
-    with pytest.raises(monad.MonadError):
-        monad.assemble(bad, [a.name for a in quiver.arrows])
+    # d1 entry (0,1) holds -B (vertex 1 -> 0); B*B does not compose
+    assert tpl.diffs[0][0][1] == {((0, 0, 0), ("B",)): Fraction(-1)}
+    bad = _with_entry(tpl, 0, 0, 1, {((0, 0, 0), ("B", "B")): Fraction(-1)})
+    with pytest.raises(monad.MonadError, match=r"stage 0 entry \(0,1\): word \('B', 'B'\) is not composable"):
+        monad.assemble(bad)
+
+
+def test_validate_rejects_ragged_differential():
+    tpl = catalog.get_monad_template("c3")
+    bad = dataclasses.replace(tpl, diffs=(tpl.diffs[0][:2],) + tpl.diffs[1:])
+    with pytest.raises(monad.MonadError, match="stage 0: differential is not 3 x 1"):
+        monad.assemble(bad)

@@ -63,6 +63,8 @@ def test_path_composability():
     word("A", "B").validate(q)
     with pytest.raises(NCAlgError):
         word("A", "A").validate(q)
+    with pytest.raises(UnknownArrow):
+        word("ZZ").validate(q)  # a one-arrow word is looked up too
     p = word("A", "B")
     assert p.source(q) == "0" and p.target(q) == "0"
 
