@@ -200,6 +200,8 @@ def cmd_monad(args) -> int:
             {"stage": f.stage, "row": f.row, "col": f.col, "exps": list(f.exps)}
             for f in report.failures
         ],
+        "membership": report.membership,
+        "phases": report.phases,
     }
     if args.numeric:
         dims = {"0": len(points), "inf": 1}

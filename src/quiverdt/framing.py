@@ -23,15 +23,12 @@ from .ncalg import (
     Potential,
     Quiver,
     RelationSet,
+    ShapeMismatch,
     relations_from_potential,
 )
 
 
 class FramingError(ValueError):
-    pass
-
-
-class ShapeMismatch(FramingError):
     pass
 
 

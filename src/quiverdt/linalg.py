@@ -3,7 +3,9 @@
 Matrices are tuples of tuples of :class:`fractions.Fraction`; the matrix
 helpers are dense and meant for the small numeric representations of monad
 and relation checks.  :class:`Echelon` is the one row reduction: sparse, over
-dict vectors, and shared by ideal membership, rank and the cyclicity check.
+dict vectors, and shared by ideal membership (one per endpoint pair of an
+``ncalg.MembershipSystem``, which ``reduce`` leaves unchanged), rank and the
+cyclicity check.
 """
 
 from __future__ import annotations

@@ -11,18 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from time import perf_counter
 from typing import Mapping, Sequence
 
 from . import linalg
 from .ncalg import (
     MembershipResult,
+    MembershipSystem,
     NCAlgError,
     NCPoly,
     Path,
     Quiver,
     RelationSet,
     UnknownArrow,
-    ideal_membership,
+    ideal_membership,  # noqa: F401  (kept importable as monad.ideal_membership)
     numeric_relation_residual,
     path_sum_matrix,
     trivial_path,
@@ -214,6 +216,8 @@ class CertificationReport:
     certified: bool
     entries: list[EntryCertificate]
     failures: list[EntryCertificate]
+    membership: dict[str, int]  # MembershipSystem.stats()
+    phases: dict[str, float]  # perf_counter seconds of "compose" and "membership"
 
 
 def certify_d_squared(
@@ -224,17 +228,24 @@ def certify_d_squared(
     coordinate-monomial component in the two-sided relation ideal.
 
     ``relations`` is a RelationSet (or FramedRelationSet) over a quiver
-    containing every unmarked symbol the complex uses.  A failed component
+    containing every unmarked symbol the complex uses.  One
+    :class:`MembershipSystem` decides every component, so components with
+    the same endpoints share one echelon form.  A failed component
     signals a transcription error in the template or the relations; with
     ``raise_on_failure`` it raises :class:`NotInIdeal` carrying the first
     offending entry and residual, otherwise failures are collected in the
-    report.
+    report.  The report also carries the system's sizes and the seconds
+    spent composing and deciding.
     """
     rel_quiver, rel_set = _unwrap_relations(relations)
+    system = MembershipSystem(rel_quiver, rel_set, word_length_bound)
+    phases = {"compose": 0.0, "membership": 0.0}
     entries: list[EntryCertificate] = []
     failures: list[EntryCertificate] = []
     for stage in range(len(c.diffs) - 1):
+        start = perf_counter()
         product = compose_stage(c, stage)
+        phases["compose"] += perf_counter() - start
         for i, row in enumerate(product):
             for j, e in enumerate(row):
                 if not e:
@@ -243,7 +254,9 @@ def certify_d_squared(
                 for exps, poly in entry_to_ncpolys(e, src_vertex).items():
                     if poly.is_zero():
                         continue
-                    result = ideal_membership(rel_quiver, poly, rel_set, word_length_bound)
+                    start = perf_counter()
+                    result = system.decide(poly)
+                    phases["membership"] += perf_counter() - start
                     cert = EntryCertificate(stage, i, j, exps, result)
                     entries.append(cert)
                     if not result.success:
@@ -258,6 +271,8 @@ def certify_d_squared(
         certified=not failures,
         entries=entries,
         failures=failures,
+        membership=system.stats(),
+        phases=phases,
     )
 
 

@@ -1,6 +1,9 @@
 """Path-algebra arithmetic: quivers, potentials, cyclic derivatives, relation
 ideals, bounded-degree ideal membership, and the Euler form.
 
+Membership is decided by a :class:`MembershipSystem`: one echelon form per
+endpoint pair ``(source, target)`` of the ideal, built once, reused by queries.
+
 Word convention
 ---------------
 A path is stored as the sequence of arrows in traversal order: in a word
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import inf
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -36,7 +41,8 @@ class BoundTooSmall(NCAlgError):
 
 
 class ShapeMismatch(NCAlgError):
-    pass
+    """A matrix or rank that does not fit its arrow or vertex; ``framing``
+    raises this class too."""
 
 
 # -- quiver ----------------------------------------------------------------
@@ -69,20 +75,21 @@ class Quiver:
             if a.src not in vs or a.tgt not in vs:
                 raise NCAlgError(f"arrow {a.name} has endpoint outside the vertex set")
 
+    @cached_property
+    def _arrow_indices(self) -> dict[str, int]:
+        return {a.name: i for i, a in enumerate(self.arrows)}
+
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise UnknownArrow(name)
+        return self.arrows[self.arrow_index(name)]
 
     def has_arrow(self, name: str) -> bool:
-        return any(a.name == name for a in self.arrows)
+        return name in self._arrow_indices
 
     def arrow_index(self, name: str) -> int:
-        for i, a in enumerate(self.arrows):
-            if a.name == name:
-                return i
-        raise UnknownArrow(name)
+        try:
+            return self._arrow_indices[name]
+        except KeyError:
+            raise UnknownArrow(name) from None
 
     def vertex_index(self, v: str) -> int:
         try:
@@ -394,14 +401,10 @@ class Potential:
 def cyclic_derivative(W: Potential, arrow_name: str) -> NCPoly:
     """Sum over occurrences of the arrow of the cyclic word read starting
     just after that occurrence.  Linear in the potential."""
-    q = W.quiver
-    if not q.has_arrow(arrow_name):
-        raise UnknownArrow(arrow_name)
+    a = W.quiver.arrow(arrow_name)
     out = NCPoly.zero()
-    a = q.arrow(arrow_name)
     for w, c in W.terms.items():
         names = w.names
-        n = len(names)
         for i, x in enumerate(names):
             if x != arrow_name:
                 continue
@@ -500,54 +503,91 @@ def _paths_up_to(q: Quiver, bound: int) -> list[Path]:
     return out
 
 
+class MembershipSystem:
+    """Membership in the two-sided ideal generated by the relations, with
+    path coefficients ``u, v`` of length at most the bound.  The ideal is
+    the sum of its parts ``e_t I e_s``, and ``u*r*v`` lies in the part of
+    ``(source(u), target(v))``; so each pair gets its own sparse echelon
+    form (pivots at the least word in :meth:`Path.sort_key` order), built
+    on first use from that pair's products and kept for later queries.
+    Residuals, and certificates up to the order of their parts, equal those
+    of one form over every product.  Raises :class:`BoundTooSmall` for a
+    negative bound.
+    """
+
+    def __init__(self, q: Quiver, relations: RelationSet, word_length_bound: int):
+        if word_length_bound < 0:
+            raise BoundTooSmall("negative word length bound")
+        self.quiver = q
+        self.bound = word_length_bound
+        self._rels = [(ridx, r) for ridx, r in enumerate(relations.relations) if not r.poly.is_zero()]
+        # the longest word a product u*r*v under the bound can reach
+        self._reach = 2 * self.bound + max((r.poly.max_length() for _, r in self._rels), default=inf)
+        self._order = lambda w: w.sort_key(q)
+        self._echelons: dict[tuple[str, str], linalg.Echelon] = {}
+        self._rows = self._nonzeros = 0
+
+    @cached_property
+    def _words_by_ends(self) -> dict[tuple[str, str], list[Path]]:
+        out: dict[tuple[str, str], list[Path]] = {}
+        for w in _paths_up_to(self.quiver, self.bound):
+            out.setdefault((w.source(self.quiver), w.target(self.quiver)), []).append(w)
+        return out
+
+    def _echelon(self, s: str, t: str) -> linalg.Echelon:
+        span = self._echelons.get((s, t))
+        if span is None:
+            q, words = self.quiver, self._words_by_ends
+            span = self._echelons[(s, t)] = linalg.Echelon(self._order)
+            for ridx, r in self._rels:
+                for u in words.get((s, r.src), ()):
+                    ur = nc_mul(q, NCPoly.from_path(u), r.poly)
+                    for v in words.get((r.tgt, t), ()):
+                        urv = nc_mul(q, ur, NCPoly.from_path(v))
+                        if not urv.is_zero():
+                            span.add(urv.terms, (u, ridx, v))
+                            self._rows += 1
+                            self._nonzeros += len(urv.terms)
+        return span
+
+    def stats(self) -> dict[str, int]:
+        """Endpoint systems built; over them, products inserted, their terms, pivots."""
+        pivots = sum(len(span) for span in self._echelons.values())
+        return {"systems": len(self._echelons), "rows": self._rows, "nonzeros": self._nonzeros, "pivots": pivots}
+
+    def decide(self, p: NCPoly) -> MembershipResult:
+        """A certificate, or the residual of ``p``, which vanishes at every
+        pivot word.  Raises :class:`BoundTooSmall` when no ``u*r*v`` under
+        the bound reaches the longest word of ``p`` (a larger bound may
+        still succeed); non-membership at an adequate bound is not raised.
+        """
+        if p.is_zero():
+            return MembershipResult(True, MembershipCertificate([]), None)
+        if p.max_length() > self._reach:
+            raise BoundTooSmall(f"bound {self.bound} cannot reach words of length {p.max_length()}")
+        q = self.quiver
+        by_ends: dict[tuple[str, str], dict[Path, Fraction]] = {}
+        for w, c in p.terms.items():
+            by_ends.setdefault((w.source(q), w.target(q)), {})[w] = c
+        residual, combination = {}, {}
+        for (s, t), part in by_ends.items():
+            rem, comb = self._echelon(s, t).reduce(part)
+            residual.update(rem)
+            combination.update(comb)
+        if residual:
+            # in word order, so render() without a quiver lists it the same way
+            return MembershipResult(
+                False, None, NCPoly({w: residual[w] for w in sorted(residual, key=self._order)})
+            )
+        parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
+        return MembershipResult(True, MembershipCertificate(parts), None)
+
+
 def ideal_membership(
     q: Quiver, p: NCPoly, relations: RelationSet, word_length_bound: int
 ) -> MembershipResult:
-    """Decide membership of ``p`` in the two-sided ideal generated by the
-    relations, allowing path coefficients ``u, v`` of length at most the
-    bound.  Every nonzero ``u*r*v`` goes into one sparse echelon form, with
-    pivots at the least word in :meth:`Path.sort_key` order; ``p`` reduced
-    by it leaves either nothing (the combination is the certificate) or the
-    residual, which vanishes at every pivot word.
-
-    Raises :class:`BoundTooSmall` when no product ``u*r*v`` under the bound
-    can reach the longest word of ``p`` (a retry with a larger bound may
-    still succeed); plain non-membership at an adequate bound is reported
-    in the result, not raised.
-    """
-    if word_length_bound < 0:
-        raise BoundTooSmall("negative word length bound")
-    if p.is_zero():
-        return MembershipResult(True, MembershipCertificate([]), None)
-    rels = [(ridx, r) for ridx, r in enumerate(relations.relations) if not r.poly.is_zero()]
-    if rels:
-        reach = 2 * word_length_bound + max(r.poly.max_length() for _, r in rels)
-        if p.max_length() > reach:
-            raise BoundTooSmall(
-                f"bound {word_length_bound} cannot reach words of length {p.max_length()}"
-            )
-    words = _paths_up_to(q, word_length_bound)
-    order = lambda w: w.sort_key(q)
-    span = linalg.Echelon(order)
-    for ridx, r in rels:
-        for u in words:
-            if u.target(q) != r.src:
-                continue
-            ur = nc_mul(q, NCPoly.from_path(u), r.poly)
-            for v in words:
-                if v.source(q) != r.tgt:
-                    continue
-                urv = nc_mul(q, ur, NCPoly.from_path(v))
-                if not urv.is_zero():
-                    span.add(urv.terms, (u, ridx, v))
-    residual, combination = span.reduce(p.terms)
-    if residual:
-        # in word order, so render() without a quiver lists it the same way
-        return MembershipResult(
-            False, None, NCPoly({w: residual[w] for w in sorted(residual, key=order)})
-        )
-    parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
-    return MembershipResult(True, MembershipCertificate(parts), None)
+    """One query of a fresh :class:`MembershipSystem`; hold the system to reuse it."""
+    return MembershipSystem(q, relations, word_length_bound).decide(p)
 
 
 # -- Euler form and block dimensions -----------------------------------------

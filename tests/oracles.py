@@ -11,7 +11,10 @@ nested chains and plane partitions (``nested_chains``,
 ``plane_partitions_upto``, with pit (0, N) by transposition); the pyramid
 oracles build their stone poset from the geometry (``pyramid_stones``), not
 from the package.  Ideal membership and rank have dense Gaussian-elimination
-references here, independent of the package's sparse echelon form.
+references here, independent of the package's sparse echelon form; the
+earlier sparse membership, one echelon form over the products of every
+endpoint pair rebuilt per query (``ideal_membership_all_endpoints``), is
+kept as the reference for ``ncalg.MembershipSystem``.
 Products of ``(1 - sign*m)**power`` factors are expanded one factor at a
 time by ring arithmetic, independent of the package's
 logarithmic-derivative recurrence.
@@ -420,6 +423,47 @@ def ideal_membership_dense(q, p, relations, word_length_bound):
         return False, None, _residual_dense(p, basis, column_vecs)
     parts = [(c, u, ridx, v) for c, (u, ridx, v) in zip(sol or [], columns) if c != 0]
     return True, parts, None
+
+
+def ideal_membership_all_endpoints(q, p, relations, word_length_bound):
+    """Bounded ideal membership with every nonzero ``u*r*v``, whatever its
+    endpoints, in one sparse echelon form built for this query alone.
+    Returns an ``ncalg.MembershipResult`` and raises ``BoundTooSmall`` as
+    the package does."""
+    from quiverdt import linalg, ncalg
+
+    if word_length_bound < 0:
+        raise ncalg.BoundTooSmall("negative word length bound")
+    if p.is_zero():
+        return ncalg.MembershipResult(True, ncalg.MembershipCertificate([]), None)
+    rels = [(ridx, r) for ridx, r in enumerate(relations.relations) if not r.poly.is_zero()]
+    if rels:
+        reach = 2 * word_length_bound + max(r.poly.max_length() for _, r in rels)
+        if p.max_length() > reach:
+            raise ncalg.BoundTooSmall(
+                f"bound {word_length_bound} cannot reach words of length {p.max_length()}"
+            )
+    words = ncalg._paths_up_to(q, word_length_bound)
+    order = lambda w: w.sort_key(q)
+    span = linalg.Echelon(order)
+    for ridx, r in rels:
+        for u in words:
+            if u.target(q) != r.src:
+                continue
+            ur = ncalg.nc_mul(q, ncalg.NCPoly.from_path(u), r.poly)
+            for v in words:
+                if v.source(q) != r.tgt:
+                    continue
+                urv = ncalg.nc_mul(q, ur, ncalg.NCPoly.from_path(v))
+                if not urv.is_zero():
+                    span.add(urv.terms, (u, ridx, v))
+    residual, combination = span.reduce(p.terms)
+    if residual:
+        return ncalg.MembershipResult(
+            False, None, ncalg.NCPoly({w: residual[w] for w in sorted(residual, key=order)})
+        )
+    parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
+    return ncalg.MembershipResult(True, ncalg.MembershipCertificate(parts), None)
 
 
 # -- factor-by-factor q-series products -----------------------------------------

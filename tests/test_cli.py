@@ -108,6 +108,18 @@ def test_monad_verify(capsys):
     assert code == 0 and "certified" in out
 
 
+def test_monad_verify_json_reports_membership_sizes_and_phases(capsys):
+    code, out, _ = run_capture(capsys, ["monad", "verify", "c3", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["certified"], data["components"], data["failures"]) == (True, 6, [])
+    # one vertex, so one endpoint system: 3 commutators times 4 words on
+    # each side at bound 1, two terms each, and one dependency in degree 3
+    assert data["membership"] == {"systems": 1, "rows": 48, "nonzeros": 96, "pivots": 47}
+    assert sorted(data["phases"]) == ["compose", "membership"]
+    assert all(isinstance(s, float) and s >= 0 for s in data["phases"].values())
+
+
 def test_monad_verify_numeric(tmp_path, capsys):
     points = {"points": [["0", "0"], ["1", "0"]]}
     path = tmp_path / "points.json"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdt import catalog, framing, linalg
+from quiverdt import catalog, framing, linalg, ncalg
 from quiverdt.ncalg import NCPoly, Potential, Quiver, Arrow, relations_from_potential, word
 
 
@@ -22,6 +22,10 @@ def test_specialize_requires_all_marked_matrices():
     fq = catalog.get_framed_example("adhm3d")
     with pytest.raises(framing.ShapeMismatch):
         framing.specialize(fq, framing.FramingStructure({"inf": 1}, {}))
+
+
+def test_shape_mismatch_is_one_class():
+    assert framing.ShapeMismatch is ncalg.ShapeMismatch
 
 
 def test_specialize_shape_check():

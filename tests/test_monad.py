@@ -77,15 +77,20 @@ def test_marked_symbol_bound_to_a_scalar_scales_its_term():
 # -- certification ---------------------------------------------------------------
 
 
+def assert_certificates_expand(c, rels, report):
+    """Every certificate re-expands to the composite component it certifies."""
+    rel_set = rels if isinstance(rels, ncalg.RelationSet) else rels.relations
+    for cert in report.entries:
+        entry = monad.compose_stage(c, cert.stage)[cert.row][cert.col]
+        component = monad.entry_to_ncpolys(entry, c.terms[cert.stage][cert.col].vertex)[cert.exps]
+        assert cert.membership.certificate.expand(rels.quiver, rel_set) == component
+
+
 def test_certify_c3():
     c, rels = c3_complex()
     report = monad.certify_d_squared(c, rels)
     assert report.certified
-    # certificates re-expand to the composite entries they certify
-    for cert in report.entries:
-        entry = monad.compose_stage(c, cert.stage)[cert.row][cert.col]
-        component = monad.entry_to_ncpolys(entry, c.terms[cert.stage][cert.col].vertex)[cert.exps]
-        assert cert.membership.certificate.expand(rels.quiver, rels) == component
+    assert_certificates_expand(c, rels, report)
 
 
 def test_certify_fails_with_empty_relations():
@@ -124,6 +129,7 @@ def test_certify_all_templates(template_id):
     report = monad.certify_d_squared(c, rels)
     assert report.certified
     assert len(report.entries) == COMPONENTS[template_id]
+    assert_certificates_expand(c, rels, report)
 
 
 @pytest.mark.parametrize("template_id", catalog.monad_template_ids())

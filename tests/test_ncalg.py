@@ -10,6 +10,7 @@ from quiverdt.ncalg import (
     Arrow,
     BoundTooSmall,
     MembershipCertificate,
+    MembershipSystem,
     NCAlgError,
     NCPoly,
     Path,
@@ -67,6 +68,18 @@ def test_path_composability():
         word("ZZ").validate(q)  # a one-arrow word is looked up too
     p = word("A", "B")
     assert p.source(q) == "0" and p.target(q) == "0"
+
+
+def test_arrow_lookup_by_name():
+    q = conifold()
+    assert q.arrow("B") == Arrow("B", "1", "0")
+    assert [q.arrow_index(a.name) for a in q.arrows] == [0, 1, 2, 3]
+    assert q.has_arrow("D") and not q.has_arrow("ZZ")
+    for lookup in (q.arrow, q.arrow_index):
+        with pytest.raises(UnknownArrow) as info:
+            lookup("ZZ")
+        assert info.value.args == ("ZZ",)
+    assert q == conifold() and hash(q) == hash(conifold())
 
 
 def test_quiver_json_and_dot():
@@ -312,6 +325,106 @@ def test_membership_matches_dense_oracle(name, bound, data):
         assert result.certificate.expand(q, rels) == p
     else:
         assert result.residual.terms == residual
+
+
+@lru_cache(maxsize=None)
+def _products_by_ends(name, bound):
+    """The nonzero u*r*v under the bound, grouped by endpoint pair."""
+    q, _ = MEMBERSHIP_SYSTEMS[name]
+    groups = {}
+    for urv in _membership_pieces(name, bound)[0]:
+        w = next(iter(urv.terms))
+        groups.setdefault((w.source(q), w.target(q)), []).append(urv)
+    return [groups[ends] for ends in sorted(groups)]
+
+
+@lru_cache(maxsize=None)
+def _shared_system(name, bound):
+    """One system per relation set and bound, shared by every example, so
+    its echelon forms are built by whichever query reaches them first."""
+    q, rels = MEMBERSHIP_SYSTEMS[name]
+    return MembershipSystem(q, rels, bound)
+
+
+@st.composite
+def _member(draw, groups):
+    group = groups[draw(st.integers(0, len(groups) - 1))]
+    p = NCPoly.zero()
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(group) - 1), COEFFS), min_size=1, max_size=3)):
+        p = p + group[i].scale(c)
+    return p
+
+
+@st.composite
+def _membership_query(draw, name, bound):
+    """A member (a sum of products with one endpoint pair), a non-member
+    (a member plus a word under the bound plus one), a sum over several
+    endpoint pairs, or the zero polynomial."""
+    groups = _products_by_ends(name, bound)
+    kind = draw(st.sampled_from(["member", "nonmember", "multi", "zero"]))
+    if kind == "zero":
+        return NCPoly.zero()
+    p = draw(_member(groups))
+    if kind == "multi":
+        p = p + draw(_member(groups)) + draw(_member(groups))
+    if kind != "member":
+        extra = _membership_pieces(name, bound)[1]
+        for i, c in draw(st.lists(st.tuples(st.integers(0, len(extra) - 1), COEFFS), max_size=2)):
+            p = p + NCPoly.from_path(extra[i], c)
+    return p
+
+
+def _answer(result):
+    parts = None if result.certificate is None else result.certificate.parts
+    residual = None if result.residual is None else list(result.residual.terms.items())
+    return result.success, parts, residual
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(MEMBERSHIP_SYSTEMS)), st.integers(0, 1), st.data())
+def test_shared_membership_system_matches_all_endpoints_oracle(name, bound, data):
+    q, rels = MEMBERSHIP_SYSTEMS[name]
+    system = _shared_system(name, bound)
+    queries = data.draw(st.lists(_membership_query(name, bound), min_size=1, max_size=4))
+    first = _answer(system.decide(queries[0]))
+    for p in queries:
+        result = system.decide(p)
+        success, parts, residual = _answer(result)
+        o_success, o_parts, o_residual = _answer(oracles.ideal_membership_all_endpoints(q, p, rels, bound))
+        assert success == o_success and residual == o_residual
+        if success:
+            terms = {(u, ridx, v): c for c, u, ridx, v in parts}
+            assert len(terms) == len(parts)
+            assert terms == {(u, ridx, v): c for c, u, ridx, v in o_parts}
+            if len({(w.source(q), w.target(q)) for w in p.terms}) <= 1:
+                assert parts == o_parts  # one endpoint pair: the same rows, in the same order
+            assert result.certificate.expand(q, rels) == p
+    assert _answer(system.decide(queries[0])) == first
+
+
+def test_bound_too_small_messages():
+    q = c3()
+    rels = relations_from_potential(q, commutator_potential(q))
+    with pytest.raises(BoundTooSmall, match="^negative word length bound$"):
+        MembershipSystem(q, rels, -1)
+    with pytest.raises(BoundTooSmall, match="^negative word length bound$"):
+        ideal_membership(q, NCPoly.zero(), rels, -1)
+    long_word = NCPoly({word("B1", "B1", "B2", "B3", "B1"): Fraction(1)})
+    for ask in (lambda p: ideal_membership(q, p, rels, 1), MembershipSystem(q, rels, 1).decide):
+        with pytest.raises(BoundTooSmall, match="^bound 1 cannot reach words of length 5$"):
+            ask(long_word)
+
+
+def test_membership_system_builds_only_the_endpoint_pairs_asked():
+    q, rels = MEMBERSHIP_SYSTEMS["conifold"]
+    system = MembershipSystem(q, rels, 1)
+    assert system.stats() == {"systems": 0, "rows": 0, "nonzeros": 0, "pivots": 0}
+    p = rels.relations[0].poly
+    assert system.decide(p).success
+    first = system.stats()
+    assert first["systems"] == 1 and 0 < first["pivots"] <= first["rows"] <= first["nonzeros"]
+    assert system.decide(p.scale(2)).success
+    assert system.stats() == first  # a repeated endpoint pair builds nothing
 
 
 @settings(max_examples=20, deadline=None)
