@@ -1,6 +1,7 @@
-"""Hard-coded geometry data: quivers with potential for the small toric
-Calabi-Yau threefolds, framed variants, chart resolutions with generator
-maps, monad templates, and divisor-to-shift-matrix arithmetic.
+"""Geometry data: quivers with potential for the small toric Calabi-Yau
+threefolds of the Y_{m,n} family, generated from cyclic parity sequences;
+framed variants, chart resolutions with generator maps and monad templates,
+stored as tables; and divisor-to-shift-matrix arithmetic.
 
 Potentials are transcribed into traversal-order words (see
 :mod:`quiverdt.ncalg`); a product of operators reads right-to-left, so the
@@ -81,271 +82,304 @@ class CatalogEntry:
     curve_classes: tuple[str, ...]
 
 
-_YM0_RE = re.compile(r"y(\d+)0$")
-
-
 def geometry_ids() -> tuple[str, ...]:
     return ("c3", "conifold", "y20", "ym0 (m >= 2, e.g. y30)")
 
 
-def _c3_quiver() -> Quiver:
-    return Quiver(("0",), (Arrow("B1", "0", "0"), Arrow("B2", "0", "0"), Arrow("B3", "0", "0")))
+def _ymn(sigma: str) -> tuple[Quiver, list[tuple[int, tuple[str, ...]]]]:
+    """The quiver and potential words of the Y_{m,n} geometry with cyclic
+    parity sequence ``sigma`` in {0,1}^N (Nagao, *Derived categories of
+    small toric Calabi-Yau 3-folds and curve counting invariants*;
+    Li-Yamazaki, *Quiver Yangian from crystal melting*).
+
+    Vertices are 0..N-1.  Vertex i has a loop ``w_i`` when sigma_i =
+    sigma_(i+1); the arrows are the loops, then ``a_i: i -> i+1``, then
+    ``b_i: i+1 -> i``.  A vertex with a loop contributes ``e_i (w_i a_i b_i -
+    w_i b_(i-1) a_(i-1))`` to W, one without ``e_i b_(i-1) a_(i-1) a_i b_i``
+    (traversal order).  The signs start at e_0 = 1 and flip at each
+    loopless vertex, so the two terms that contain ``a_i`` have opposite
+    signs.
+    """
+    n = len(sigma)
+    loop = [sigma[i] == sigma[(i + 1) % n] for i in range(n)]
+    arrows = [Arrow(f"w{i}", str(i), str(i)) for i in range(n) if loop[i]]
+    arrows += [Arrow(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    arrows += [Arrow(f"b{i}", str((i + 1) % n), str(i)) for i in range(n)]
+    words, sign = [], 1
+    for i in range(n):
+        j = (i - 1) % n
+        if i and not loop[i]:
+            sign = -sign
+        if loop[i]:
+            words += [(sign, (f"w{i}", f"a{i}", f"b{i}")), (-sign, (f"w{i}", f"b{j}", f"a{j}"))]
+        else:
+            words.append((sign, (f"b{j}", f"a{j}", f"a{i}", f"b{i}")))
+    return Quiver(tuple(str(i) for i in range(n)), tuple(arrows)), words
 
 
-def _conifold_quiver() -> Quiver:
-    return Quiver(
-        ("0", "1"),
-        (Arrow("A", "0", "1"), Arrow("C", "0", "1"), Arrow("B", "1", "0"), Arrow("D", "1", "0")),
-    )
+# geometry -> (parity sequence, generator arrow -> catalog name in catalog
+# arrow order, overall sign of W); y{m}0 is 0^m with the generator's names
+_YMN = {
+    "c3": ("0", {"w0": "B1", "b0": "B2", "a0": "B3"}, 1),
+    "conifold": ("01", {"a0": "A", "b1": "C", "b0": "B", "a1": "D"}, -1),
+    "y20": ("00", {"w0": "E", "w1": "F", "a0": "A", "b1": "C", "a1": "B", "b0": "D"}, -1),
+}
+_ALIASES = {"y10": "c3", "y11": "conifold"}
 
 
-def _y20_quiver() -> Quiver:
-    return Quiver(
-        ("0", "1"),
-        (
-            Arrow("E", "0", "0"),
-            Arrow("F", "1", "1"),
-            Arrow("A", "0", "1"),
-            Arrow("C", "0", "1"),
-            Arrow("B", "1", "0"),
-            Arrow("D", "1", "0"),
-        ),
-    )
-
-
-def _ym0_quiver(m: int) -> Quiver:
-    vs = tuple(str(i) for i in range(m))
-    arrows = []
-    for i in range(m):
-        arrows.append(Arrow(f"w{i}", str(i), str(i)))
-    for i in range(m):
-        arrows.append(Arrow(f"a{i}", str(i), str((i + 1) % m)))
-    for i in range(m):
-        arrows.append(Arrow(f"b{i}", str((i + 1) % m), str(i)))
-    return Quiver(vs, tuple(arrows))
+def _lookup(geometry: str) -> tuple[str, str, dict[str, str], int]:
+    """Catalog name, parity sequence, arrow renaming and sign of a geometry id."""
+    g = _ALIASES.get(geometry.lower(), geometry.lower())
+    if g in _YMN:
+        return (g, *_YMN[g])
+    match = re.fullmatch(r"y(\d+)0", g)
+    if match and int(match.group(1)) >= 2:
+        return g, "0" * int(match.group(1)), {}, 1
+    raise NotInCatalog(geometry)
 
 
 def get_quiver_with_potential(geometry: str) -> tuple[Quiver, Potential]:
-    """The quiver and potential of a catalog geometry.
+    """The quiver and potential of a catalog geometry, from its parity
+    sequence by :func:`_ymn`.
 
-    For the loops-plus-cycle family y{m}0 with m >= 3 the potential is the
-    direct generalization of the m = 2 display (each loop couples the
-    neighbouring cycle arrows with opposite signs); only m = 2 has a
-    displayed cross-check, so the general case is flagged as extrapolated
-    in this docstring rather than silently assumed elsewhere.
+    c3, the conifold and y20 reproduce displayed potentials.  For y{m}0
+    with m >= 3, and for any sequence that no crystal count has checked,
+    the potential is the rule's extrapolation (each loop couples the
+    neighbouring cycle arrows with opposite signs), flagged here rather
+    than silently assumed elsewhere.
     """
-    g = geometry.lower()
-    if g in ("c3", "y10"):
-        q = _c3_quiver()
-        # operator words B1.B2.B3 - B1.B3.B2 in traversal order
-        w = Potential.from_words(q, [(1, ("B1", "B3", "B2")), (-1, ("B1", "B2", "B3"))])
-        return q, w
-    if g in ("conifold", "y11"):
-        q = _conifold_quiver()
-        w = Potential.from_words(q, [(1, ("A", "D", "C", "B")), (-1, ("A", "B", "C", "D"))])
-        return q, w
-    if g == "y20":
-        q = _y20_quiver()
-        w = Potential.from_words(
-            q,
-            [
-                (1, ("E", "C", "B")),
-                (-1, ("E", "A", "D")),
-                (1, ("F", "D", "A")),
-                (-1, ("F", "B", "C")),
-            ],
+    _, sigma, names, sign = _lookup(geometry)
+    q, words = _ymn(sigma)
+    if names:
+        q = Quiver(q.vertices, tuple(
+            Arrow(new, q.arrow(old).src, q.arrow(old).tgt) for old, new in names.items()
+        ))
+        words = [(c, tuple(names[a] for a in wd)) for c, wd in words]
+    return q, Potential.from_words(q, [(sign * c, wd) for c, wd in words])
+
+
+def _c3_chart():
+    """Twists, the Koszul resolution of the vertex and the chain maps of
+    the three loops."""
+    res = {
+        "0": Resolution(
+            "0",
+            ((0,), (0, 0, 0), (0, 0, 0), (0,)),
+            (
+                _pm([[[(-1, X)]], [[(1, Y)]], [[(-1, Z)]]]),
+                _pm(
+                    [
+                        [0, [(-1, Z)], [(-1, Y)]],
+                        [[(-1, Z)], 0, [(1, X)]],
+                        [[(1, Y)], [(1, X)], 0],
+                    ]
+                ),
+                _pm([[[(1, X)], [(1, Y)], [(1, Z)]]]),
+            ),
         )
-        return q, w
-    m = _parse_ym0(g)
-    if m is not None:
-        q = _ym0_quiver(m)
-        words = []
-        for i in range(m):
-            words.append((1, (f"a{i}", f"b{i}", f"w{i}")))
-            j = (i - 1) % m
-            words.append((-1, (f"b{j}", f"a{j}", f"w{i}")))
-        return q, Potential.from_words(q, words)
-    raise NotInCatalog(geometry)
-
-
-def _parse_ym0(g: str) -> int | None:
-    match = _YM0_RE.match(g)
-    if match:
-        m = int(match.group(1))
-        if m >= 2:
-            return m
-    return None
-
-
-def get_entry(geometry: str) -> CatalogEntry:
-    g = geometry.lower()
-    q, w = get_quiver_with_potential(g)
-    if g in ("c3", "y10"):
-        res = {
-            "0": Resolution(
-                "0",
-                ((0,), (0, 0, 0), (0, 0, 0), (0,)),
-                (
-                    _pm([[[(-1, X)]], [[(1, Y)]], [[(-1, Z)]]]),
-                    _pm(
-                        [
-                            [0, [(-1, Z)], [(-1, Y)]],
-                            [[(-1, Z)], 0, [(1, X)]],
-                            [[(1, Y)], [(1, X)], 0],
-                        ]
-                    ),
-                    _pm([[[(1, X)], [(1, Y)], [(1, Z)]]]),
-                ),
-            )
-        }
-        gmaps = {
-            "B1": (
-                _pm([[[(-1, O_)]], [0], [0]]),
-                _pm([[0, 0, 0], [0, 0, [(-1, O_)]], [0, [(-1, O_)], 0]]),
-                _pm([[[(1, O_)], 0, 0]]),
-            ),
-            "B2": (
-                _pm([[0], [[(1, O_)]], [0]]),
-                _pm([[0, 0, [(1, O_)]], [0, 0, 0], [[(-1, O_)], 0, 0]]),
-                _pm([[0, [(1, O_)], 0]]),
-            ),
-            "B3": (
-                _pm([[0], [0], [[(-1, O_)]]]),
-                _pm([[0, [(1, O_)], 0], [[(1, O_)], 0, 0], [0, 0, 0]]),
-                _pm([[0, 0, [(1, O_)]]]),
-            ),
-        }
-        return CatalogEntry(g, q, w, ("F0",), ("x", "y", "z"), (0, 0, 0), res, gmaps, ())
-    if g in ("conifold", "y11"):
-        res = {
-            "0": Resolution(
-                "0",
-                ((0,), (1, 1), (1, 1), (0,)),
-                (
-                    _pm([[[(1, O_)]], [[(1, Z)]]]),
-                    _pm([[[(1, ZY)], [(-1, Y)]], [[(-1, XZ)], [(1, X)]]]),
-                    _pm([[[(1, X)], [(1, Y)]]]),
-                ),
-            ),
-            "1": Resolution(
-                "1",
-                ((1,), (0, 0), (0, 0), (1,)),
-                (
-                    _pm([[[(1, X)]], [[(1, Y)]]]),
-                    _pm([[[(1, ZY)], [(-1, XZ)]], [[(-1, Y)], [(1, X)]]]),
-                    _pm([[[(1, O_)], [(1, Z)]]]),
-                ),
-            ),
-        }
-        gmaps = {
-            "A": (
-                _pm([[[(-1, O_)]], [0]]),
-                _pm([[0, [(-1, Y)]], [[(1, Y)], 0]]),
-                _pm([[[(1, O_)], 0]]),
-            ),
-            "C": (
-                _pm([[0], [[(-1, O_)]]]),
-                _pm([[0, [(1, X)]], [[(-1, X)], 0]]),
-                _pm([[0, [(1, O_)]]]),
-            ),
-            "B": (
-                _pm([[[(-1, O_)]], [0]]),
-                _pm([[0, [(-1, Z)]], [[(1, Z)], 0]]),
-                _pm([[[(1, O_)], 0]]),
-            ),
-            "D": (
-                _pm([[0], [[(-1, O_)]]]),
-                _pm([[0, [(1, O_)]], [[(-1, O_)], 0]]),
-                _pm([[0, [(1, O_)]]]),
-            ),
-        }
-        return CatalogEntry(
-            g, q, w, ("F0", "F1"), ("x", "y", "z"), (-1, -1, 1), res, gmaps, ("C1",)
-        )
-    if g == "y20":
-        res = {
-            "0": Resolution(
-                "0",
-                ((0,), (0, 1, 1), (0, 1, 1), (0,)),
-                (
-                    _pm([[[(1, Y)]], [[(1, O_)]], [[(1, Z)]]]),
-                    _pm(
-                        [
-                            [0, [(1, XZ)], [(-1, X)]],
-                            [[(-1, Z)], 0, [(1, Y)]],
-                            [[(1, O_)], [(-1, Y)], 0],
-                        ]
-                    ),
-                    _pm([[[(1, Y)], [(1, X)], [(1, XZ)]]]),
-                ),
-            ),
-            "1": Resolution(
-                "1",
-                ((1,), (1, 0, 0), (1, 0, 0), (1,)),
-                (
-                    _pm([[[(1, Y)]], [[(1, X)]], [[(1, XZ)]]]),
-                    _pm(
-                        [
-                            [0, [(1, Z)], [(-1, O_)]],
-                            [[(-1, XZ)], 0, [(1, Y)]],
-                            [[(1, X)], [(-1, Y)], 0],
-                        ]
-                    ),
-                    _pm([[[(1, Y)], [(1, O_)], [(1, Z)]]]),
-                ),
-            ),
-        }
-        loop_map = (
-            _pm([[[(1, O_)]], [0], [0]]),
-            _pm([[0, 0, 0], [0, 0, [(-1, O_)]], [0, [(1, O_)], 0]]),
+    }
+    gmaps = {
+        "B1": (
+            _pm([[[(-1, O_)]], [0], [0]]),
+            _pm([[0, 0, 0], [0, 0, [(-1, O_)]], [0, [(-1, O_)], 0]]),
             _pm([[[(1, O_)], 0, 0]]),
-        )
-        hop_map_1 = (
+        ),
+        "B2": (
             _pm([[0], [[(1, O_)]], [0]]),
             _pm([[0, 0, [(1, O_)]], [0, 0, 0], [[(-1, O_)], 0, 0]]),
             _pm([[0, [(1, O_)], 0]]),
-        )
-        hop_map_2 = (
-            _pm([[0], [0], [[(1, O_)]]]),
-            _pm([[0, [(-1, O_)], 0], [[(1, O_)], 0, 0], [0, 0, 0]]),
+        ),
+        "B3": (
+            _pm([[0], [0], [[(-1, O_)]]]),
+            _pm([[0, [(1, O_)], 0], [[(1, O_)], 0, 0], [0, 0, 0]]),
             _pm([[0, 0, [(1, O_)]]]),
-        )
-        gmaps = {
-            "E": loop_map,
-            "F": loop_map,
-            "A": hop_map_1,
-            "C": hop_map_2,
-            "B": hop_map_1,
-            "D": hop_map_2,
-        }
-        return CatalogEntry(
-            g, q, w, ("F0", "F1"), ("x", "y", "z"), (-2, 0, 1), res, gmaps, ("C1",)
-        )
-    m = _parse_ym0(g)
-    if m is not None:
-        curve = tuple(f"C{i}" for i in range(1, m))
-        return CatalogEntry(
-            g, q, w, tuple(f"F{i}" for i in range(m)), ("x", "y", "z"), (0, 0, 0), {}, {}, curve
-        )
-    raise NotInCatalog(geometry)
+        ),
+    }
+    return (0, 0, 0), res, gmaps
+
+
+def _conifold_chart():
+    """Twists, the resolutions of both vertices and the arrows' chain maps."""
+    res = {
+        "0": Resolution(
+            "0",
+            ((0,), (1, 1), (1, 1), (0,)),
+            (
+                _pm([[[(1, O_)]], [[(1, Z)]]]),
+                _pm([[[(1, ZY)], [(-1, Y)]], [[(-1, XZ)], [(1, X)]]]),
+                _pm([[[(1, X)], [(1, Y)]]]),
+            ),
+        ),
+        "1": Resolution(
+            "1",
+            ((1,), (0, 0), (0, 0), (1,)),
+            (
+                _pm([[[(1, X)]], [[(1, Y)]]]),
+                _pm([[[(1, ZY)], [(-1, XZ)]], [[(-1, Y)], [(1, X)]]]),
+                _pm([[[(1, O_)], [(1, Z)]]]),
+            ),
+        ),
+    }
+    gmaps = {
+        "A": (
+            _pm([[[(-1, O_)]], [0]]),
+            _pm([[0, [(-1, Y)]], [[(1, Y)], 0]]),
+            _pm([[[(1, O_)], 0]]),
+        ),
+        "C": (
+            _pm([[0], [[(-1, O_)]]]),
+            _pm([[0, [(1, X)]], [[(-1, X)], 0]]),
+            _pm([[0, [(1, O_)]]]),
+        ),
+        "B": (
+            _pm([[[(-1, O_)]], [0]]),
+            _pm([[0, [(-1, Z)]], [[(1, Z)], 0]]),
+            _pm([[[(1, O_)], 0]]),
+        ),
+        "D": (
+            _pm([[0], [[(-1, O_)]]]),
+            _pm([[0, [(1, O_)]], [[(-1, O_)], 0]]),
+            _pm([[0, [(1, O_)]]]),
+        ),
+    }
+    return (-1, -1, 1), res, gmaps
+
+
+def _y20_chart():
+    """Twists, the resolutions of both vertices and the arrows' chain maps."""
+    res = {
+        "0": Resolution(
+            "0",
+            ((0,), (0, 1, 1), (0, 1, 1), (0,)),
+            (
+                _pm([[[(1, Y)]], [[(1, O_)]], [[(1, Z)]]]),
+                _pm(
+                    [
+                        [0, [(1, XZ)], [(-1, X)]],
+                        [[(-1, Z)], 0, [(1, Y)]],
+                        [[(1, O_)], [(-1, Y)], 0],
+                    ]
+                ),
+                _pm([[[(1, Y)], [(1, X)], [(1, XZ)]]]),
+            ),
+        ),
+        "1": Resolution(
+            "1",
+            ((1,), (1, 0, 0), (1, 0, 0), (1,)),
+            (
+                _pm([[[(1, Y)]], [[(1, X)]], [[(1, XZ)]]]),
+                _pm(
+                    [
+                        [0, [(1, Z)], [(-1, O_)]],
+                        [[(-1, XZ)], 0, [(1, Y)]],
+                        [[(1, X)], [(-1, Y)], 0],
+                    ]
+                ),
+                _pm([[[(1, Y)], [(1, O_)], [(1, Z)]]]),
+            ),
+        ),
+    }
+    loop_map = (
+        _pm([[[(1, O_)]], [0], [0]]),
+        _pm([[0, 0, 0], [0, 0, [(-1, O_)]], [0, [(1, O_)], 0]]),
+        _pm([[[(1, O_)], 0, 0]]),
+    )
+    hop_map_1 = (
+        _pm([[0], [[(1, O_)]], [0]]),
+        _pm([[0, 0, [(1, O_)]], [0, 0, 0], [[(-1, O_)], 0, 0]]),
+        _pm([[0, [(1, O_)], 0]]),
+    )
+    hop_map_2 = (
+        _pm([[0], [0], [[(1, O_)]]]),
+        _pm([[0, [(-1, O_)], 0], [[(1, O_)], 0, 0], [0, 0, 0]]),
+        _pm([[0, 0, [(1, O_)]]]),
+    )
+    gmaps = {
+        "E": loop_map,
+        "F": loop_map,
+        "A": hop_map_1,
+        "C": hop_map_2,
+        "B": hop_map_1,
+        "D": hop_map_2,
+    }
+    return (-2, 0, 1), res, gmaps
+
+
+# geometry -> its chart data; the y{m}0 with m >= 3 have none
+_CHARTS = {"c3": _c3_chart, "conifold": _conifold_chart, "y20": _y20_chart}
+
+
+def get_entry(geometry: str) -> CatalogEntry:
+    """A geometry's catalog entry: simples F0..F(N-1) and curve classes
+    C1..C(N-1) follow from its N vertices."""
+    g = geometry.lower()
+    q, w = get_quiver_with_potential(g)
+    chart = _CHARTS.get(_lookup(g)[0])
+    twists, res, gmaps = chart() if chart else ((0, 0, 0), {}, {})
+    n = len(q.vertices)
+    return CatalogEntry(
+        g, q, w, tuple(f"F{i}" for i in range(n)), ("x", "y", "z"), twists, res, gmaps,
+        tuple(f"C{i}" for i in range(1, n)),
+    )
 
 
 # -- framed examples -------------------------------------------------------------
 
 
+# example -> (base geometry, framing vertices, arrows added to the base quiver,
+# words added to its potential, nilpotent marked arrows); every
+# pervsystem-<geometry> frames vertex 0 of its geometry by one arrow I
+_FRAMED = {
+    "adhm3d": (
+        "c3", ("inf",),
+        (Arrow("I", "inf", "0"), Arrow("J", "0", "inf"), Arrow("Af", "inf", "inf", marked=True)),
+        ((1, ("J", "I", "B3")), (-1, ("J", "Af", "I"))), ("Af",),
+    ),
+    "spiked": (
+        "c3", ("inf1", "inf2", "inf3"),
+        tuple(
+            a for k in (1, 2, 3)
+            for a in (Arrow(f"I{k}", f"inf{k}", "0"), Arrow(f"J{k}", "0", f"inf{k}"))
+        ),
+        tuple((1, (f"J{k}", f"I{k}", f"B{k}")) for k in (1, 2, 3)), (),
+    ),
+    "kn": (
+        "y20", ("inf",),
+        (Arrow("I", "inf", "0"), Arrow("J", "0", "inf"), Arrow("Gf", "inf", "inf", marked=True)),
+        ((1, ("J", "I", "E")), (-1, ("J", "Gf", "I"))), ("Gf",),
+    ),
+    "beilinson": (
+        "y20", ("inf",),
+        (Arrow("I", "inf", "0"), Arrow("J1", "1", "inf"), Arrow("J2", "1", "inf")),
+        ((1, ("A", "J1", "I")), (1, ("C", "J2", "I"))), (),
+    ),
+    "prechainsaw": (
+        "y20", ("inf",),
+        (Arrow("J", "0", "inf"), Arrow("I", "inf", "1"), Arrow("G", "inf", "inf", marked=True)),
+        ((1, ("D", "J", "I")),), ("G",),
+    ),
+    "chainsaw2": (
+        "y20", ("inf0", "inf1"),
+        (
+            Arrow("I", "inf1", "0"), Arrow("J1", "1", "inf1"), Arrow("J2", "1", "inf1"),
+            Arrow("J0", "0", "inf0"), Arrow("I0", "inf0", "1"),
+            Arrow("K", "inf1", "inf0", marked=True),
+        ),
+        (
+            (1, ("A", "J1", "I")), (1, ("C", "J2", "I")),
+            (1, ("D", "J0", "I0")), (1, ("J1", "K", "I0")),
+        ),
+        (),
+    ),
+    "ny3d": (
+        "conifold", ("inf",), (Arrow("I", "inf", "0"), Arrow("J", "1", "inf")),
+        ((1, ("C", "J", "I")),), (),
+    ),
+}
+
+
 def framed_example_ids() -> tuple[str, ...]:
-    return (
-        "pervsystem-c3",
-        "pervsystem-conifold",
-        "pervsystem-y20",
-        "adhm3d",
-        "spiked",
-        "kn",
-        "beilinson",
-        "prechainsaw",
-        "chainsaw2",
-        "ny3d",
-    )
+    return ("pervsystem-c3", "pervsystem-conifold", "pervsystem-y20") + tuple(_FRAMED)
 
 
 def get_framed_example(example: str) -> FramedQuiverWithPotential:
@@ -353,120 +387,19 @@ def get_framed_example(example: str) -> FramedQuiverWithPotential:
     matrices to be bound by a framing structure."""
     e = example.lower()
     if e.startswith("pervsystem-"):
-        geom = e.removeprefix("pervsystem-")
-        q, w = get_quiver_with_potential(geom)
-        framed = Quiver(
-            q.vertices + ("inf",),
-            q.arrows + (Arrow("I", "inf", "0"),),
-        )
-        return FramedQuiverWithPotential(
-            framed,
-            frozenset({"inf"}),
-            Potential.from_words(framed, [(c, wd.names) for wd, c in w.terms.items()]),
-            label=e,
-        )
-    if e == "adhm3d":
-        base, w = get_quiver_with_potential("c3")
-        q = Quiver(
-            base.vertices + ("inf",),
-            base.arrows
-            + (Arrow("I", "inf", "0"), Arrow("J", "0", "inf"), Arrow("Af", "inf", "inf", marked=True)),
-        )
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        words += [(1, ("J", "I", "B3")), (-1, ("J", "Af", "I"))]
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf"}), Potential.from_words(q, words),
-            nilpotent_marked=frozenset({"Af"}), label=e,
-        )
-    if e == "spiked":
-        base, w = get_quiver_with_potential("c3")
-        arrows = list(base.arrows)
-        vs = list(base.vertices)
-        for k in (1, 2, 3):
-            vs.append(f"inf{k}")
-            arrows.append(Arrow(f"I{k}", f"inf{k}", "0"))
-            arrows.append(Arrow(f"J{k}", "0", f"inf{k}"))
-        q = Quiver(tuple(vs), tuple(arrows))
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        for k in (1, 2, 3):
-            words.append((1, (f"J{k}", f"I{k}", f"B{k}")))
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf1", "inf2", "inf3"}), Potential.from_words(q, words), label=e
-        )
-    if e == "kn":
-        base, w = get_quiver_with_potential("y20")
-        q = Quiver(
-            base.vertices + ("inf",),
-            base.arrows
-            + (Arrow("I", "inf", "0"), Arrow("J", "0", "inf"), Arrow("Gf", "inf", "inf", marked=True)),
-        )
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        words += [(1, ("J", "I", "E")), (-1, ("J", "Gf", "I"))]
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf"}), Potential.from_words(q, words),
-            nilpotent_marked=frozenset({"Gf"}), label=e,
-        )
-    if e == "beilinson":
-        base, w = get_quiver_with_potential("y20")
-        q = Quiver(
-            base.vertices + ("inf",),
-            base.arrows
-            + (Arrow("I", "inf", "0"), Arrow("J1", "1", "inf"), Arrow("J2", "1", "inf")),
-        )
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        words += [(1, ("A", "J1", "I")), (1, ("C", "J2", "I"))]
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf"}), Potential.from_words(q, words), label=e
-        )
-    if e == "prechainsaw":
-        base, w = get_quiver_with_potential("y20")
-        q = Quiver(
-            base.vertices + ("inf",),
-            base.arrows
-            + (Arrow("J", "0", "inf"), Arrow("I", "inf", "1"), Arrow("G", "inf", "inf", marked=True)),
-        )
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        words += [(1, ("D", "J", "I"))]
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf"}), Potential.from_words(q, words),
-            nilpotent_marked=frozenset({"G"}), label=e,
-        )
-    if e == "chainsaw2":
-        base, w = get_quiver_with_potential("y20")
-        q = Quiver(
-            base.vertices + ("inf0", "inf1"),
-            base.arrows
-            + (
-                Arrow("I", "inf1", "0"),
-                Arrow("J1", "1", "inf1"),
-                Arrow("J2", "1", "inf1"),
-                Arrow("J0", "0", "inf0"),
-                Arrow("I0", "inf0", "1"),
-                Arrow("K", "inf1", "inf0", marked=True),
-            ),
-        )
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        words += [
-            (1, ("A", "J1", "I")),
-            (1, ("C", "J2", "I")),
-            (1, ("D", "J0", "I0")),
-            (1, ("J1", "K", "I0")),
-        ]
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf0", "inf1"}), Potential.from_words(q, words), label=e
-        )
-    if e == "ny3d":
-        base, w = get_quiver_with_potential("conifold")
-        q = Quiver(
-            base.vertices + ("inf",),
-            base.arrows + (Arrow("I", "inf", "0"), Arrow("J", "1", "inf")),
-        )
-        words = [(c, wd.names) for wd, c in w.terms.items()]
-        words += [(1, ("C", "J", "I"))]
-        return FramedQuiverWithPotential(
-            q, frozenset({"inf"}), Potential.from_words(q, words), label=e
-        )
-    raise NotInCatalog(example)
+        spec = (e.removeprefix("pervsystem-"), ("inf",), (Arrow("I", "inf", "0"),), (), ())
+    elif e in _FRAMED:
+        spec = _FRAMED[e]
+    else:
+        raise NotInCatalog(example)
+    geometry, framing_vertices, arrows, words, nilpotent = spec
+    base, w = get_quiver_with_potential(geometry)
+    q = Quiver(base.vertices + framing_vertices, base.arrows + arrows)
+    terms = [(c, wd.names) for wd, c in w.terms.items()] + list(words)
+    return FramedQuiverWithPotential(
+        q, frozenset(framing_vertices), Potential.from_words(q, terms),
+        nilpotent_marked=frozenset(nilpotent), label=e,
+    )
 
 
 # -- monad templates --------------------------------------------------------------

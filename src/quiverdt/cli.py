@@ -321,21 +321,11 @@ def _parse_divisor(text: str):
 
 
 def cmd_compare(args) -> int:
-    if args.target == "all":
-        names = list(checks.COMPARE_TARGETS)
-    else:
-        names = [args.target]
-    worst = 0
-    results = []
-    for name in names:
-        try:
-            result = checks.run_check(name, args.order)
-        except KeyError:
-            print(f"unknown compare target {args.target!r}", file=sys.stderr)
-            return 2
-        results.append(result)
-        if not result.equal:
-            worst = 1
+    if args.target in checks.ORDERLESS_TARGETS and args.order is not None:
+        print(f"usage: compare target {args.target!r} takes no --order", file=sys.stderr)
+        return 2
+    names = list(checks.COMPARE_TARGETS) if args.target == "all" else [args.target]
+    results = [checks.run_check(name, args.order) for name in names]
     if args.json:
         _emit_json(
             [
@@ -354,7 +344,7 @@ def cmd_compare(args) -> int:
     else:
         for r in results:
             print(r.describe())
-    return worst
+    return 0 if all(r.equal for r in results) else 1
 
 
 # -- parser ------------------------------------------------------------------

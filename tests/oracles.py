@@ -17,7 +17,11 @@ endpoint pair rebuilt per query (``ideal_membership_all_endpoints``), is
 kept as the reference for ``ncalg.MembershipSystem``.
 Products of ``(1 - sign*m)**power`` factors are expanded one factor at a
 time by ring arithmetic, independent of the package's
-logarithmic-derivative recurrence.
+logarithmic-derivative recurrence.  The catalog's quivers and potentials
+as they were written out by hand before the parity-sequence generator
+(``literal_quiver_with_potential``), and the NCDT products built MacMahon
+by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``), pin the
+generator and ``checks.ymn_ncdt_product``.
 """
 
 from __future__ import annotations
@@ -502,3 +506,98 @@ def factor_product_by_factors(vars, order, factors, grading=None):
     for (exps, sign), power in factors.items():
         out = out * binomial_factor_by_powers(vars, order, exps, sign, power, grading)
     return out
+
+
+# -- hand-written catalog geometries ----------------------------------------------
+
+
+def literal_quiver_with_potential(geometry: str):
+    """c3, conifold, y20 or y{m}0 (m >= 2) with every arrow and potential
+    word written out, in the catalog's arrow order."""
+    from quiverdt.ncalg import Arrow, Potential, Quiver
+
+    if geometry == "c3":
+        q = Quiver(("0",), (Arrow("B1", "0", "0"), Arrow("B2", "0", "0"), Arrow("B3", "0", "0")))
+        # operator words B1.B2.B3 - B1.B3.B2 in traversal order
+        return q, Potential.from_words(q, [(1, ("B1", "B3", "B2")), (-1, ("B1", "B2", "B3"))])
+    if geometry == "conifold":
+        q = Quiver(
+            ("0", "1"),
+            (Arrow("A", "0", "1"), Arrow("C", "0", "1"), Arrow("B", "1", "0"), Arrow("D", "1", "0")),
+        )
+        return q, Potential.from_words(q, [(1, ("A", "D", "C", "B")), (-1, ("A", "B", "C", "D"))])
+    if geometry == "y20":
+        q = Quiver(
+            ("0", "1"),
+            (
+                Arrow("E", "0", "0"),
+                Arrow("F", "1", "1"),
+                Arrow("A", "0", "1"),
+                Arrow("C", "0", "1"),
+                Arrow("B", "1", "0"),
+                Arrow("D", "1", "0"),
+            ),
+        )
+        words = [
+            (1, ("E", "C", "B")),
+            (-1, ("E", "A", "D")),
+            (1, ("F", "D", "A")),
+            (-1, ("F", "B", "C")),
+        ]
+        return q, Potential.from_words(q, words)
+    m = int(geometry[1:-1])
+    vs = tuple(str(i) for i in range(m))
+    arrows = [Arrow(f"w{i}", str(i), str(i)) for i in range(m)]
+    arrows += [Arrow(f"a{i}", str(i), str((i + 1) % m)) for i in range(m)]
+    arrows += [Arrow(f"b{i}", str((i + 1) % m), str(i)) for i in range(m)]
+    q = Quiver(vs, tuple(arrows))
+    words = []
+    for i in range(m):
+        words.append((1, (f"a{i}", f"b{i}", f"w{i}")))
+        j = (i - 1) % m
+        words.append((-1, (f"b{j}", f"a{j}", f"w{i}")))
+    return q, Potential.from_words(q, words)
+
+
+# -- NCDT products, MacMahon by MacMahon --------------------------------------------
+
+
+def xq_ncdt_product(order: int, inverse_outer: bool):
+    """M(1,q)^2 M(x^-1,q)^e M(x,q)^e in (x, q) with grading (1, 2), for e =
+    -1 (conifold) or +1 (y20), under q -> -q0 q1, x -> q1."""
+    from quiverdt.qseries import Mono, Substitution, macmahon, substitute
+
+    vars_xq = ("x", "q")
+    grading = (1, 2)
+    e = -1 if inverse_outer else 1
+    prod = (
+        macmahon(None, order, vars_xq, grading=grading) ** 2
+        * macmahon(Mono(1, (-1, 0)), order, vars_xq, grading=grading, power=e)
+        * macmahon(Mono(1, (1, 0)), order, vars_xq, grading=grading, power=e)
+    )
+    to_q01 = Substitution(
+        ("x", "q"), ("q0", "q1"), {"q": Mono(-1, (1, 1)), "x": Mono(1, (0, 1))}
+    )
+    return substitute(to_q01, prod)
+
+
+def ym0_ncdt_product(m: int, order: int):
+    """M(1,q)^m times paired interval factors M(x_[a,b]^{+-1}, q) under
+    q -> -q0...q_(m-1), x_i -> q_i."""
+    from quiverdt.qseries import Mono, Substitution, macmahon, substitute
+
+    xs = tuple(f"x{i}" for i in range(1, m))
+    vars_ = xs + ("q",)
+    grading = (1,) * (m - 1) + (m,)
+    prod = macmahon(None, order, vars_, grading=grading) ** m
+    for a in range(1, m):
+        for b in range(a, m):
+            exps = tuple(1 if a <= i <= b else 0 for i in range(1, m)) + (0,)
+            inv = tuple(-e for e in exps)
+            prod = prod * macmahon(Mono(1, exps), order, vars_, grading=grading)
+            prod = prod * macmahon(Mono(1, inv), order, vars_, grading=grading)
+    targets = tuple(f"q{c}" for c in range(m))
+    images = {"q": Mono(-1, (1,) * m)}
+    for i in range(1, m):
+        images[f"x{i}"] = Mono(1, tuple(1 if c == i else 0 for c in range(m)))
+    return substitute(Substitution(vars_, targets, images), prod)

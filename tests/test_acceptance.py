@@ -32,13 +32,13 @@ def test_criterion_01_c3_macmahon():
 
 def test_criterion_02_conifold_ncdt():
     t0 = time.time()
-    result = checks.check_conifold_ncdt(order=10)
+    result = checks.run_check("conifold-ncdt", 10)
     report(2, "conifold NCDT, order 10", result.equal, t0, 60)
 
 
 def test_criterion_03_y20_and_y30_ncdt():
     t0 = time.time()
-    ok = checks.check_y20_ncdt(order=10).equal and checks.check_ym0_ncdt(m=3, order=8).equal
+    ok = checks.run_check("y20-ncdt", 10).equal and checks.run_check("y30-ncdt", 8).equal
     report(3, "colored NCDT (m=2 order 10, m=3 order 8)", ok, t0, 60)
 
 

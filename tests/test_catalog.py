@@ -2,6 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
 from quiverdt import catalog
 from quiverdt.ncalg import relations_from_potential
 
@@ -36,6 +40,46 @@ def test_ym0_matches_y20_relation_structure():
     rels = relations_from_potential(q3, w3)
     assert len(rels) == 9
     assert all(not r.poly.is_zero() for r in rels)
+
+
+@pytest.mark.parametrize("geometry", ["c3", "conifold", "y20", "y30", "y40", "y50", "y60"])
+def test_generator_reproduces_the_literal_quivers_and_potentials(geometry):
+    q, w = catalog.get_quiver_with_potential(geometry)
+    literal_q, literal_w = oracles.literal_quiver_with_potential(geometry)
+    assert q == literal_q  # arrow order included
+    assert w == literal_w
+    literal_rels = relations_from_potential(literal_q, literal_w)
+    assert list(relations_from_potential(q, w)) == list(literal_rels)
+
+
+@pytest.mark.parametrize("alias, geometry", [("y10", "c3"), ("y11", "conifold"), ("Y20", "y20")])
+def test_aliases_name_the_same_geometry(alias, geometry):
+    assert catalog.get_quiver_with_potential(alias) == catalog.get_quiver_with_potential(geometry)
+    entry = catalog.get_entry(alias)
+    assert entry.geometry == alias.lower()
+    assert entry.resolutions == catalog.get_entry(geometry).resolutions
+
+
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_ym0_entries_follow_from_the_vertex_count(m):
+    entry = catalog.get_entry(f"y{m}0")
+    assert entry.simples == tuple(f"F{i}" for i in range(m))
+    assert entry.curve_classes == tuple(f"C{i}" for i in range(1, m))
+    assert (entry.twists, entry.resolutions, entry.generator_maps) == ((0, 0, 0), {}, {})
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=7))
+def test_every_arrow_meets_two_potential_terms_of_opposite_sign(sigma):
+    """The generator's W for any parity sequence: each arrow lies in exactly
+    two terms, once each, with opposite signs; loops sit where sigma_i =
+    sigma_(i+1)."""
+    q, words = catalog._ymn(sigma)
+    n = len(sigma)
+    loops = {a.src for a in q.arrows if a.src == a.tgt}
+    assert loops == {str(i) for i in range(n) if sigma[i] == sigma[(i + 1) % n]}
+    for a in q.arrows:
+        signs = [c for c, wd in words for x in wd if x == a.name]
+        assert sorted(signs) == [-1, 1], (sigma, a.name)
 
 
 def test_not_in_catalog():
@@ -124,12 +168,9 @@ def test_generator_maps_are_chain_maps(geometry):
 # -- framed examples ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("example", catalog.framed_example_ids()[:-1] + ("ny3d",))
+@pytest.mark.parametrize("example", catalog.framed_example_ids())
 def test_framed_potentials_restrict_to_base(example):
-    if "(" in example or example == "spiked":
-        fq = catalog.get_framed_example("spiked")
-    else:
-        fq = catalog.get_framed_example(example)
+    fq = catalog.get_framed_example(example)
     base = fq.base_quiver()
     base_geometry = {
         "pervsystem-c3": "c3",
@@ -142,7 +183,7 @@ def test_framed_potentials_restrict_to_base(example):
         "prechainsaw": "y20",
         "chainsaw2": "y20",
         "ny3d": "conifold",
-    }[fq.label]
+    }[example]
     q, w = catalog.get_quiver_with_potential(base_geometry)
     assert set(a.name for a in base.arrows) == set(a.name for a in q.arrows)
     restricted = fq.base_potential()

@@ -1,0 +1,62 @@
+"""Byte-identity of CLI output: each case replays one ``quiverdt`` command
+and compares its exit code and stdout with the file stored under
+``tests/golden/``.
+
+The stored files were written before the catalog's quivers, potentials and
+NCDT checks were generated from parity sequences, so they pin that the
+generator changed no output.  To rewrite them after a deliberate change of
+output, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from quiverdt import catalog
+from quiverdt.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GEOMETRIES = ("c3", "y10", "conifold", "y11", "y20", "y30", "y40", "y50", "y60")
+# pyramid and plane-partition order caps (partitions.*_MAX_ORDER)
+NCDT_CAPS = {"conifold-ncdt": 21, "y20-ncdt": 18, "y30-ncdt": 18}
+
+
+def _cases() -> list[list[str]]:
+    shown = ("c3", "conifold", "y20", "y30", "y10", "y11")
+    cases = [["catalog", "show", g, "--json"] for g in shown]
+    examples = catalog.framed_example_ids()
+    cases += [["quiver", g] for g in GEOMETRIES]
+    cases += [["quiver", e, "--framed"] for e in examples]
+    cases += [["relations", i, "--json"] for i in GEOMETRIES + examples]
+    cases.append(["compare", "all", "--json"])
+    for target, cap in NCDT_CAPS.items():
+        cases += [["compare", target, "--order", str(o), "--json"] for o in (0, 6, 12, cap)]
+    return cases
+
+
+def _file(argv: list[str]) -> Path:
+    return GOLDEN / (re.sub(r"[^a-z0-9]+", "_", " ".join(argv).lower()).strip("_") + ".out")
+
+
+def _replay(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=" ".join)
+def test_output_is_byte_identical(argv):
+    assert _replay(argv) == _file(argv).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for argv in _cases():
+        _file(argv).write_text(_replay(argv))
+    sys.exit(0)
