@@ -1,13 +1,18 @@
 """Geometry data: quivers with potential for the small toric Calabi-Yau
 threefolds of the Y_{m,n} family, generated from cyclic parity sequences;
-framed variants, chart resolutions with generator maps and monad templates,
-stored as tables; and divisor-to-shift-matrix arithmetic.
+framed variants and chart resolutions with generator maps, stored as
+tables; monad templates built from the chart data; and
+divisor-to-shift-matrix arithmetic.
 
 Potentials are transcribed into traversal-order words (see
 :mod:`quiverdt.ncalg`); a product of operators reads right-to-left, so the
-first arrow of each stored word is the one applied first.  Monad template
-entries carry the sign conventions under which every stored template
-composes to zero modulo its relation ideal; they differ from ad-hoc
+first arrow of each stored word is the one applied first.  A monad template
+is the direct sum of its chart's vertex resolutions plus one term per arrow
+from that arrow's chain map (Nagao-Nakajima, *Counting invariant of
+perverse coherent sheaves and its wall-crossing*), plus the chart's
+quadratic terms and the template's framing entries.  The stored chain maps
+and entries carry the signs under which every template composes to zero
+modulo its relation ideal; the framing entries differ from ad-hoc
 conventions elsewhere only by harmless basis sign flips on framing
 summands, plus the internal one-step differential of the framing-node
 resolution on the diagonal framing entry.
@@ -80,6 +85,7 @@ class CatalogEntry:
     resolutions: dict
     generator_maps: dict  # arrow name -> tuple of polynomial matrices (degree-1 chain map)
     curve_classes: tuple[str, ...]
+    quadratic_terms: dict  # monad entries no chain map carries, as in _MONAD_TEMPLATES
 
 
 def geometry_ids() -> tuple[str, ...]:
@@ -132,7 +138,7 @@ def _lookup(geometry: str) -> tuple[str, str, dict[str, str], int]:
     g = _ALIASES.get(geometry.lower(), geometry.lower())
     if g in _YMN:
         return (g, *_YMN[g])
-    match = re.fullmatch(r"y(\d+)0", g)
+    match = re.fullmatch(r"y([1-9]\d*)0", g)
     if match and int(match.group(1)) >= 2:
         return g, "0" * int(match.group(1)), {}, 1
     raise NotInCatalog(geometry)
@@ -195,11 +201,13 @@ def _c3_chart():
             _pm([[0, 0, [(1, O_)]]]),
         ),
     }
-    return (0, 0, 0), res, gmaps
+    return (0, 0, 0), res, gmaps, {}
 
 
 def _conifold_chart():
-    """Twists, the resolutions of both vertices and the arrows' chain maps."""
+    """Twists, the resolutions of both vertices, the arrows' chain maps and
+    the stage-1 monad terms quadratic in the arrows (second derivatives of
+    the quartic W)."""
     res = {
         "0": Resolution(
             "0",
@@ -222,27 +230,34 @@ def _conifold_chart():
     }
     gmaps = {
         "A": (
-            _pm([[[(-1, O_)]], [0]]),
-            _pm([[0, [(-1, Y)]], [[(1, Y)], 0]]),
-            _pm([[[(1, O_)], 0]]),
+            _pm([[[(1, O_)]], [0]]),
+            _pm([[0, [(1, Y)]], [[(-1, Y)], 0]]),
+            _pm([[[(-1, O_)], 0]]),
         ),
         "C": (
-            _pm([[0], [[(-1, O_)]]]),
-            _pm([[0, [(1, X)]], [[(-1, X)], 0]]),
-            _pm([[0, [(1, O_)]]]),
+            _pm([[0], [[(1, O_)]]]),
+            _pm([[0, [(-1, X)]], [[(1, X)], 0]]),
+            _pm([[0, [(-1, O_)]]]),
         ),
         "B": (
-            _pm([[[(-1, O_)]], [0]]),
-            _pm([[0, [(-1, Z)]], [[(1, Z)], 0]]),
-            _pm([[[(1, O_)], 0]]),
+            _pm([[[(1, O_)]], [0]]),
+            _pm([[0, [(1, Z)]], [[(-1, Z)], 0]]),
+            _pm([[[(-1, O_)], 0]]),
         ),
         "D": (
-            _pm([[0], [[(-1, O_)]]]),
-            _pm([[0, [(1, O_)]], [[(-1, O_)], 0]]),
-            _pm([[0, [(1, O_)]]]),
+            _pm([[0], [[(1, O_)]]]),
+            _pm([[0, [(-1, O_)]], [[(1, O_)], 0]]),
+            _pm([[0, [(-1, O_)]]]),
         ),
     }
-    return (-1, -1, 1), res, gmaps
+    quadratic = {
+        (1, i, j): ((c, O_, tuple(word)),)
+        for i, j, c, word in (
+            (0, 0, -1, "CD"), (0, 1, 1, "CB"), (1, 0, 1, "AD"), (1, 1, -1, "AB"),
+            (2, 2, -1, "DC"), (2, 3, 1, "DA"), (3, 2, 1, "BC"), (3, 3, -1, "BA"),
+        )
+    }
+    return (-1, -1, 1), res, gmaps, quadratic
 
 
 def _y20_chart():
@@ -285,14 +300,14 @@ def _y20_chart():
         _pm([[[(1, O_)], 0, 0]]),
     )
     hop_map_1 = (
-        _pm([[0], [[(1, O_)]], [0]]),
-        _pm([[0, 0, [(1, O_)]], [0, 0, 0], [[(-1, O_)], 0, 0]]),
-        _pm([[0, [(1, O_)], 0]]),
+        _pm([[0], [[(-1, O_)]], [0]]),
+        _pm([[0, 0, [(-1, O_)]], [0, 0, 0], [[(1, O_)], 0, 0]]),
+        _pm([[0, [(-1, O_)], 0]]),
     )
     hop_map_2 = (
-        _pm([[0], [0], [[(1, O_)]]]),
-        _pm([[0, [(-1, O_)], 0], [[(1, O_)], 0, 0], [0, 0, 0]]),
-        _pm([[0, 0, [(1, O_)]]]),
+        _pm([[0], [0], [[(-1, O_)]]]),
+        _pm([[0, [(1, O_)], 0], [[(-1, O_)], 0, 0], [0, 0, 0]]),
+        _pm([[0, 0, [(-1, O_)]]]),
     )
     gmaps = {
         "E": loop_map,
@@ -302,7 +317,7 @@ def _y20_chart():
         "B": hop_map_1,
         "D": hop_map_2,
     }
-    return (-2, 0, 1), res, gmaps
+    return (-2, 0, 1), res, gmaps, {}
 
 
 # geometry -> its chart data; the y{m}0 with m >= 3 have none
@@ -315,11 +330,11 @@ def get_entry(geometry: str) -> CatalogEntry:
     g = geometry.lower()
     q, w = get_quiver_with_potential(g)
     chart = _CHARTS.get(_lookup(g)[0])
-    twists, res, gmaps = chart() if chart else ((0, 0, 0), {}, {})
+    twists, res, gmaps, quadratic = chart() if chart else ((0, 0, 0), {}, {}, {})
     n = len(q.vertices)
     return CatalogEntry(
         g, q, w, tuple(f"F{i}" for i in range(n)), ("x", "y", "z"), twists, res, gmaps,
-        tuple(f"C{i}" for i in range(1, n)),
+        tuple(f"C{i}" for i in range(1, n)), quadratic,
     )
 
 
@@ -405,175 +420,41 @@ def get_framed_example(example: str) -> FramedQuiverWithPotential:
 # -- monad templates --------------------------------------------------------------
 
 
-def _c3_monad_rows(framing: str | None):
-    """The Koszul complex of the C^3 chart; ``framing`` is None,
-    "pervsystem" or "adhm3d"."""
-    B1, B2, B3, I, J = ("B1",), ("B2",), ("B3",), ("I",), ("J",)
-    d1 = [
-        [[(1, O_, B1), (-1, X, ())]],
-        [[(1, Y, ()), (-1, O_, B2)]],
-        [[(1, O_, B3), (-1, Z, ())]],
-    ]
-    d2 = [
-        [[], [(1, O_, B3), (-1, Z, ())], [(1, O_, B2), (-1, Y, ())]],
-        [[(1, O_, B3), (-1, Z, ())], [], [(1, X, ()), (-1, O_, B1)]],
-        [[(1, Y, ()), (-1, O_, B2)], [(1, X, ()), (-1, O_, B1)], []],
-    ]
-    d3 = [
-        [
-            [(1, X, ()), (-1, O_, B1)],
-            [(1, Y, ()), (-1, O_, B2)],
-            [(1, Z, ()), (-1, O_, B3)],
-        ]
-    ]
-    if framing == "pervsystem":
-        d2.append([[], [], []])
-        d3[0].append([(1, O_, I)])
-    elif framing == "adhm3d":
-        d1.append([[(1, O_, J)]])
-        for i, extra in enumerate([[], [], [(1, O_, I)]]):
-            d2[i].append(extra)
-        d2.append([[], [], [(-1, O_, J)], [(1, O_, ("Af",)), (-1, Z, ())]])
-        d3[0].append([(1, O_, I)])
-    return d1, d2, d3
-
-
-def _conifold_monad_rows(framing: str | None):
-    """Differential entry matrices of the 4-term chart complex for the
-    two-vertex small-resolution quiver; ``framing`` is None, "pervsystem",
-    or "ny3d"."""
-    A, B, C, D = ("A",), ("B",), ("C",), ("D",)
-    CD, CB, AD, AB = ("C", "D"), ("C", "B"), ("A", "D"), ("A", "B")
-    DC, DA, BC, BA = ("D", "C"), ("D", "A"), ("B", "C"), ("B", "A")
-    d1 = [
-        [[(1, O_, ())], [(-1, O_, B)]],
-        [[(1, Z, ())], [(-1, O_, D)]],
-        [[(-1, O_, A)], [(1, X, ())]],
-        [[(-1, O_, C)], [(1, Y, ())]],
-    ]
-    d2 = [
-        [
-            [(1, ZY, ()), (-1, O_, CD)],
-            [(1, O_, CB), (-1, Y, ())],
-            [],
-            [(1, Z, B), (-1, O_, D)],
-        ],
-        [
-            [(1, O_, AD), (-1, XZ, ())],
-            [(1, X, ()), (-1, O_, AB)],
-            [(1, O_, D), (-1, Z, B)],
-            [],
-        ],
-        [
-            [],
-            [(1, Y, A), (-1, X, C)],
-            [(1, ZY, ()), (-1, O_, DC)],
-            [(1, O_, DA), (-1, XZ, ())],
-        ],
-        [
-            [(1, X, C), (-1, Y, A)],
-            [],
-            [(1, O_, BC), (-1, Y, ())],
-            [(1, X, ()), (-1, O_, BA)],
-        ],
-    ]
-    d3 = [
-        [[(1, X, ())], [(1, Y, ())], [(1, O_, B)], [(1, O_, D)]],
-        [[(1, O_, A)], [(1, O_, C)], [(1, O_, ())], [(1, Z, ())]],
-    ]
-    if framing == "pervsystem":
-        d2.append([[], [], [], []])
-        d3[0].append([(1, O_, ("I",))])
-        d3[1].append([])
-    elif framing == "ny3d":
-        d1.append([[], [(-1, O_, ("J",))]])
-        for i, extra in enumerate([[], [(1, O_, ("I",))], [], []]):
-            d2[i].append(extra)
-        d2.append([[], [], [], [(1, O_, ("J",))], [(1, Y, ())]])
-        d3[0].append([(-1, O_, ("I",))])
-        d3[1].append([])
-    return d1, d2, d3
-
-
-def _y20_monad_rows(framing: str | None):
-    """The 4-term chart complex for the loops-plus-doubled-edge quiver;
-    ``framing`` is None or "kn"."""
-    E, F, A, B, C, D = ("E",), ("F",), ("A",), ("B",), ("C",), ("D",)
-    d1 = [
-        [[(1, Y, ()), (-1, O_, E)], []],
-        [[(1, O_, ())], [(1, O_, B)]],
-        [[(1, Z, ())], [(1, O_, D)]],
-        [[], [(1, Y, ()), (-1, O_, F)]],
-        [[(1, O_, A)], [(1, X, ())]],
-        [[(1, O_, C)], [(1, XZ, ())]],
-    ]
-    d2 = [
-        [[], [(1, XZ, ())], [(-1, X, ())], [], [(1, O_, D)], [(-1, O_, B)]],
-        [[(-1, Z, ())], [], [(1, Y, ()), (-1, O_, E)], [(-1, O_, D)], [], []],
-        [[(1, O_, ())], [(1, O_, E), (-1, Y, ())], [], [(1, O_, B)], [], []],
-        [[], [(1, O_, C)], [(-1, O_, A)], [], [(1, Z, ())], [(-1, O_, ())]],
-        [[(-1, O_, C)], [], [], [(-1, XZ, ())], [], [(1, Y, ()), (-1, O_, F)]],
-        [[(1, O_, A)], [], [], [(1, X, ())], [(1, O_, F), (-1, Y, ())], []],
-    ]
-    d3 = [
-        [
-            [(1, Y, ()), (-1, O_, E)],
-            [(1, X, ())],
-            [(1, XZ, ())],
-            [],
-            [(1, O_, B)],
-            [(1, O_, D)],
-        ],
-        [
-            [],
-            [(1, O_, A)],
-            [(1, O_, C)],
-            [(1, Y, ()), (-1, O_, F)],
-            [(1, O_, ())],
-            [(1, Z, ())],
-        ],
-    ]
-    if framing == "kn":
-        d1.append([[(1, O_, ("J",))], []])
-        for i, extra in enumerate([[(-1, O_, ("I",))], [], [], [], [], []]):
-            d2[i].append(extra)
-        d2.append([[(1, O_, ("J",))], [], [], [], [], [], [(1, O_, ("Gf",)), (-1, Y, ())]])
-        d3[0].append([(-1, O_, ("I",))])
-        d3[1].append([])
-    return d1, d2, d3
-
-
-# Slot shorthand: (line-bundle degree, vertex) per summand.
-_C3_SLOT = ((0, "0"),)
-_PAIR = ((0, "0"), (1, "1"))
-_CONIFOLD_MID = ((1, "0"), (1, "0"), (0, "1"), (0, "1"))
-_Y20_MID = ((0, "0"), (1, "0"), (1, "0"), (1, "1"), (0, "1"), (0, "1"))
-_INF = ((0, "inf"),)
-
-# template -> (geometry, framed example or None, slot terms, differential rows)
+# template -> (geometry, framed example or None, term -> (degree, vertex) slots
+# appended after the chart's, entries added to the chart monad as
+# {(stage, row, col): ((coeff, exps, word), ...)})
 _MONAD_TEMPLATES = {
-    "c3": ("c3", None, (_C3_SLOT, _C3_SLOT * 3, _C3_SLOT * 3, _C3_SLOT), _c3_monad_rows(None)),
-    "y20": ("y20", None, (_PAIR, _Y20_MID, _Y20_MID, _PAIR), _y20_monad_rows(None)),
+    "c3": ("c3", None, {}, {}),
+    "y20": ("y20", None, {}, {}),
     "pervsystem-c3": (
-        "c3", "pervsystem-c3",
-        (_C3_SLOT, _C3_SLOT * 3, _C3_SLOT * 3 + _INF, _C3_SLOT), _c3_monad_rows("pervsystem"),
+        "c3", "pervsystem-c3", {2: ((0, "inf"),)}, {(2, 0, 3): ((1, O_, ("I",)),)},
     ),
     "pervsystem-conifold": (
-        "conifold", "pervsystem-conifold",
-        (_PAIR, _CONIFOLD_MID, _CONIFOLD_MID + _INF, _PAIR), _conifold_monad_rows("pervsystem"),
+        "conifold", "pervsystem-conifold", {2: ((0, "inf"),)}, {(2, 0, 4): ((1, O_, ("I",)),)},
     ),
     "adhm3d": (
-        "c3", "adhm3d",
-        (_C3_SLOT, _C3_SLOT * 3 + _INF, _C3_SLOT * 3 + _INF, _C3_SLOT), _c3_monad_rows("adhm3d"),
+        "c3", "adhm3d", {1: ((0, "inf"),), 2: ((0, "inf"),)},
+        {
+            (0, 3, 0): ((1, O_, ("J",)),), (1, 2, 3): ((1, O_, ("I",)),),
+            (1, 3, 2): ((-1, O_, ("J",)),), (1, 3, 3): ((1, O_, ("Af",)), (-1, Z, ())),
+            (2, 0, 3): ((1, O_, ("I",)),),
+        },
     ),
     "kn": (
-        "y20", "kn",
-        (_PAIR, _Y20_MID + _INF, _Y20_MID + _INF, _PAIR), _y20_monad_rows("kn"),
+        "y20", "kn", {1: ((0, "inf"),), 2: ((0, "inf"),)},
+        {
+            (0, 6, 0): ((1, O_, ("J",)),), (1, 0, 6): ((-1, O_, ("I",)),),
+            (1, 6, 0): ((1, O_, ("J",)),), (1, 6, 6): ((1, O_, ("Gf",)), (-1, Y, ())),
+            (2, 0, 6): ((-1, O_, ("I",)),),
+        },
     ),
     "ny3d": (
-        "conifold", "ny3d",
-        (_PAIR, _CONIFOLD_MID + ((1, "inf"),), _CONIFOLD_MID + _INF, _PAIR),
-        _conifold_monad_rows("ny3d"),
+        "conifold", "ny3d", {1: ((1, "inf"),), 2: ((0, "inf"),)},
+        {
+            (0, 4, 1): ((-1, O_, ("J",)),), (1, 1, 4): ((1, O_, ("I",)),),
+            (1, 4, 3): ((1, O_, ("J",)),), (1, 4, 4): ((1, Y, ()),),
+            (2, 0, 4): ((-1, O_, ("I",)),),
+        },
     ),
 }
 
@@ -589,32 +470,49 @@ def _monad_spec(template: str) -> tuple:
         raise NotInCatalog(template) from None
 
 
-def _entry_matrix(rows) -> tuple:
-    """A differential from rows of entries, each a list of ``(coeff, exps,
-    word)`` terms."""
-    out = []
-    for row in rows:
-        cells = []
-        for terms in row:
-            cell: monad.Entry = {}
-            for coeff, exps, wd in terms:
-                cell[exps, wd] = cell.get((exps, wd), Fraction(0)) + Fraction(coeff)
-            cells.append({k: c for k, c in cell.items() if c != 0})
-        out.append(tuple(cells))
-    return tuple(out)
-
-
 def get_monad_template(template: str) -> MonadTemplate:
-    """A stored monad template: the chart coordinates and twists come from
-    its geometry, the quiver from its framed example (or the geometry when
-    unframed)."""
-    geometry, example, terms, rows = _monad_spec(template)
+    """A catalog monad template, built from its geometry's chart.
+
+    Term k holds one slot ``Slot(d, v)`` per degree d of vertex v's
+    resolution in term k, vertices in quiver order, then the template's
+    framing slots.  The differential d_k carries each resolution's d_k on
+    the block diagonal with the empty word, and for each arrow a the chain
+    map g_a[k] times the word ``(a,)`` with sign (-1)^(k+1), from the src(a)
+    block of term k to the tgt(a) block of term k+1; the chart's quadratic
+    terms and the template's framing entries are added to it.  Coordinates
+    and twists come from the geometry, the quiver from the framed example
+    (or the geometry when unframed).
+    """
+    geometry, example, framing_slots, framing_entries = _monad_spec(template)
     entry = get_entry(geometry)
     quiver = entry.quiver if example is None else get_framed_example(example).quiver
+    res, vertices = entry.resolutions, entry.quiver.vertices
+    terms, starts = [], []
+    for k in range(len(res[vertices[0]].degrees)):
+        slots, start = [], {}
+        for v in vertices:
+            start[v] = len(slots)
+            slots += [Slot(d, v) for d in res[v].degrees[k]]
+        terms.append(tuple(slots + [Slot(d, v) for d, v in framing_slots.get(k, ())]))
+        starts.append(start)
+    diffs = [[[{} for _ in src] for _ in tgt] for src, tgt in zip(terms, terms[1:])]
+    for k in range(len(diffs)):
+        blocks = [(v, v, (), 1, res[v].diffs[k]) for v in vertices] + [
+            (a.src, a.tgt, (a.name,), (-1) ** (k + 1), entry.generator_maps[a.name][k])
+            for a in entry.quiver.arrows
+        ]
+        for src, tgt, word, sign, mat in blocks:
+            for i, row in enumerate(mat):
+                for j, poly in enumerate(row):
+                    cell = diffs[k][starts[k + 1][tgt] + i][starts[k][src] + j]
+                    for exps, c in poly.items():
+                        cell[exps, word] = sign * c
+    for (k, i, j), ts in [*entry.quadratic_terms.items(), *framing_entries.items()]:
+        for c, exps, word in ts:
+            diffs[k][i][j][exps, word] = Fraction(c)
     return MonadTemplate(
-        template.lower(), entry.coords, entry.twists,
-        tuple(tuple(Slot(d, v) for d, v in term) for term in terms),
-        tuple(_entry_matrix(d) for d in rows), quiver,
+        template.lower(), entry.coords, entry.twists, tuple(terms),
+        tuple(tuple(tuple(row) for row in mat) for mat in diffs), quiver,
     )
 
 

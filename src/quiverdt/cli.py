@@ -243,15 +243,11 @@ def cmd_count(args) -> int:
     elif family == "nested":
         series = partitions.nested_series(args.rank, args.order)
     elif family == "plane":
-        pit = tuple(int(v) for v in args.pit.split(",")) if args.pit else None
-        series = partitions.plane_partition_series(args.order, colors=args.colors, pit=pit)
+        series = partitions.plane_partition_series(args.order, colors=args.colors, pit=args.pit)
     elif family == "pyramid":
         series = partitions.pyramid_series(args.order)
-    elif family == "blowup":
-        series = partitions.blowup_series(args.order)
     else:
-        print(f"unknown family {family!r}", file=sys.stderr)
-        return 2
+        series = partitions.blowup_series(args.order)
     if args.json:
         _emit_json(series.to_json())
     else:
@@ -268,11 +264,8 @@ def cmd_series(args) -> int:
         series = euler_factor(("q",), args.order, power=-1)
     elif args.formula == "eta":
         series = euler_factor(("q",), args.order, power=1)
-    elif args.formula == "macmahon-power":
-        series = characters.macmahon_power(args.order, args.power)
     else:
-        print(f"unknown formula {args.formula!r}", file=sys.stderr)
-        return 2
+        series = characters.macmahon_power(args.order, args.power)
     if args.json:
         _emit_json(series.to_json())
     else:
@@ -303,6 +296,17 @@ def cmd_character(args) -> int:
         print(f"shift {shift.sub} (m={shift.m}, n={shift.n}), t={args.t}")
         print(",".join(str(c) for c in coeffs))
     return 0
+
+
+def _pit(text: str) -> tuple[int, int]:
+    """The ``--pit`` value ``M,N``: exactly two comma-separated integers."""
+    try:
+        m, n = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected M,N (two comma-separated integers), got {text!r}"
+        ) from None
+    return m, n
 
 
 def _parse_divisor(text: str):
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--colors", type=int)
-    p.add_argument("--pit", help="M,N")
+    p.add_argument("--pit", type=_pit, help="M,N")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
 

@@ -24,6 +24,7 @@ from .ncalg import (
     Quiver,
     RelationSet,
     ShapeMismatch,
+    cyclic_derivative,
     relations_from_potential,
 )
 
@@ -140,15 +141,13 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
     if fq.structure is None:
         raise UnboundFraming("framing structure not bound; call specialize() first")
     ranks = {v: fq.structure.ranks[v] for v in fq.framing_vertices}
-    from . import linalg as _linalg
-
     for a in fq.quiver.arrows:
         if not a.marked:
             continue
         m = fq.structure.matrices[a.name]
-        if _linalg.max_abs(m) == 0:
+        if linalg.max_abs(m) == 0:
             continue
-        if _linalg.shape(m) != (1, 1) or a.src != a.tgt:
+        if linalg.shape(m) != (1, 1) or a.src != a.tgt:
             # a nonzero fixed matrix that moves between framing copies (or
             # between two framing vertices) cannot be eliminated into cyclic
             # words of the split-vertex path algebra
@@ -274,8 +273,6 @@ def verify_framing_compatibility(fq: FramedQuiverWithPotential) -> Compatibility
     only produces monomials that either consist of marked arrows alone or
     route through the internal vertices (an arrow into a framing vertex
     paired with one leaving it)."""
-    from .ncalg import cyclic_derivative
-
     marked = [a for a in fq.quiver.arrows if a.marked]
     if not marked:
         return CompatibilityReport(ok=True, offending=[], vacuous=True)

@@ -148,28 +148,21 @@ def _validate_complex(c: MonadComplex) -> None:
                         )
 
 
-def _entry_mul(q: Quiver, first: Entry, then: Entry) -> Entry:
+def _entry_mul(first: Entry, then: Entry) -> Entry:
     """Operator composition: apply ``first`` then ``then``; words concatenate
-    in traversal order.  Non-composable word products vanish."""
+    in traversal order.  The entries of a validated complex meet at a shared
+    slot, so every concatenated word is a path."""
     out: Entry = {}
     for (e1, w1), c1 in first.items():
         for (e2, w2), c2 in then.items():
-            word = w1 + w2
-            if word:
-                p = Path(tuple(word))
-                try:
-                    p.validate(q)
-                except Exception:
-                    continue
             exps = tuple(a + b for a, b in zip(e1, e2))
-            key = (exps, tuple(word))
+            key = (exps, w1 + w2)
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {k: c for k, c in out.items() if c != 0}
 
 
 def compose_stage(c: MonadComplex, stage: int) -> list[list[Entry]]:
     """Matrix of d_(stage+1) o d_stage."""
-    q = c.template.quiver
     d1 = c.diffs[stage]
     d2 = c.diffs[stage + 1]
     rows, mid, cols = len(d2), len(d1), len(d1[0]) if d1 else 0
@@ -178,7 +171,7 @@ def compose_stage(c: MonadComplex, stage: int) -> list[list[Entry]]:
         for j in range(cols):
             acc: Entry = {}
             for l in range(mid):
-                part = _entry_mul(q, d1[l][j], d2[i][l])
+                part = _entry_mul(d1[l][j], d2[i][l])
                 for k, v in part.items():
                     acc[k] = acc.get(k, Fraction(0)) + v
             out[i][j] = {k: v for k, v in acc.items() if v != 0}

@@ -21,7 +21,9 @@ logarithmic-derivative recurrence.  The catalog's quivers and potentials
 as they were written out by hand before the parity-sequence generator
 (``literal_quiver_with_potential``), and the NCDT products built MacMahon
 by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``), pin the
-generator and ``checks.ymn_ncdt_product``.
+generator and ``checks.ymn_ncdt_product``.  The monad templates typed out
+row by row (``literal_monad_templates``) pin the catalog's construction of
+them from chart resolutions and generator maps.
 """
 
 from __future__ import annotations
@@ -601,3 +603,224 @@ def ym0_ncdt_product(m: int, order: int):
     for i in range(1, m):
         images[f"x{i}"] = Mono(1, tuple(1 if c == i else 0 for c in range(m)))
     return substitute(Substitution(vars_, targets, images), prod)
+
+
+# -- hand-typed monad templates ---------------------------------------------------
+
+
+# coordinate monomial shorthand
+O_ = (0, 0, 0)
+X = (1, 0, 0)
+Y = (0, 1, 0)
+Z = (0, 0, 1)
+XZ = (1, 0, 1)
+ZY = (0, 1, 1)
+
+
+def _c3_monad_rows(framing: str | None):
+    """The Koszul complex of the C^3 chart; ``framing`` is None,
+    "pervsystem" or "adhm3d"."""
+    B1, B2, B3, I, J = ("B1",), ("B2",), ("B3",), ("I",), ("J",)
+    d1 = [
+        [[(1, O_, B1), (-1, X, ())]],
+        [[(1, Y, ()), (-1, O_, B2)]],
+        [[(1, O_, B3), (-1, Z, ())]],
+    ]
+    d2 = [
+        [[], [(1, O_, B3), (-1, Z, ())], [(1, O_, B2), (-1, Y, ())]],
+        [[(1, O_, B3), (-1, Z, ())], [], [(1, X, ()), (-1, O_, B1)]],
+        [[(1, Y, ()), (-1, O_, B2)], [(1, X, ()), (-1, O_, B1)], []],
+    ]
+    d3 = [
+        [
+            [(1, X, ()), (-1, O_, B1)],
+            [(1, Y, ()), (-1, O_, B2)],
+            [(1, Z, ()), (-1, O_, B3)],
+        ]
+    ]
+    if framing == "pervsystem":
+        d2.append([[], [], []])
+        d3[0].append([(1, O_, I)])
+    elif framing == "adhm3d":
+        d1.append([[(1, O_, J)]])
+        for i, extra in enumerate([[], [], [(1, O_, I)]]):
+            d2[i].append(extra)
+        d2.append([[], [], [(-1, O_, J)], [(1, O_, ("Af",)), (-1, Z, ())]])
+        d3[0].append([(1, O_, I)])
+    return d1, d2, d3
+
+
+def _conifold_monad_rows(framing: str | None):
+    """Differential entry matrices of the 4-term chart complex for the
+    two-vertex small-resolution quiver; ``framing`` is None, "pervsystem",
+    or "ny3d"."""
+    A, B, C, D = ("A",), ("B",), ("C",), ("D",)
+    CD, CB, AD, AB = ("C", "D"), ("C", "B"), ("A", "D"), ("A", "B")
+    DC, DA, BC, BA = ("D", "C"), ("D", "A"), ("B", "C"), ("B", "A")
+    d1 = [
+        [[(1, O_, ())], [(-1, O_, B)]],
+        [[(1, Z, ())], [(-1, O_, D)]],
+        [[(-1, O_, A)], [(1, X, ())]],
+        [[(-1, O_, C)], [(1, Y, ())]],
+    ]
+    d2 = [
+        [
+            [(1, ZY, ()), (-1, O_, CD)],
+            [(1, O_, CB), (-1, Y, ())],
+            [],
+            [(1, Z, B), (-1, O_, D)],
+        ],
+        [
+            [(1, O_, AD), (-1, XZ, ())],
+            [(1, X, ()), (-1, O_, AB)],
+            [(1, O_, D), (-1, Z, B)],
+            [],
+        ],
+        [
+            [],
+            [(1, Y, A), (-1, X, C)],
+            [(1, ZY, ()), (-1, O_, DC)],
+            [(1, O_, DA), (-1, XZ, ())],
+        ],
+        [
+            [(1, X, C), (-1, Y, A)],
+            [],
+            [(1, O_, BC), (-1, Y, ())],
+            [(1, X, ()), (-1, O_, BA)],
+        ],
+    ]
+    d3 = [
+        [[(1, X, ())], [(1, Y, ())], [(1, O_, B)], [(1, O_, D)]],
+        [[(1, O_, A)], [(1, O_, C)], [(1, O_, ())], [(1, Z, ())]],
+    ]
+    if framing == "pervsystem":
+        d2.append([[], [], [], []])
+        d3[0].append([(1, O_, ("I",))])
+        d3[1].append([])
+    elif framing == "ny3d":
+        d1.append([[], [(-1, O_, ("J",))]])
+        for i, extra in enumerate([[], [(1, O_, ("I",))], [], []]):
+            d2[i].append(extra)
+        d2.append([[], [], [], [(1, O_, ("J",))], [(1, Y, ())]])
+        d3[0].append([(-1, O_, ("I",))])
+        d3[1].append([])
+    return d1, d2, d3
+
+
+def _y20_monad_rows(framing: str | None):
+    """The 4-term chart complex for the loops-plus-doubled-edge quiver;
+    ``framing`` is None or "kn"."""
+    E, F, A, B, C, D = ("E",), ("F",), ("A",), ("B",), ("C",), ("D",)
+    d1 = [
+        [[(1, Y, ()), (-1, O_, E)], []],
+        [[(1, O_, ())], [(1, O_, B)]],
+        [[(1, Z, ())], [(1, O_, D)]],
+        [[], [(1, Y, ()), (-1, O_, F)]],
+        [[(1, O_, A)], [(1, X, ())]],
+        [[(1, O_, C)], [(1, XZ, ())]],
+    ]
+    d2 = [
+        [[], [(1, XZ, ())], [(-1, X, ())], [], [(1, O_, D)], [(-1, O_, B)]],
+        [[(-1, Z, ())], [], [(1, Y, ()), (-1, O_, E)], [(-1, O_, D)], [], []],
+        [[(1, O_, ())], [(1, O_, E), (-1, Y, ())], [], [(1, O_, B)], [], []],
+        [[], [(1, O_, C)], [(-1, O_, A)], [], [(1, Z, ())], [(-1, O_, ())]],
+        [[(-1, O_, C)], [], [], [(-1, XZ, ())], [], [(1, Y, ()), (-1, O_, F)]],
+        [[(1, O_, A)], [], [], [(1, X, ())], [(1, O_, F), (-1, Y, ())], []],
+    ]
+    d3 = [
+        [
+            [(1, Y, ()), (-1, O_, E)],
+            [(1, X, ())],
+            [(1, XZ, ())],
+            [],
+            [(1, O_, B)],
+            [(1, O_, D)],
+        ],
+        [
+            [],
+            [(1, O_, A)],
+            [(1, O_, C)],
+            [(1, Y, ()), (-1, O_, F)],
+            [(1, O_, ())],
+            [(1, Z, ())],
+        ],
+    ]
+    if framing == "kn":
+        d1.append([[(1, O_, ("J",))], []])
+        for i, extra in enumerate([[(-1, O_, ("I",))], [], [], [], [], []]):
+            d2[i].append(extra)
+        d2.append([[(1, O_, ("J",))], [], [], [], [], [], [(1, O_, ("Gf",)), (-1, Y, ())]])
+        d3[0].append([(-1, O_, ("I",))])
+        d3[1].append([])
+    return d1, d2, d3
+
+
+# Slot shorthand: (line-bundle degree, vertex) per summand.
+_C3_SLOT = ((0, "0"),)
+_PAIR = ((0, "0"), (1, "1"))
+_CONIFOLD_MID = ((1, "0"), (1, "0"), (0, "1"), (0, "1"))
+_Y20_MID = ((0, "0"), (1, "0"), (1, "0"), (1, "1"), (0, "1"), (0, "1"))
+_INF = ((0, "inf"),)
+
+# template -> (geometry, framed example or None, slot terms, differential rows)
+_MONAD_TEMPLATES = {
+    "c3": ("c3", None, (_C3_SLOT, _C3_SLOT * 3, _C3_SLOT * 3, _C3_SLOT), _c3_monad_rows(None)),
+    "y20": ("y20", None, (_PAIR, _Y20_MID, _Y20_MID, _PAIR), _y20_monad_rows(None)),
+    "pervsystem-c3": (
+        "c3", "pervsystem-c3",
+        (_C3_SLOT, _C3_SLOT * 3, _C3_SLOT * 3 + _INF, _C3_SLOT), _c3_monad_rows("pervsystem"),
+    ),
+    "pervsystem-conifold": (
+        "conifold", "pervsystem-conifold",
+        (_PAIR, _CONIFOLD_MID, _CONIFOLD_MID + _INF, _PAIR), _conifold_monad_rows("pervsystem"),
+    ),
+    "adhm3d": (
+        "c3", "adhm3d",
+        (_C3_SLOT, _C3_SLOT * 3 + _INF, _C3_SLOT * 3 + _INF, _C3_SLOT), _c3_monad_rows("adhm3d"),
+    ),
+    "kn": (
+        "y20", "kn",
+        (_PAIR, _Y20_MID + _INF, _Y20_MID + _INF, _PAIR), _y20_monad_rows("kn"),
+    ),
+    "ny3d": (
+        "conifold", "ny3d",
+        (_PAIR, _CONIFOLD_MID + ((1, "inf"),), _CONIFOLD_MID + _INF, _PAIR),
+        _conifold_monad_rows("ny3d"),
+    ),
+}
+
+
+def _entry_matrix(rows) -> tuple:
+    """A differential from rows of entries, each a list of ``(coeff, exps,
+    word)`` terms."""
+    out = []
+    for row in rows:
+        cells = []
+        for terms in row:
+            cell = {}
+            for coeff, exps, wd in terms:
+                cell[exps, wd] = cell.get((exps, wd), Fraction(0)) + Fraction(coeff)
+            cells.append({k: c for k, c in cell.items() if c != 0})
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+def literal_monad_templates() -> dict:
+    """Every stored monad template with its slots and differential entries
+    typed out row by row, as the catalog held them before it built them
+    from the chart resolutions and generator maps.  Coordinates and twists
+    come from the catalog entry of the geometry, the quiver from the
+    framed example (or the geometry)."""
+    from quiverdt import catalog
+    from quiverdt.monad import MonadTemplate, Slot
+
+    out = {}
+    for template, (geometry, example, terms, rows) in _MONAD_TEMPLATES.items():
+        entry = catalog.get_entry(geometry)
+        quiver = entry.quiver if example is None else catalog.get_framed_example(example).quiver
+        out[template] = MonadTemplate(
+            template, entry.coords, entry.twists,
+            tuple(tuple(Slot(d, v) for d, v in term) for term in terms),
+            tuple(_entry_matrix(d) for d in rows), quiver,
+        )
+    return out

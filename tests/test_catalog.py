@@ -83,8 +83,12 @@ def test_every_arrow_meets_two_potential_terms_of_opposite_sign(sigma):
 
 
 def test_not_in_catalog():
-    with pytest.raises(catalog.NotInCatalog):
-        catalog.get_quiver_with_potential("y32")
+    # leading zeros name no further geometry: y020 is not a second y20
+    for geometry in ("y32", "y020", "y030", "y0030"):
+        with pytest.raises(catalog.NotInCatalog):
+            catalog.get_quiver_with_potential(geometry)
+        with pytest.raises(catalog.NotInCatalog):
+            catalog.get_entry(geometry)
     with pytest.raises(catalog.NotInCatalog):
         catalog.get_framed_example("nonsense")
     with pytest.raises(catalog.NotInCatalog):
@@ -163,6 +167,14 @@ def test_generator_maps_are_chain_maps(geometry):
             ]
             cleaned = [[{e: c for e, c in cell.items() if c != 0} for cell in row] for row in diff]
             assert _is_zero(cleaned), (geometry, arrow_name, k)
+
+
+@pytest.mark.parametrize("template", catalog.monad_template_ids())
+def test_monad_templates_match_literal_rows(template):
+    """The templates built from the chart resolutions, generator maps and
+    framing entries equal the hand-typed rows, slots, quiver, coordinates
+    and twists included."""
+    assert catalog.get_monad_template(template) == oracles.literal_monad_templates()[template]
 
 
 # -- framed examples ------------------------------------------------------------

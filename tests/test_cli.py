@@ -30,8 +30,11 @@ def test_catalog_show_json_roundtrip(capsys):
 
 
 def test_catalog_show_unknown_exits_2(capsys):
-    code, _, err = run_capture(capsys, ["catalog", "show", "y77"])
-    assert code == 2 and "catalog" in err
+    for geometry in ("y77", "y020", "y030", "y0030"):
+        code, _, err = run_capture(capsys, ["catalog", "show", geometry])
+        assert code == 2 and "catalog" in err, geometry
+        code, out, err = run_capture(capsys, ["quiver", geometry])
+        assert (code, out) == (2, "") and "catalog" in err, geometry
 
 
 def test_catalog_show_without_id_is_usage_error(capsys):
@@ -275,6 +278,13 @@ def test_count_plane_with_pit(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["vars"] == ["q"]
+
+
+@pytest.mark.parametrize("pit", ["1", ",", "1,2,3", "a,b"])
+def test_count_plane_malformed_pit_is_usage_error(capsys, pit):
+    code, out, err = run_capture(capsys, ["count", "plane", "--order", "3", "--pit", pit])
+    assert (code, out) == (2, "")
+    assert "argument --pit: expected M,N (two comma-separated integers)" in err
 
 
 def test_count_blowup_prints_half_powers(capsys):
