@@ -9,13 +9,14 @@ Potentials are transcribed into traversal-order words (see
 first arrow of each stored word is the one applied first.  A monad template
 is the direct sum of its chart's vertex resolutions plus one term per arrow
 from that arrow's chain map (Nagao-Nakajima, *Counting invariant of
-perverse coherent sheaves and its wall-crossing*), plus the chart's
-quadratic terms and the template's framing entries.  The stored chain maps
-and entries carry the signs under which every template composes to zero
-modulo its relation ideal; the framing entries differ from ad-hoc
-conventions elsewhere only by harmless basis sign flips on framing
-summands, plus the internal one-step differential of the framing-node
-resolution on the diagonal framing entry.
+perverse coherent sheaves and its wall-crossing*), plus terms quadratic in
+the arrows read off the quartic terms of the potential, plus the
+template's framing entries.  The stored chain maps and entries carry the
+signs under which every template composes to zero modulo its relation
+ideal; the framing entries differ from ad-hoc conventions elsewhere only
+by harmless basis sign flips on framing summands, plus the internal
+one-step differential of the framing-node resolution on the diagonal
+framing entry.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class CatalogEntry:
     resolutions: dict
     generator_maps: dict  # arrow name -> tuple of polynomial matrices (degree-1 chain map)
     curve_classes: tuple[str, ...]
-    quadratic_terms: dict  # monad entries no chain map carries, as in _MONAD_TEMPLATES
 
 
 def geometry_ids() -> tuple[str, ...]:
@@ -201,13 +201,11 @@ def _c3_chart():
             _pm([[0, 0, [(1, O_)]]]),
         ),
     }
-    return (0, 0, 0), res, gmaps, {}
+    return (0, 0, 0), res, gmaps
 
 
 def _conifold_chart():
-    """Twists, the resolutions of both vertices, the arrows' chain maps and
-    the stage-1 monad terms quadratic in the arrows (second derivatives of
-    the quartic W)."""
+    """Twists, the resolutions of both vertices and the arrows' chain maps."""
     res = {
         "0": Resolution(
             "0",
@@ -250,14 +248,7 @@ def _conifold_chart():
             _pm([[0, [(-1, O_)]]]),
         ),
     }
-    quadratic = {
-        (1, i, j): ((c, O_, tuple(word)),)
-        for i, j, c, word in (
-            (0, 0, -1, "CD"), (0, 1, 1, "CB"), (1, 0, 1, "AD"), (1, 1, -1, "AB"),
-            (2, 2, -1, "DC"), (2, 3, 1, "DA"), (3, 2, 1, "BC"), (3, 3, -1, "BA"),
-        )
-    }
-    return (-1, -1, 1), res, gmaps, quadratic
+    return (-1, -1, 1), res, gmaps
 
 
 def _y20_chart():
@@ -317,7 +308,7 @@ def _y20_chart():
         "B": hop_map_1,
         "D": hop_map_2,
     }
-    return (-2, 0, 1), res, gmaps, {}
+    return (-2, 0, 1), res, gmaps
 
 
 # geometry -> its chart data; the y{m}0 with m >= 3 have none
@@ -330,11 +321,11 @@ def get_entry(geometry: str) -> CatalogEntry:
     g = geometry.lower()
     q, w = get_quiver_with_potential(g)
     chart = _CHARTS.get(_lookup(g)[0])
-    twists, res, gmaps, quadratic = chart() if chart else ((0, 0, 0), {}, {}, {})
+    twists, res, gmaps = chart() if chart else ((0, 0, 0), {}, {})
     n = len(q.vertices)
     return CatalogEntry(
         g, q, w, tuple(f"F{i}" for i in range(n)), ("x", "y", "z"), twists, res, gmaps,
-        tuple(f"C{i}" for i in range(1, n)), quadratic,
+        tuple(f"C{i}" for i in range(1, n)),
     )
 
 
@@ -478,8 +469,13 @@ def get_monad_template(template: str) -> MonadTemplate:
     framing slots.  The differential d_k carries each resolution's d_k on
     the block diagonal with the empty word, and for each arrow a the chain
     map g_a[k] times the word ``(a,)`` with sign (-1)^(k+1), from the src(a)
-    block of term k to the tgt(a) block of term k+1; the chart's quadratic
-    terms and the template's framing entries are added to it.  Coordinates
+    block of term k to the tgt(a) block of term k+1.  A quartic term c*w of
+    the geometry's potential adds to d_1, for each rotation x*m1*m2*y of w
+    with x into and y out of the vertex v of index i, the entry
+    (-1)^i * c times the word ``(m1, m2)``: its row is v's first slot in
+    term 2 plus y's index among the arrows out of v, its column v's first
+    slot in term 1 plus x's index among the arrows into v (both in quiver
+    order).  The template's framing entries are added last.  Coordinates
     and twists come from the geometry, the quiver from the framed example
     (or the geometry when unframed).
     """
@@ -507,7 +503,18 @@ def get_monad_template(template: str) -> MonadTemplate:
                     cell = diffs[k][starts[k + 1][tgt] + i][starts[k][src] + j]
                     for exps, c in poly.items():
                         cell[exps, word] = sign * c
-    for (k, i, j), ts in [*entry.quadratic_terms.items(), *framing_entries.items()]:
+    q = entry.quiver
+    for w, c in entry.potential.terms.items():
+        if len(w) != 4:
+            continue
+        for r in range(4):
+            x, m1, m2, y = map(q.arrow, w.names[r:] + w.names[:r])
+            v = x.tgt
+            if y.src == v:
+                row = starts[2][v] + q.arrows_from(v).index(y)
+                col = starts[1][v] + tuple(a for a in q.arrows if a.tgt == v).index(x)
+                diffs[1][row][col][O_, (m1.name, m2.name)] = (-1) ** q.vertex_index(v) * c
+    for (k, i, j), ts in framing_entries.items():
         for c, exps, word in ts:
             diffs[k][i][j][exps, word] = Fraction(c)
     return MonadTemplate(

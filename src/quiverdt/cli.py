@@ -31,10 +31,12 @@ def _rational(where: str, value) -> Fraction:
 
 
 def _load_framing(fq, path: str | None):
-    if path is None:
-        return framing.FramingStructure.zero(fq)
-    with open(path) as handle:
-        data = json.load(handle)
+    """The framing structure of a ``--framing`` file (none given reads as
+    ``{}``): ranks default to 1 and marked-arrow matrices to zero."""
+    data = {}
+    if path is not None:
+        with open(path) as handle:
+            data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a framing file holds a JSON object with 'ranks' and 'arrows'")
     for key in data:
@@ -60,19 +62,13 @@ def _load_framing(fq, path: str | None):
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(f"{where}: a matrix is a list of rows, got {rows!r}")
         matrices[name] = tuple(tuple(_rational(where, x) for x in row) for row in rows)
-    ranks = {}
+    ranks = dict.fromkeys(fq.framing_vertices, 1)
     for v, r in given_ranks.items():
         if not str(r).isdecimal():
             raise ValueError(f"{path}: ranks[{v!r}] = {r!r} is not a non-negative integer")
         ranks[v] = int(r)
-    for v in fq.framing_vertices:
-        ranks.setdefault(v, 1)
-    for a in fq.quiver.arrows:
-        if a.marked and a.name not in matrices:
-            matrices[a.name] = tuple(
-                (Fraction(0),) * ranks[a.src] for _ in range(ranks[a.tgt])
-            )
-    return framing.FramingStructure(ranks, matrices)
+    zero = framing.FramingStructure.zero(fq, ranks)
+    return framing.FramingStructure(ranks, {**zero.matrices, **matrices})
 
 
 def _load_points(path: str) -> list[tuple[Fraction, Fraction]]:
@@ -274,12 +270,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_character(args) -> int:
-    if args.divisor:
-        mu, nu = _parse_divisor(args.divisor)
-        shift = catalog.divisor_to_shift_matrix(args.m, args.n, mu, nu)
+    if args.divisor is not None:
+        shift = catalog.divisor_to_shift_matrix(args.m, args.n, *args.divisor)
     else:
-        sub = tuple(int(v) for v in args.shift.replace(";", ",").split(",") if v != "")
-        shift = catalog.ShiftMatrix(args.m, args.n, sub)
+        shift = catalog.ShiftMatrix(args.m, args.n, args.shift)
     series = characters.character_from_shift(shift, args.t, args.order)
     if args.json:
         _emit_json(
@@ -309,19 +303,31 @@ def _pit(text: str) -> tuple[int, int]:
     return m, n
 
 
-def _parse_divisor(text: str):
-    mu: list[int] = []
-    nu: list[int] = []
+def _shift(text: str) -> tuple[int, ...]:
+    """The ``--shift`` value: subdiagonal integers separated by ``;`` or ``,``."""
+    try:
+        return tuple(int(v) for v in text.replace(";", ",").split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by ';' or ',', got {text!r}"
+        ) from None
+
+
+def _divisor(text: str) -> tuple[list[int], list[int]]:
+    """The ``--divisor`` value ``mu=P nu=Q``: the partitions mu and nu."""
+    parts: dict[str, list[int]] = {"mu": [], "nu": []}
     for piece in text.split():
         key, _, values = piece.partition("=")
-        parts = [int(v) for v in values.split(",") if v != ""]
-        if key == "mu":
-            mu = parts
-        elif key == "nu":
-            nu = parts
-        else:
-            raise ValueError(f"bad divisor component {piece!r}")
-    return mu, nu
+        try:
+            if key not in parts:
+                raise ValueError(key)
+            parts[key] = [int(v) for v in values.split(",") if v != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad divisor component {piece!r} (expected mu=P or nu=Q, "
+                "each a list of comma-separated integers)"
+            ) from None
+    return parts["mu"], parts["nu"]
 
 
 def cmd_compare(args) -> int:
@@ -403,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("character", help="vacuum character from a shift matrix")
-    p.add_argument("--shift", default="0", help='subdiagonal entries, e.g. "0;1"')
-    p.add_argument("--divisor", help='partitions, e.g. "mu=3,1 nu=2"')
+    p.add_argument("--shift", type=_shift, default="0", help='subdiagonal entries, e.g. "0;1"')
+    p.add_argument("--divisor", type=_divisor, help='partitions, e.g. "mu=3,1 nu=2"')
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)

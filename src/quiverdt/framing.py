@@ -2,18 +2,25 @@
 structures, specialization, and the induced relation sets.
 
 A marked arrow never generates a relation; its matrix is fixed data.  To
-substitute the matrices we expand the quiver: a framing vertex of rank d
-splits into d rank-one vertices, unmarked arrows into/out of it split into
-indexed copies, and each marked arrow disappears into numeric coefficients
-on the words that used it.  Relations of the framed quiver are then the
-cyclic derivatives of the expanded potential with respect to every
-remaining arrow.
+substitute the matrices, :func:`expand` splits each framing vertex v of
+rank d into d rank-one copies ``v#1`` ... ``v#d`` (plain ``v`` when d = 1;
+an internal vertex is its own single copy) and reads each cyclic word of
+the potential at its junctions, the source vertex of each of its arrows.
+The word expands to one word per choice of a copy at every junction:
+arrow k runs from the copy at junction k to the copy at junction k + 1
+(mod the word's length).  An unmarked arrow a from copy s to copy t
+becomes the arrow ``a#s@t`` of the expanded quiver (``#s`` only when its
+source has rank > 1, ``@t`` only when its target has), and a marked arrow
+multiplies the word's coefficient by the (t, s) entry of its matrix.
+Words whose coefficient is zero, or that keep no arrow, are dropped.
+Relations of the framed quiver are then the cyclic derivatives of the
+expanded potential with respect to every remaining arrow.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -126,13 +133,10 @@ def specialize(
     return replace(template, structure=f)
 
 
-def _copy_name(base: str, index: int, rank: int) -> str:
-    return base if rank == 1 else f"{base}#{index + 1}"
-
-
 def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
     """Split framing vertices into rank-one copies and eliminate marked
-    arrows into numeric coefficients.
+    arrows into numeric coefficients, by the junction-copy rule of the
+    module docstring.
 
     Rank-one vertices and their arrows keep their plain names, so for the
     common rank-one framings the expanded quiver reads like the original
@@ -140,14 +144,9 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
     """
     if fq.structure is None:
         raise UnboundFraming("framing structure not bound; call specialize() first")
-    ranks = {v: fq.structure.ranks[v] for v in fq.framing_vertices}
-    for a in fq.quiver.arrows:
-        if not a.marked:
-            continue
+    for a in (a for a in fq.quiver.arrows if a.marked):
         m = fq.structure.matrices[a.name]
-        if linalg.max_abs(m) == 0:
-            continue
-        if linalg.shape(m) != (1, 1) or a.src != a.tgt:
+        if linalg.max_abs(m) != 0 and (linalg.shape(m) != (1, 1) or a.src != a.tgt):
             # a nonzero fixed matrix that moves between framing copies (or
             # between two framing vertices) cannot be eliminated into cyclic
             # words of the split-vertex path algebra
@@ -155,87 +154,41 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
                 f"marked arrow {a.name}: nonzero fixed matrices are supported "
                 "only for rank-one marked loops; use the zero matrix otherwise"
             )
+    rank = {
+        v: fq.structure.ranks[v] if v in fq.framing_vertices else 1 for v in fq.quiver.vertices
+    }
 
-    vertices: list[str] = []
-    for v in fq.quiver.vertices:
-        if v in fq.framing_vertices:
-            vertices.extend(_copy_name(v, i, ranks[v]) for i in range(ranks[v]))
-        else:
-            vertices.append(v)
+    def copy(name: str, v: str, i: int, mark: str = "#") -> str:
+        """``name`` for copy i of vertex v: plain at a rank-one vertex."""
+        return name if rank[v] == 1 else f"{name}{mark}{i + 1}"
 
-    def vertex_copies(v: str) -> list[tuple[int, str]]:
-        if v in fq.framing_vertices:
-            return [(i, _copy_name(v, i, ranks[v])) for i in range(ranks[v])]
-        return [(0, v)]
-
-    def arrow_copy_name(a: Arrow, si: int, ti: int) -> str:
-        name = a.name
-        if a.src in fq.framing_vertices and ranks[a.src] > 1:
-            name += f"#{si + 1}"
-        if a.tgt in fq.framing_vertices and ranks[a.tgt] > 1:
-            name += f"@{ti + 1}"
-        return name
-
-    arrows: list[Arrow] = []
-    for a in fq.quiver.arrows:
-        if a.marked:
-            continue
-        for si, sname in vertex_copies(a.src):
-            for ti, tname in vertex_copies(a.tgt):
-                arrows.append(Arrow(arrow_copy_name(a, si, ti), sname, tname))
-    expanded = Quiver(tuple(vertices), tuple(arrows))
-
+    arrow_copies = {
+        (a.name, si, ti): Arrow(
+            copy(copy(a.name, a.src, si), a.tgt, ti, "@"), copy(a.src, a.src, si), copy(a.tgt, a.tgt, ti)
+        )
+        for a in fq.quiver.unmarked_arrows()
+        for si, ti in product(range(rank[a.src]), range(rank[a.tgt]))
+    }
+    expanded = Quiver(
+        tuple(copy(v, v, i) for v in fq.quiver.vertices for i in range(rank[v])),
+        tuple(arrow_copies.values()),
+    )
     terms: list[tuple[Fraction, tuple[str, ...]]] = []
     for w, coeff in fq.potential.terms.items():
-        names = w.names
-        n = len(names)
-        # index assignments at framing vertices between consecutive arrows
-        def rec(pos: int, first_idx: int | None, prev_idx: int | None,
-                acc: tuple[str, ...], weight: Fraction):
-            if weight == 0:
-                return
-            if pos == n:
-                # close the cycle: the vertex between the last and first arrow
-                last = fq.quiver.arrow(names[-1])
-                if last.tgt in fq.framing_vertices and prev_idx != first_idx:
-                    return
-                terms.append((coeff * weight, acc))
-                return
-            a = fq.quiver.arrow(names[pos])
-            src_opts: Sequence[int]
-            if a.src in fq.framing_vertices:
-                # the source copy was fixed by the previous arrow (or the seed)
-                src_opts = [prev_idx]
-            else:
-                src_opts = [0]
-            for si in src_opts:
-                tgt_opts = range(ranks[a.tgt]) if a.tgt in fq.framing_vertices else [0]
-                for ti in tgt_opts:
-                    if a.marked:
-                        m = fq.structure.matrices[a.name]
-                        wgt = weight * m[ti][si]
-                        new_acc = acc
-                    else:
-                        wgt = weight
-                        new_acc = acc + (arrow_copy_name(a, si, ti),)
-                    fi = first_idx
-                    if fi is None and a.src in fq.framing_vertices:
-                        fi = si
-                    rec(pos + 1, fi, ti if a.tgt in fq.framing_vertices else None,
-                        new_acc, wgt)
-
-        # choose the rotation so the cycle-closing bookkeeping stays simple:
-        # any rotation works because the potential is cyclic
-        first = fq.quiver.arrow(names[0])
-        if first.src in fq.framing_vertices:
-            for idx in range(ranks[first.src]):
-                rec(0, None, idx, (), Fraction(1))
-        else:
-            rec(0, None, None, (), Fraction(1))
-
-    # a fully marked cycle would expand to the empty word; none of the
-    # catalog potentials contain one, and it has no relation content anyway
-    terms = [(c, w) for c, w in terms if w]
+        word = [fq.quiver.arrow(name) for name in w.names]
+        # copies[k] is the copy at junction k, the source of word[k]
+        for copies in product(*(range(rank[a.src]) for a in word)):
+            weight, names = coeff, []
+            for k, a in enumerate(word):
+                si, ti = copies[k], copies[(k + 1) % len(word)]
+                if a.marked:
+                    weight *= fq.structure.matrices[a.name][ti][si]
+                else:
+                    names.append(arrow_copies[a.name, si, ti].name)
+            # a fully marked cycle would expand to the empty word, which has
+            # no relation content; no catalog potential contains one
+            if weight and names:
+                terms.append((weight, tuple(names)))
     return expanded, Potential.from_words(expanded, terms)
 
 
@@ -245,12 +198,6 @@ class FramedRelationSet:
 
     quiver: Quiver
     relations: RelationSet
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __len__(self):
-        return len(self.relations)
 
 
 def framed_relations(fq: FramedQuiverWithPotential) -> FramedRelationSet:
@@ -301,7 +248,7 @@ def verify_framing_compatibility(fq: FramedQuiverWithPotential) -> Compatibility
 # -- numeric witnesses ----------------------------------------------------------
 
 
-def numeric_solution_builder(points: Sequence[tuple], rank_one_arrows=("I", "J")):
+def numeric_solution_builder(points: Sequence[tuple]):
     """Representation matrices for a framed point configuration: n distinct
     plane points give diagonal B1, B2, vanishing B3, an all-ones column I,
     and zero J.  Satisfies the framed relations exactly; also reports
@@ -318,15 +265,14 @@ def numeric_solution_builder(points: Sequence[tuple], rank_one_arrows=("I", "J")
     b1 = diag([p[0] for p in pts])
     b2 = diag([p[1] for p in pts])
     b3 = linalg.zeros(n, n)
-    i_name, j_name = rank_one_arrows
     rep = {
         "B1": b1,
         "B2": b2,
         "B3": b3,
-        i_name: tuple((Fraction(1),) for _ in range(n)),
-        j_name: (tuple(Fraction(0) for _ in range(n)),),
+        "I": tuple((Fraction(1),) for _ in range(n)),
+        "J": (tuple(Fraction(0) for _ in range(n)),),
     }
-    cyclic = _is_cyclic(b1, b2, rep[i_name], n)
+    cyclic = _is_cyclic(b1, b2, rep["I"], n)
     return rep, cyclic
 
 

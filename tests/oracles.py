@@ -23,7 +23,9 @@ as they were written out by hand before the parity-sequence generator
 by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``), pin the
 generator and ``checks.ymn_ncdt_product``.  The monad templates typed out
 row by row (``literal_monad_templates``) pin the catalog's construction of
-them from chart resolutions and generator maps.
+them from chart resolutions, generator maps and the quartic terms of the
+potential.  The framed potential expanded by a recursion over each word
+(``expand_by_recursion``) is the reference for ``framing.expand``.
 """
 
 from __future__ import annotations
@@ -824,3 +826,104 @@ def literal_monad_templates() -> dict:
             tuple(_entry_matrix(d) for d in rows), quiver,
         )
     return out
+
+
+# -- framed potentials expanded arrow by arrow ----------------------------------------
+
+
+def expand_by_recursion(fq):
+    """``framing.expand`` as it was before the junction-copy product: a
+    recursion over the word that fixes each arrow's source copy from the
+    previous arrow's target copy, seeded at the first arrow's source, and
+    drops the assignments whose last target copy does not close the cycle.
+    The expanded quiver's vertices and arrows are split copy by copy."""
+    from quiverdt import framing, linalg
+    from quiverdt.ncalg import Arrow, Potential, Quiver
+
+    def copy_name(base: str, index: int, rank: int) -> str:
+        return base if rank == 1 else f"{base}#{index + 1}"
+
+    if fq.structure is None:
+        raise framing.UnboundFraming("framing structure not bound; call specialize() first")
+    ranks = {v: fq.structure.ranks[v] for v in fq.framing_vertices}
+    for a in fq.quiver.arrows:
+        if not a.marked:
+            continue
+        m = fq.structure.matrices[a.name]
+        if linalg.max_abs(m) == 0:
+            continue
+        if linalg.shape(m) != (1, 1) or a.src != a.tgt:
+            raise framing.FramingError(
+                f"marked arrow {a.name}: nonzero fixed matrices are supported "
+                "only for rank-one marked loops; use the zero matrix otherwise"
+            )
+
+    vertices: list[str] = []
+    for v in fq.quiver.vertices:
+        if v in fq.framing_vertices:
+            vertices.extend(copy_name(v, i, ranks[v]) for i in range(ranks[v]))
+        else:
+            vertices.append(v)
+
+    def vertex_copies(v: str) -> list[tuple[int, str]]:
+        if v in fq.framing_vertices:
+            return [(i, copy_name(v, i, ranks[v])) for i in range(ranks[v])]
+        return [(0, v)]
+
+    def arrow_copy_name(a, si: int, ti: int) -> str:
+        name = a.name
+        if a.src in fq.framing_vertices and ranks[a.src] > 1:
+            name += f"#{si + 1}"
+        if a.tgt in fq.framing_vertices and ranks[a.tgt] > 1:
+            name += f"@{ti + 1}"
+        return name
+
+    arrows = []
+    for a in fq.quiver.arrows:
+        if a.marked:
+            continue
+        for si, sname in vertex_copies(a.src):
+            for ti, tname in vertex_copies(a.tgt):
+                arrows.append(Arrow(arrow_copy_name(a, si, ti), sname, tname))
+    expanded = Quiver(tuple(vertices), tuple(arrows))
+
+    terms: list[tuple[Fraction, tuple[str, ...]]] = []
+    for w, coeff in fq.potential.terms.items():
+        names = w.names
+        n = len(names)
+
+        def rec(pos, first_idx, prev_idx, acc, weight):
+            if weight == 0:
+                return
+            if pos == n:
+                last = fq.quiver.arrow(names[-1])
+                if last.tgt in fq.framing_vertices and prev_idx != first_idx:
+                    return
+                terms.append((coeff * weight, acc))
+                return
+            a = fq.quiver.arrow(names[pos])
+            src_opts = [prev_idx] if a.src in fq.framing_vertices else [0]
+            for si in src_opts:
+                tgt_opts = range(ranks[a.tgt]) if a.tgt in fq.framing_vertices else [0]
+                for ti in tgt_opts:
+                    if a.marked:
+                        wgt = weight * fq.structure.matrices[a.name][ti][si]
+                        new_acc = acc
+                    else:
+                        wgt = weight
+                        new_acc = acc + (arrow_copy_name(a, si, ti),)
+                    fi = first_idx
+                    if fi is None and a.src in fq.framing_vertices:
+                        fi = si
+                    rec(pos + 1, fi, ti if a.tgt in fq.framing_vertices else None,
+                        new_acc, wgt)
+
+        first = fq.quiver.arrow(names[0])
+        if first.src in fq.framing_vertices:
+            for idx in range(ranks[first.src]):
+                rec(0, None, idx, (), Fraction(1))
+        else:
+            rec(0, None, None, (), Fraction(1))
+
+    terms = [(c, w) for c, w in terms if w]
+    return expanded, Potential.from_words(expanded, terms)

@@ -75,6 +75,15 @@ def test_relations_with_framing_file(tmp_path, capsys):
     assert code == 0 and "d/dI" in out
 
 
+@pytest.mark.parametrize("example", catalog.framed_example_ids())
+def test_relations_without_framing_file_reads_as_empty_file(tmp_path, capsys, example):
+    path = tmp_path / "framing.json"
+    path.write_text("{}")
+    plain = run_capture(capsys, ["relations", example, "--json"])
+    assert plain[0] == 0
+    assert run_capture(capsys, ["relations", example, "--framing", str(path), "--json"]) == plain
+
+
 @pytest.mark.parametrize("geometry", ["c3", "conifold", "y20", "y30"])
 def test_relations_framing_on_unframed_geometry_is_usage_error(tmp_path, capsys, geometry):
     path = tmp_path / "framing.json"
@@ -316,6 +325,29 @@ def test_character_divisor_route(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["sub"] == [2]
+
+
+@pytest.mark.parametrize(
+    "option, value, says",
+    [
+        ("--shift", "a", "expected integers separated by ';' or ',', got 'a'"),
+        ("--shift", "0;x", "expected integers separated by ';' or ',', got '0;x'"),
+        ("--divisor", "mu=a", "bad divisor component 'mu=a'"),
+        ("--divisor", "mu=3,1 nu=b", "bad divisor component 'nu=b'"),
+        ("--divisor", "lambda=1", "bad divisor component 'lambda=1'"),
+    ],
+)
+def test_character_malformed_integer_names_option(capsys, option, value, says):
+    argv = ["character", option, value, "--m", "2", "--n", "0", "--t", "1", "--order", "3"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"argument {option}: {says}" in err
+
+
+def test_character_empty_divisor_is_not_ignored(capsys):
+    argv = ["character", "--divisor", "", "--m", "2", "--n", "0", "--t", "1", "--order", "3"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "") and "partition lengths" in err
 
 
 def test_compare_pass_exit_zero(capsys):

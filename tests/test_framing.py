@@ -1,7 +1,10 @@
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from oracles import expand_by_recursion
 from quiverdt import catalog, framing, linalg, ncalg
 from quiverdt.ncalg import NCPoly, Potential, Quiver, Arrow, relations_from_potential, word
 
@@ -158,6 +161,59 @@ def test_zero_framing_recovers_base_relations(example):
             }
         )
         assert restricted == poly, (example, name)
+
+
+MARKED_LOOP_VALUES = (0, 1, Fraction(-2, 3))
+
+
+def _oracle_framings(example):
+    """Every rank in {1, 2, 3} at each framing vertex, times each marked-loop
+    value v: a marked loop is bound to v times the identity, any other
+    marked arrow to zero.  The structure is bound without ``specialize`` so
+    that a nonzero value also reaches the nilpotent loops of adhm3d and kn;
+    a nonzero loop of rank > 1 is the rejected case."""
+    fq = catalog.get_framed_example(example)
+    vertices = sorted(fq.framing_vertices)
+    for ranks in itertools.product((1, 2, 3), repeat=len(vertices)):
+        ranks = dict(zip(vertices, ranks))
+        for value in MARKED_LOOP_VALUES:
+            matrices = {
+                a.name: tuple(
+                    tuple(Fraction(value) if i == j and a.src == a.tgt else Fraction(0)
+                          for j in range(ranks[a.src]))
+                    for i in range(ranks[a.tgt])
+                )
+                for a in fq.quiver.arrows
+                if a.marked
+            }
+            yield replace(fq, structure=framing.FramingStructure(ranks, matrices))
+
+
+def _expansion(expand, fq):
+    """The expanded quiver, the potential's terms in insertion order and the
+    relations, or the exception class and message."""
+    try:
+        quiver, potential = expand(fq)
+    except Exception as exc:  # compared between the two expansions
+        return type(exc), str(exc)
+    rels = relations_from_potential(quiver, potential)
+    return (
+        quiver,
+        list(potential.terms.items()),
+        [(r.arrow, r.src, r.tgt, r.poly) for r in rels],
+    )
+
+
+def test_oracle_framings_cover_every_example_rank_and_value():
+    count = sum(1 for e in catalog.framed_example_ids() for _ in _oracle_framings(e))
+    assert count == 180
+
+
+@pytest.mark.parametrize("example", catalog.framed_example_ids())
+def test_expand_matches_recursive_oracle(example):
+    for fq in _oracle_framings(example):
+        expected = _expansion(expand_by_recursion, fq)
+        assert _expansion(framing.expand, fq) == expected, (example, fq.structure)
 
 
 # -- framing compatibility ----------------------------------------------------------

@@ -4,7 +4,9 @@ and compares its exit code and stdout with the file stored under
 
 The stored files were written before the catalog's quivers, potentials and
 NCDT checks were generated from parity sequences, so they pin that the
-generator changed no output.  To rewrite them after a deliberate change of
+generator changed no output; the ``relations <example> --framing`` cases
+with rank > 1 framings were written before ``framing.expand`` became one
+product over junction copies.  To rewrite them after a deliberate change of
 output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -24,6 +26,9 @@ GOLDEN = Path(__file__).parent / "golden"
 GEOMETRIES = ("c3", "y10", "conifold", "y11", "y20", "y30", "y40", "y50", "y60")
 # pyramid and plane-partition order caps (partitions.*_MAX_ORDER)
 NCDT_CAPS = {"conifold-ncdt": 21, "y20-ncdt": 18, "y30-ncdt": 18}
+# framed examples replayed with the rank > 1 framing stored as
+# tests/golden/framing_<example>.json
+RANKED_FRAMINGS = ("adhm3d", "spiked", "chainsaw2")
 
 
 def _cases() -> list[list[str]]:
@@ -33,6 +38,9 @@ def _cases() -> list[list[str]]:
     cases += [["quiver", g] for g in GEOMETRIES]
     cases += [["quiver", e, "--framed"] for e in examples]
     cases += [["relations", i, "--json"] for i in GEOMETRIES + examples]
+    cases += [
+        ["relations", e, "--framing", f"framing_{e}.json", "--json"] for e in RANKED_FRAMINGS
+    ]
     cases.append(["compare", "all", "--json"])
     for target, cap in NCDT_CAPS.items():
         cases += [["compare", target, "--order", str(o), "--json"] for o in (0, 6, 12, cap)]
@@ -44,6 +52,8 @@ def _file(argv: list[str]) -> Path:
 
 
 def _replay(argv: list[str]) -> str:
+    # a --framing value names a file under tests/golden/
+    argv = [str(GOLDEN / a) if flag == "--framing" else a for flag, a in zip(["", *argv], argv)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
