@@ -16,6 +16,7 @@ Words whose coefficient is zero, or that keep no arrow, are dropped.
 Relations of the framed quiver are then the cyclic derivatives of the
 expanded potential with respect to every remaining arrow.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
