@@ -409,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("character", help="vacuum character from a shift matrix")
-    p.add_argument("--shift", type=_shift, default="0", help='subdiagonal entries, e.g. "0;1"')
-    p.add_argument("--divisor", type=_divisor, help='partitions, e.g. "mu=3,1 nu=2"')
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--shift", type=_shift, default="0", help='subdiagonal entries, e.g. "0;1"')
+    source.add_argument("--divisor", type=_divisor, help='partitions, e.g. "mu=3,1 nu=2"')
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)

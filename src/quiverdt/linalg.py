@@ -5,7 +5,8 @@ helpers are dense and meant for the small numeric representations of monad
 and relation checks.  :class:`Echelon` is the one row reduction: sparse, over
 dict vectors, and shared by ideal membership (one per endpoint pair of an
 ``ncalg.MembershipSystem``, which ``reduce`` leaves unchanged), rank and the
-cyclicity check.
+cyclicity check.  Its entries stay exact: ``int`` where integral, else
+``Fraction``, never ``float``.
 """
 
 from __future__ import annotations
@@ -65,12 +66,25 @@ def max_abs(a: Matrix) -> Fraction:
     return best
 
 
+def exact(c) -> int | Fraction:
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``;
+    a float is refused, since it is not exact."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Echelon:
-    """Incremental row echelon form over sparse vectors ``key -> Fraction``.
+    """Incremental row echelon form over sparse vectors ``key -> coefficient``.
 
     ``order`` maps a key to a sortable value; the pivot of a stored row is
     its least key in that order, scaled to 1.  Each stored row carries the
     combination ``tag -> coefficient`` of inserted vectors that it equals.
+    Coefficients enter through :func:`exact`, so integral ones stay ``int``.
     """
 
     def __init__(self, order: Callable[[Hashable], object]):
@@ -82,8 +96,10 @@ class Echelon:
 
     def reduce(self, vec: Mapping) -> tuple[dict, dict]:
         """``(remainder, combination)`` with ``vec = remainder + sum(c * v_tag)``
-        over the combination; the remainder vanishes at every pivot key."""
-        rem = {k: Fraction(c) for k, c in vec.items() if c != 0}
+        over the combination; the remainder vanishes at every pivot key.
+        Both hold ``int`` or ``Fraction`` values."""
+        # the int test inline spares a call per entry: rows are mostly int
+        rem = {k: c if type(c) is int else exact(c) for k, c in vec.items() if c != 0}
         comb: dict = {}
         heap = [(self._order(k), k) for k in rem if k in self._rows]
         heapq.heapify(heap)
@@ -114,10 +130,13 @@ class Echelon:
         if not rem:
             return False
         pivot = min(rem, key=self._order)
-        inv = 1 / rem[pivot]
-        row_comb = {t: -c * inv for t, c in comb.items()}
-        row_comb[tag] = row_comb.get(tag, 0) + inv
-        self._rows[pivot] = ({k: c * inv for k, c in rem.items()}, row_comb)
+        x = rem[pivot]
+        # a unit is its own inverse; else the exact reciprocal, never 1 / x
+        # (a float for an int x); exact() makes each stored value int if integral
+        inv = x if x == 1 or x == -1 else Fraction(x.denominator, x.numerator)
+        row_comb = {t: exact(-c * inv) for t, c in comb.items()}
+        row_comb[tag] = exact(row_comb.get(tag, 0) + inv)
+        self._rows[pivot] = ({k: exact(c * inv) for k, c in rem.items()}, row_comb)
         return True
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import inf
 from typing import Iterable, Mapping, Sequence
 
@@ -509,7 +509,9 @@ class MembershipSystem:
     the sum of its parts ``e_t I e_s``, and ``u*r*v`` lies in the part of
     ``(source(u), target(v))``; so each pair gets its own sparse echelon
     form (pivots at the least word in :meth:`Path.sort_key` order), built
-    on first use from that pair's products and kept for later queries.
+    on first use from that pair's products and kept for later queries.  The
+    forms are keyed by arrow tuples, the empty one standing for the trivial
+    path at the source, so no :class:`Path` is built or hashed per entry.
     Residuals, and certificates up to the order of their parts, equal those
     of one form over every product.  Raises :class:`BoundTooSmall` for a
     negative bound.
@@ -520,10 +522,17 @@ class MembershipSystem:
             raise BoundTooSmall("negative word length bound")
         self.quiver = q
         self.bound = word_length_bound
-        self._rels = [(ridx, r) for ridx, r in enumerate(relations.relations) if not r.poly.is_zero()]
+        # (index, relation, its terms as (arrows, exact coefficient))
+        self._rels = [
+            (ridx, r, [(p.arrows, linalg.exact(c)) for p, c in r.poly.terms.items()])
+            for ridx, r in enumerate(relations.relations)
+            if not r.poly.is_zero()
+        ]
         # the longest word a product u*r*v under the bound can reach
-        self._reach = 2 * self.bound + max((r.poly.max_length() for _, r in self._rels), default=inf)
-        self._order = lambda w: w.sort_key(q)
+        self._reach = 2 * self.bound + max((r.poly.max_length() for _, r, _ in self._rels), default=inf)
+        # each word's Path.sort_key, computed once; the empty tuple, the one
+        # trivial path of an endpoint system, precedes every word as its own key does
+        self._order = cache(lambda arrows: Path(arrows).sort_key(q) if arrows else (0, ()))
         self._echelons: dict[tuple[str, str], linalg.Echelon] = {}
         self._rows = self._nonzeros = 0
 
@@ -537,17 +546,17 @@ class MembershipSystem:
     def _echelon(self, s: str, t: str) -> linalg.Echelon:
         span = self._echelons.get((s, t))
         if span is None:
-            q, words = self.quiver, self._words_by_ends
+            words = self._words_by_ends
             span = self._echelons[(s, t)] = linalg.Echelon(self._order)
-            for ridx, r in self._rels:
+            for ridx, r, terms in self._rels:
                 for u in words.get((s, r.src), ()):
-                    ur = nc_mul(q, NCPoly.from_path(u), r.poly)
                     for v in words.get((r.tgt, t), ()):
-                        urv = nc_mul(q, ur, NCPoly.from_path(v))
-                        if not urv.is_zero():
-                            span.add(urv.terms, (u, ridx, v))
-                            self._rows += 1
-                            self._nonzeros += len(urv.terms)
+                        # u*r*v by joining words: the endpoints match, and
+                        # distinct terms give distinct words, so it is nonzero
+                        row = {u.arrows + arrows + v.arrows: c for arrows, c in terms}
+                        span.add(row, (u, ridx, v))
+                        self._rows += 1
+                        self._nonzeros += len(row)
         return span
 
     def stats(self) -> dict[str, int]:
@@ -566,20 +575,19 @@ class MembershipSystem:
         if p.max_length() > self._reach:
             raise BoundTooSmall(f"bound {self.bound} cannot reach words of length {p.max_length()}")
         q = self.quiver
-        by_ends: dict[tuple[str, str], dict[Path, Fraction]] = {}
+        by_ends: dict[tuple[str, str], dict[tuple[str, ...], Fraction]] = {}
         for w, c in p.terms.items():
-            by_ends.setdefault((w.source(q), w.target(q)), {})[w] = c
+            by_ends.setdefault((w.source(q), w.target(q)), {})[w.arrows] = c
         residual, combination = {}, {}
         for (s, t), part in by_ends.items():
             rem, comb = self._echelon(s, t).reduce(part)
-            residual.update(rem)
+            residual.update((Path(k) if k else trivial_path(s), c) for k, c in rem.items())
             combination.update(comb)
         if residual:
             # in word order, so render() without a quiver lists it the same way
-            return MembershipResult(
-                False, None, NCPoly({w: residual[w] for w in sorted(residual, key=self._order)})
-            )
-        parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
+            words = sorted(residual, key=lambda w: w.sort_key(q))
+            return MembershipResult(False, None, NCPoly({w: residual[w] for w in words}))
+        parts = [(Fraction(coeff), u, ridx, v) for (u, ridx, v), coeff in combination.items()]
         return MembershipResult(True, MembershipCertificate(parts), None)
 
 

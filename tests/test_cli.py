@@ -120,16 +120,31 @@ def test_monad_verify(capsys):
     assert code == 0 and "certified" in out
 
 
-def test_monad_verify_json_reports_membership_sizes_and_phases(capsys):
-    code, out, _ = run_capture(capsys, ["monad", "verify", "c3", "--json"])
-    assert code == 0
-    data = json.loads(out)
-    assert (data["certified"], data["components"], data["failures"]) == (True, 6, [])
+# template: (components, (systems, rows, nonzeros, pivots)); the sizes pin
+# the rows each endpoint system takes in, however the rows are built
+MONAD_MEMBERSHIP_SIZES = {
     # one vertex, so one endpoint system: 3 commutators times 4 words on
     # each side at bound 1, two terms each, and one dependency in degree 3
-    assert data["membership"] == {"systems": 1, "rows": 48, "nonzeros": 96, "pivots": 47}
-    assert sorted(data["phases"]) == ["compose", "membership"]
-    assert all(isinstance(s, float) and s >= 0 for s in data["phases"].values())
+    "c3": (6, (1, 48, 96, 47)),
+    "y20": (12, (4, 96, 192, 94)),
+    "pervsystem-c3": (6, (1, 48, 96, 47)),
+    "pervsystem-conifold": (8, (2, 20, 40, 20)),
+    "adhm3d": (8, (3, 90, 186, 89)),
+    "kn": (14, (6, 122, 250, 120)),
+    "ny3d": (10, (4, 30, 59, 30)),
+}
+
+
+def test_monad_verify_json_reports_membership_sizes_and_phases(capsys):
+    for template, (components, sizes) in MONAD_MEMBERSHIP_SIZES.items():
+        code, out, _ = run_capture(capsys, ["monad", "verify", template, "--json"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data["certified"], data["components"], data["failures"]) == (True, components, [])
+        m = data["membership"]
+        assert (template, m["systems"], m["rows"], m["nonzeros"], m["pivots"]) == (template, *sizes)
+        assert sorted(data["phases"]) == ["compose", "membership"]
+        assert all(isinstance(s, float) and s >= 0 for s in data["phases"].values())
 
 
 def test_monad_verify_numeric(tmp_path, capsys):
@@ -348,6 +363,14 @@ def test_character_empty_divisor_is_not_ignored(capsys):
     argv = ["character", "--divisor", "", "--m", "2", "--n", "0", "--t", "1", "--order", "3"]
     code, out, err = run_capture(capsys, argv)
     assert (code, out) == (2, "") and "partition lengths" in err
+
+
+def test_character_shift_and_divisor_are_exclusive(capsys):
+    argv = ["character", "--shift", "5", "--divisor", "mu=3,1"]
+    argv += ["--m", "2", "--n", "0", "--t", "1", "--order", "3"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "--shift" in err and "--divisor" in err and "not allowed with" in err
 
 
 def test_compare_pass_exit_zero(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -444,6 +445,101 @@ def test_membership_roundtrip_on_padded_relations(left, right):
     assert result.certificate.expand(q, rels) == p
 
 
+def _scaled_relation_sets():
+    """Hand-built relations whose coefficients 2, -3 and 2/3 make pivot
+    inverses non-integral; a trivial-path term in each set."""
+    f = Fraction
+    e0 = trivial_path("0")
+    q = c3()
+    c3_rels = RelationSet(q, [
+        Relation("0", "0", NCPoly({word("B2", "B3"): f(2), word("B3", "B2"): f(-3)})),
+        Relation("0", "0", NCPoly({word("B1"): f(2, 3), word("B3", "B1"): f(2)})),
+        Relation("0", "0", NCPoly({e0: f(-3), word("B2", "B2"): f(2, 3)})),
+    ])
+    k = conifold()
+    conifold_rels = RelationSet(k, [
+        Relation("1", "1", NCPoly({word("B", "A"): f(2), word("D", "C"): f(-3)})),
+        Relation("0", "1", NCPoly({word("A", "D", "C"): f(2, 3), word("C", "D", "A"): f(-2)})),
+        Relation("0", "0", NCPoly({e0: f(2), word("A", "B"): f(-3)})),
+    ])
+    return {"c3": (q, c3_rels), "conifold": (k, conifold_rels)}
+
+
+SCALED_RELATION_SETS = _scaled_relation_sets()
+
+
+def _scaled_queries(name, bound):
+    """Members (sums of products with one endpoint pair, and with several)
+    and non-members (a member plus words one past the bound), drawn with a
+    fixed seed."""
+    q, rels = SCALED_RELATION_SETS[name]
+    words = _paths_up_to(q, bound)
+    groups = {}
+    for r in rels:
+        for u in words:
+            for v in words:
+                urv = nc_mul(q, nc_mul(q, NCPoly.from_path(u), r.poly), NCPoly.from_path(v))
+                if not urv.is_zero():
+                    w = next(iter(urv.terms))
+                    groups.setdefault((w.source(q), w.target(q)), []).append(urv)
+    rng = random.Random(bound)
+    coeffs = [Fraction(2), Fraction(-3), Fraction(2, 3), Fraction(-1, 2)]
+    ends = sorted(groups)
+
+    def member(group):
+        p = NCPoly.zero()
+        for urv in rng.sample(group, min(3, len(group))):
+            p = p + urv.scale(rng.choice(coeffs))
+        return p
+
+    extra = [w for w in _paths_up_to(q, bound + 1) if len(w) == bound + 1]
+    queries = []
+    for _ in range(2):
+        queries.append(member(groups[rng.choice(ends)]))
+        queries.append(sum((member(g) for g in groups.values()), NCPoly.zero()))
+        word_past_bound = NCPoly.from_path(rng.choice(extra), rng.choice(coeffs))
+        queries.append(member(groups[rng.choice(ends)]) + word_past_bound)
+    return queries
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_RELATION_SETS))
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_membership_with_non_unit_coefficients_matches_oracles(name, bound):
+    q, rels = SCALED_RELATION_SETS[name]
+    system = MembershipSystem(q, rels, bound)
+    # on c3 at bound 2 the dense oracle solves a system of ~500 columns per
+    # query, too slow here; the sparse oracle still checks every query
+    dense = (name, bound) != ("c3", 2)
+    verdicts = set()
+    for p in _scaled_queries(name, bound):
+        result = system.decide(p)
+        o_success, o_parts, o_residual = _answer(oracles.ideal_membership_all_endpoints(q, p, rels, bound))
+        assert result.success == o_success
+        if dense:
+            success, _, residual = oracles.ideal_membership_dense(q, p, rels, bound)
+            assert success == o_success and (success or result.residual.terms == residual)
+        verdicts.add(o_success)
+        if o_success:
+            assert result.certificate.expand(q, rels) == p
+            assert {(u, r, v): c for c, u, r, v in result.certificate.parts} == {
+                (u, r, v): c for c, u, r, v in o_parts
+            }
+            assert all(type(c) is Fraction for c, *_ in result.certificate.parts)
+        else:
+            assert list(result.residual.terms.items()) == o_residual
+            assert all(type(c) is Fraction for c in result.residual.terms.values())
+    assert verdicts == {True, False}
+    # exact storage: int where integral, else Fraction; some pivots were not units
+    stored = [
+        x
+        for span in system._echelons.values()
+        for row, comb in span._rows.values()
+        for x in (*row.values(), *comb.values())
+    ]
+    assert all(type(x) in (int, Fraction) for x in stored)
+    assert any(type(x) is Fraction for x in stored)
+
+
 # -- Euler form ---------------------------------------------------------------------
 
 
@@ -583,6 +679,23 @@ def test_rank_matches_dense_oracle(rows, data):
     for j, x in enumerate(target):
         assert rem.get(j, 0) + sum(c * rows[i][j] for i, c in comb.items()) == x
     assert (not rem) == (oracles.rank_dense(m + (tuple(target),)) == len(span))
+
+
+def test_echelon_keeps_int_input_exact_through_a_pivot_of_two():
+    span = linalg.Echelon(str)
+    assert span.add({"a": 2, "b": 1}, "r0")  # pivot 2: stored scaled by 1/2
+    assert span.add({"a": 2, "b": 3}, "r1")  # remainder 2*b: pivot 2 again
+    rows = span._rows
+    assert rows["a"] == ({"a": 1, "b": Fraction(1, 2)}, {"r0": Fraction(1, 2)})
+    assert type(rows["a"][0]["a"]) is int and type(rows["b"][0]["b"]) is int
+    assert all(
+        type(x) in (int, Fraction) for row, comb in rows.values() for x in (*row.values(), *comb.values())
+    )
+    assert span.reduce({"a": 4, "b": 2}) == ({}, {"r0": 2})
+    rem, comb = span.reduce({"a": 1})
+    assert rem == {} and comb == {"r0": Fraction(3, 4), "r1": Fraction(-1, 4)}
+    with pytest.raises(TypeError, match="inexact"):
+        span.add({"c": 0.5}, "r2")
 
 
 def test_echelon_tracks_combinations():
