@@ -1,31 +1,28 @@
 """Geometry data: quivers with potential for the small toric Calabi-Yau
 threefolds of the Y_{m,n} family, generated from cyclic parity sequences;
-framed variants and chart resolutions with generator maps, stored as
-tables; monad templates built from the chart data; and
-divisor-to-shift-matrix arithmetic.
+framed variants; monad templates derived from the framed quiver with
+potential and one chart monomial per arrow; and divisor-to-shift-matrix
+arithmetic.
 
 Potentials are transcribed into traversal-order words (see
 :mod:`quiverdt.ncalg`); a product of operators reads right-to-left, so the
-first arrow of each stored word is the one applied first.  A monad template
-is the direct sum of its chart's vertex resolutions plus one term per arrow
-from that arrow's chain map (Nagao-Nakajima, *Counting invariant of
-perverse coherent sheaves and its wall-crossing*), plus terms quadratic in
-the arrows read off the quartic terms of the potential, plus the
-template's framing entries.  The stored chain maps and entries carry the
-signs under which every template composes to zero modulo its relation
-ideal; the framing entries differ from ad-hoc conventions elsewhere only
-by harmless basis sign flips on framing summands, plus the internal
-one-step differential of the framing-node resolution on the diagonal
-framing entry.
+first arrow of each stored word is the one applied first.  A chart of a
+geometry is a point of it: each internal arrow a takes a coordinate
+monomial mu(a), so that mu kills every abelianised cyclic derivative of W,
+and each vertex a line-bundle degree.  A monad template is the bimodule
+Koszul resolution of the Jacobi algebra of (Q^f, W^f) (Ginzburg,
+*Calabi-Yau algebras*) with its right factor taken at that point, the
+construction behind the perverse coherent systems of Nagao-Nakajima
+(*Counting invariant of perverse coherent sheaves and its wall-crossing*):
+see :func:`get_monad_template`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import framing, monad
+from . import framing, linalg, monad
 from .framing import FramedQuiverWithPotential
 from .monad import MonadTemplate, Slot
 from .ncalg import Arrow, Potential, Quiver, relations_from_potential
@@ -39,40 +36,7 @@ class NegativeShift(ValueError):
     pass
 
 
-# -- coordinate polynomial shorthand -----------------------------------------
-
-O_ = (0, 0, 0)
-X = (1, 0, 0)
-Y = (0, 1, 0)
-Z = (0, 0, 1)
-XZ = (1, 0, 1)
-ZY = (0, 1, 1)
-
-
-def _poly(*terms) -> dict:
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for coeff, exps in terms:
-        out[exps] = out.get(exps, Fraction(0)) + Fraction(coeff)
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _pm(rows) -> tuple:
-    """Polynomial matrix from entries that are term lists or 0."""
-    return tuple(
-        tuple(_poly(*e) if e else {} for e in row) for row in rows
-    )
-
-
 # -- geometries ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """Graded free modules over the chart with their differentials."""
-
-    vertex: str
-    degrees: tuple[tuple[int, ...], ...]
-    diffs: tuple  # polynomial matrices, one per consecutive pair
 
 
 @dataclass(frozen=True)
@@ -83,8 +47,8 @@ class CatalogEntry:
     simples: tuple[str, ...]
     coords: tuple[str, ...]
     twists: tuple[int, ...]
-    resolutions: dict
-    generator_maps: dict  # arrow name -> tuple of polynomial matrices (degree-1 chain map)
+    degrees: dict[str, int]  # vertex -> line-bundle degree of its chart slots
+    point: dict[str, tuple[int, ...]]  # arrow -> exponents of its chart monomial
     curve_classes: tuple[str, ...]
 
 
@@ -164,155 +128,22 @@ def get_quiver_with_potential(geometry: str) -> tuple[Quiver, Potential]:
     return q, Potential.from_words(q, [(sign * c, wd) for c, wd in words])
 
 
-def _c3_chart():
-    """Twists, the Koszul resolution of the vertex and the chain maps of
-    the three loops."""
-    res = {
-        "0": Resolution(
-            "0",
-            ((0,), (0, 0, 0), (0, 0, 0), (0,)),
-            (
-                _pm([[[(-1, X)]], [[(1, Y)]], [[(-1, Z)]]]),
-                _pm(
-                    [
-                        [0, [(-1, Z)], [(-1, Y)]],
-                        [[(-1, Z)], 0, [(1, X)]],
-                        [[(1, Y)], [(1, X)], 0],
-                    ]
-                ),
-                _pm([[[(1, X)], [(1, Y)], [(1, Z)]]]),
-            ),
-        )
-    }
-    gmaps = {
-        "B1": (
-            _pm([[[(-1, O_)]], [0], [0]]),
-            _pm([[0, 0, 0], [0, 0, [(-1, O_)]], [0, [(-1, O_)], 0]]),
-            _pm([[[(1, O_)], 0, 0]]),
-        ),
-        "B2": (
-            _pm([[0], [[(1, O_)]], [0]]),
-            _pm([[0, 0, [(1, O_)]], [0, 0, 0], [[(-1, O_)], 0, 0]]),
-            _pm([[0, [(1, O_)], 0]]),
-        ),
-        "B3": (
-            _pm([[0], [0], [[(-1, O_)]]]),
-            _pm([[0, [(1, O_)], 0], [[(1, O_)], 0, 0], [0, 0, 0]]),
-            _pm([[0, 0, [(1, O_)]]]),
-        ),
-    }
-    return (0, 0, 0), res, gmaps
-
-
-def _conifold_chart():
-    """Twists, the resolutions of both vertices and the arrows' chain maps."""
-    res = {
-        "0": Resolution(
-            "0",
-            ((0,), (1, 1), (1, 1), (0,)),
-            (
-                _pm([[[(1, O_)]], [[(1, Z)]]]),
-                _pm([[[(1, ZY)], [(-1, Y)]], [[(-1, XZ)], [(1, X)]]]),
-                _pm([[[(1, X)], [(1, Y)]]]),
-            ),
-        ),
-        "1": Resolution(
-            "1",
-            ((1,), (0, 0), (0, 0), (1,)),
-            (
-                _pm([[[(1, X)]], [[(1, Y)]]]),
-                _pm([[[(1, ZY)], [(-1, XZ)]], [[(-1, Y)], [(1, X)]]]),
-                _pm([[[(1, O_)], [(1, Z)]]]),
-            ),
-        ),
-    }
-    gmaps = {
-        "A": (
-            _pm([[[(1, O_)]], [0]]),
-            _pm([[0, [(1, Y)]], [[(-1, Y)], 0]]),
-            _pm([[[(-1, O_)], 0]]),
-        ),
-        "C": (
-            _pm([[0], [[(1, O_)]]]),
-            _pm([[0, [(-1, X)]], [[(1, X)], 0]]),
-            _pm([[0, [(-1, O_)]]]),
-        ),
-        "B": (
-            _pm([[[(1, O_)]], [0]]),
-            _pm([[0, [(1, Z)]], [[(-1, Z)], 0]]),
-            _pm([[[(-1, O_)], 0]]),
-        ),
-        "D": (
-            _pm([[0], [[(1, O_)]]]),
-            _pm([[0, [(-1, O_)]], [[(1, O_)], 0]]),
-            _pm([[0, [(-1, O_)]]]),
-        ),
-    }
-    return (-1, -1, 1), res, gmaps
-
-
-def _y20_chart():
-    """Twists, the resolutions of both vertices and the arrows' chain maps."""
-    res = {
-        "0": Resolution(
-            "0",
-            ((0,), (0, 1, 1), (0, 1, 1), (0,)),
-            (
-                _pm([[[(1, Y)]], [[(1, O_)]], [[(1, Z)]]]),
-                _pm(
-                    [
-                        [0, [(1, XZ)], [(-1, X)]],
-                        [[(-1, Z)], 0, [(1, Y)]],
-                        [[(1, O_)], [(-1, Y)], 0],
-                    ]
-                ),
-                _pm([[[(1, Y)], [(1, X)], [(1, XZ)]]]),
-            ),
-        ),
-        "1": Resolution(
-            "1",
-            ((1,), (1, 0, 0), (1, 0, 0), (1,)),
-            (
-                _pm([[[(1, Y)]], [[(1, X)]], [[(1, XZ)]]]),
-                _pm(
-                    [
-                        [0, [(1, Z)], [(-1, O_)]],
-                        [[(-1, XZ)], 0, [(1, Y)]],
-                        [[(1, X)], [(-1, Y)], 0],
-                    ]
-                ),
-                _pm([[[(1, Y)], [(1, O_)], [(1, Z)]]]),
-            ),
-        ),
-    }
-    loop_map = (
-        _pm([[[(1, O_)]], [0], [0]]),
-        _pm([[0, 0, 0], [0, 0, [(-1, O_)]], [0, [(1, O_)], 0]]),
-        _pm([[[(1, O_)], 0, 0]]),
-    )
-    hop_map_1 = (
-        _pm([[0], [[(-1, O_)]], [0]]),
-        _pm([[0, 0, [(-1, O_)]], [0, 0, 0], [[(1, O_)], 0, 0]]),
-        _pm([[0, [(-1, O_)], 0]]),
-    )
-    hop_map_2 = (
-        _pm([[0], [0], [[(-1, O_)]]]),
-        _pm([[0, [(1, O_)], 0], [[(-1, O_)], 0, 0], [0, 0, 0]]),
-        _pm([[0, 0, [(-1, O_)]]]),
-    )
-    gmaps = {
-        "E": loop_map,
-        "F": loop_map,
-        "A": hop_map_1,
-        "C": hop_map_2,
-        "B": hop_map_1,
-        "D": hop_map_2,
-    }
-    return (-2, 0, 1), res, gmaps
-
-
-# geometry -> its chart data; the y{m}0 with m >= 3 have none
-_CHARTS = {"c3": _c3_chart, "conifold": _conifold_chart, "y20": _y20_chart}
+# geometry -> (twists, vertex -> degree, arrow -> chart monomial in x, y, z);
+# the y{m}0 with m >= 3 have no chart
+_CHARTS = {
+    "c3": ((0, 0, 0), {"0": 0}, {"B1": (1, 0, 0), "B2": (0, 1, 0), "B3": (0, 0, 1)}),
+    "conifold": (
+        (-1, -1, 1), {"0": 0, "1": 1},
+        {"A": (1, 0, 0), "C": (0, 1, 0), "B": (0, 0, 0), "D": (0, 0, 1)},
+    ),
+    "y20": (
+        (-2, 0, 1), {"0": 0, "1": 1},
+        {
+            "E": (0, 1, 0), "F": (0, 1, 0), "A": (1, 0, 0), "C": (1, 0, 1),
+            "B": (0, 0, 0), "D": (0, 0, 1),
+        },
+    ),
+}
 
 
 def get_entry(geometry: str) -> CatalogEntry:
@@ -320,11 +151,10 @@ def get_entry(geometry: str) -> CatalogEntry:
     C1..C(N-1) follow from its N vertices."""
     g = geometry.lower()
     q, w = get_quiver_with_potential(g)
-    chart = _CHARTS.get(_lookup(g)[0])
-    twists, res, gmaps = chart() if chart else ((0, 0, 0), {}, {})
+    twists, degrees, point = _CHARTS.get(_lookup(g)[0], ((0, 0, 0), {}, {}))
     n = len(q.vertices)
     return CatalogEntry(
-        g, q, w, tuple(f"F{i}" for i in range(n)), ("x", "y", "z"), twists, res, gmaps,
+        g, q, w, tuple(f"F{i}" for i in range(n)), ("x", "y", "z"), twists, degrees, point,
         tuple(f"C{i}" for i in range(1, n)),
     )
 
@@ -411,42 +241,15 @@ def get_framed_example(example: str) -> FramedQuiverWithPotential:
 # -- monad templates --------------------------------------------------------------
 
 
-# template -> (geometry, framed example or None, term -> (degree, vertex) slots
-# appended after the chart's, entries added to the chart monad as
-# {(stage, row, col): ((coeff, exps, word), ...)})
+# template -> (geometry, framed example or None)
 _MONAD_TEMPLATES = {
-    "c3": ("c3", None, {}, {}),
-    "y20": ("y20", None, {}, {}),
-    "pervsystem-c3": (
-        "c3", "pervsystem-c3", {2: ((0, "inf"),)}, {(2, 0, 3): ((1, O_, ("I",)),)},
-    ),
-    "pervsystem-conifold": (
-        "conifold", "pervsystem-conifold", {2: ((0, "inf"),)}, {(2, 0, 4): ((1, O_, ("I",)),)},
-    ),
-    "adhm3d": (
-        "c3", "adhm3d", {1: ((0, "inf"),), 2: ((0, "inf"),)},
-        {
-            (0, 3, 0): ((1, O_, ("J",)),), (1, 2, 3): ((1, O_, ("I",)),),
-            (1, 3, 2): ((-1, O_, ("J",)),), (1, 3, 3): ((1, O_, ("Af",)), (-1, Z, ())),
-            (2, 0, 3): ((1, O_, ("I",)),),
-        },
-    ),
-    "kn": (
-        "y20", "kn", {1: ((0, "inf"),), 2: ((0, "inf"),)},
-        {
-            (0, 6, 0): ((1, O_, ("J",)),), (1, 0, 6): ((-1, O_, ("I",)),),
-            (1, 6, 0): ((1, O_, ("J",)),), (1, 6, 6): ((1, O_, ("Gf",)), (-1, Y, ())),
-            (2, 0, 6): ((-1, O_, ("I",)),),
-        },
-    ),
-    "ny3d": (
-        "conifold", "ny3d", {1: ((1, "inf"),), 2: ((0, "inf"),)},
-        {
-            (0, 4, 1): ((-1, O_, ("J",)),), (1, 1, 4): ((1, O_, ("I",)),),
-            (1, 4, 3): ((1, O_, ("J",)),), (1, 4, 4): ((1, Y, ()),),
-            (2, 0, 4): ((-1, O_, ("I",)),),
-        },
-    ),
+    "c3": ("c3", None),
+    "y20": ("y20", None),
+    "pervsystem-c3": ("c3", "pervsystem-c3"),
+    "pervsystem-conifold": ("conifold", "pervsystem-conifold"),
+    "adhm3d": ("c3", "adhm3d"),
+    "kn": ("y20", "kn"),
+    "ny3d": ("conifold", "ny3d"),
 }
 
 
@@ -454,7 +257,7 @@ def monad_template_ids() -> tuple[str, ...]:
     return tuple(_MONAD_TEMPLATES)
 
 
-def _monad_spec(template: str) -> tuple:
+def _monad_spec(template: str) -> tuple[str, str | None]:
     try:
         return _MONAD_TEMPLATES[template.lower()]
     except KeyError:
@@ -462,64 +265,69 @@ def _monad_spec(template: str) -> tuple:
 
 
 def get_monad_template(template: str) -> MonadTemplate:
-    """A catalog monad template, built from its geometry's chart.
+    """A catalog monad template, derived from the quiver with potential of
+    its framed example (or of its geometry when unframed) and the
+    geometry's chart: the vertex degrees deg and the point mu, which is
+    zero on framing and marked arrows.
 
-    Term k holds one slot ``Slot(d, v)`` per degree d of vertex v's
-    resolution in term k, vertices in quiver order, then the template's
-    framing slots.  The differential d_k carries each resolution's d_k on
-    the block diagonal with the empty word, and for each arrow a the chain
-    map g_a[k] times the word ``(a,)`` with sign (-1)^(k+1), from the src(a)
-    block of term k to the tgt(a) block of term k+1.  A quartic term c*w of
-    the geometry's potential adds to d_1, for each rotation x*m1*m2*y of w
-    with x into and y out of the vertex v of index i, the entry
-    (-1)^i * c times the word ``(m1, m2)``: its row is v's first slot in
-    term 2 plus y's index among the arrows out of v, its column v's first
-    slot in term 1 plus x's index among the arrows into v (both in quiver
-    order).  The template's framing entries are added last.  Coordinates
-    and twists come from the geometry, the quiver from the framed example
-    (or the geometry when unframed).
+    Terms 0 and 3 hold one slot ``Slot(deg v, v)`` per internal vertex v,
+    term 1 one slot ``Slot(deg src a, tgt a)`` per unmarked arrow a with an
+    internal source, and term 2 one slot ``Slot(deg tgt b, src b)`` per
+    unmarked arrow b with an internal target; slots are grouped by vertex
+    in quiver order, and by arrow in quiver order within a vertex.  d_0
+    sends a to ``a - mu(a)`` and d_2 sends b to ``b - mu(b)``, the word a
+    from the slot of src a and the monomial mu(a) from that of tgt a (for
+    d_2, the word b into the slot of tgt b and mu(b) into that of src b).
+    The d_1
+    entry from a to b is the sum of ``c * P * mu(R)`` over the terms c*w of
+    the potential and the rotations w = a P b R, with P as the word and
+    mu(R) as the coordinate monomial.  So d_1 d_0 and d_2 d_1 are the
+    cyclic derivatives of W; their coordinate-only parts vanish because mu
+    kills every abelianised cyclic derivative.
     """
-    geometry, example, framing_slots, framing_entries = _monad_spec(template)
+    geometry, example = _monad_spec(template)
     entry = get_entry(geometry)
-    quiver = entry.quiver if example is None else get_framed_example(example).quiver
-    res, vertices = entry.resolutions, entry.quiver.vertices
-    terms, starts = [], []
-    for k in range(len(res[vertices[0]].degrees)):
-        slots, start = [], {}
-        for v in vertices:
-            start[v] = len(slots)
-            slots += [Slot(d, v) for d in res[v].degrees[k]]
-        terms.append(tuple(slots + [Slot(d, v) for d, v in framing_slots.get(k, ())]))
-        starts.append(start)
+    qp = entry if example is None else get_framed_example(example)
+    quiver, deg, mu = qp.quiver, entry.degrees, entry.point
+    zero = (0,) * len(entry.coords)
+    unmarked = [a for a in quiver.arrows if not a.marked]
+    outs = [a for v in quiver.vertices for a in unmarked if a.tgt == v and a.src in deg]
+    ins = [b for v in quiver.vertices for b in unmarked if b.src == v and b.tgt in deg]
+    vertex = {v: i for i, v in enumerate(entry.quiver.vertices)}
+    ends = tuple(Slot(deg[v], v) for v in vertex)
+    terms = (
+        ends,
+        tuple(Slot(deg[a.src], a.tgt) for a in outs),
+        tuple(Slot(deg[b.tgt], b.src) for b in ins),
+        ends,
+    )
     diffs = [[[{} for _ in src] for _ in tgt] for src, tgt in zip(terms, terms[1:])]
-    for k in range(len(diffs)):
-        blocks = [(v, v, (), 1, res[v].diffs[k]) for v in vertices] + [
-            (a.src, a.tgt, (a.name,), (-1) ** (k + 1), entry.generator_maps[a.name][k])
-            for a in entry.quiver.arrows
-        ]
-        for src, tgt, word, sign, mat in blocks:
-            for i, row in enumerate(mat):
-                for j, poly in enumerate(row):
-                    cell = diffs[k][starts[k + 1][tgt] + i][starts[k][src] + j]
-                    for exps, c in poly.items():
-                        cell[exps, word] = sign * c
-    q = entry.quiver
-    for w, c in entry.potential.terms.items():
-        if len(w) != 4:
-            continue
-        for r in range(4):
-            x, m1, m2, y = map(q.arrow, w.names[r:] + w.names[:r])
-            v = x.tgt
-            if y.src == v:
-                row = starts[2][v] + q.arrows_from(v).index(y)
-                col = starts[1][v] + tuple(a for a in q.arrows if a.tgt == v).index(x)
-                diffs[1][row][col][O_, (m1.name, m2.name)] = (-1) ** q.vertex_index(v) * c
-    for (k, i, j), ts in framing_entries.items():
-        for c, exps, word in ts:
-            diffs[k][i][j][exps, word] = Fraction(c)
+    for i, a in enumerate(outs):
+        diffs[0][i][vertex[a.src]][zero, (a.name,)] = 1
+        if a.name in mu:
+            diffs[0][i][vertex[a.tgt]][mu[a.name], ()] = -1
+    for j, b in enumerate(ins):
+        diffs[2][vertex[b.tgt]][j][zero, (b.name,)] = 1
+        if b.name in mu:
+            diffs[2][vertex[b.src]][j][mu[b.name], ()] = -1
+    col = {a.name: j for j, a in enumerate(outs)}
+    row = {b.name: i for i, b in enumerate(ins)}
+    for w, c in qp.potential.terms.items():
+        for r in range(len(w.names)):
+            rot = w.names[r:] + w.names[:r]
+            for k in range(1, len(rot)):
+                rest = rot[k + 1:]
+                if rot[0] in col and rot[k] in row and all(x in mu for x in rest):
+                    exps = tuple(map(sum, zip(zero, *(mu[x] for x in rest))))
+                    cell = diffs[1][row[rot[k]]][col[rot[0]]]
+                    cell[exps, rot[1:k]] = cell.get((exps, rot[1:k]), 0) + linalg.exact(c)
     return MonadTemplate(
-        template.lower(), entry.coords, entry.twists, tuple(terms),
-        tuple(tuple(tuple(row) for row in mat) for mat in diffs), quiver,
+        template.lower(), entry.coords, entry.twists, terms,
+        tuple(
+            tuple(tuple({k: c for k, c in cell.items() if c} for cell in cells) for cells in mat)
+            for mat in diffs
+        ),
+        quiver,
     )
 
 
@@ -529,7 +337,7 @@ def monad_case(template: str):
     potential's relations for an unframed template, the framed relations at
     zero framing for a framed one."""
     tpl = get_monad_template(template)
-    geometry, example, _, _ = _monad_spec(template)
+    geometry, example = _monad_spec(template)
     if example is None:
         rels = relations_from_potential(*get_quiver_with_potential(geometry))
     else:
@@ -560,21 +368,6 @@ class ShiftMatrix:
             raise ValueError("subdiagonal must have length m + n - 1")
         if any(s < 0 for s in self.sub):
             raise NegativeShift(f"negative subdiagonal entry in {self.sub}")
-
-    def full_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The filled-in lower-triangular matrix: entry (i, j) for i > j is
-        the sum of the subdiagonal entries between them."""
-        size = self.m + self.n
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                if i <= j:
-                    row.append(0)
-                else:
-                    row.append(sum(self.sub[j:i]))
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 def divisor_to_shift_matrix(m: int, n: int, mu, nu=()) -> ShiftMatrix:

@@ -111,10 +111,6 @@ def generator_weights(p: Pyramid) -> WeightMultiset:
     return out
 
 
-def generator_count(ws: WeightMultiset) -> int:
-    return sum(ws.values())
-
-
 Factors = dict[tuple[tuple[int, ...], int], int]  # ((exponent,), sign) -> power
 
 

@@ -3,12 +3,14 @@ figures, limits, and monad certification, each returning a structured
 verdict.  These are the identities behind the ``compare`` CLI command.
 
 Fixed-point signs.  The enumerators count unsigned objects.  For the
-Y_{m,n} geometry with parity sequence sigma, the signed series that the
-closed-form product computes differs from the unsigned count by one sign
-twist on the count: q_c -> -q_c for each vertex c != 0 without a loop, and
-for c = 0 when vertex 0 has a loop (vertex c has one when sigma_c =
-sigma_(c+1)).  That is q1 -> -q1 for the conifold (01) and q0 -> -q0 for
-y{m}0 (0^m), each pinned order by order against the products.
+Y_{m,n} geometry, the signed series that the closed-form product computes
+weighs the dimension vector d by (-1)^(d_0 + chi(d, d)), with chi the Euler
+form of the geometry's quiver: the parity of the framed representation
+space minus the gauge group (Szendroi, *Non-commutative Donaldson-Thomas
+invariants and the conifold*).  Each arrow pair i -> i+1, i+1 -> i adds
+an even amount, so the weight is multiplicative: q_c -> -q_c when [c = 0] +
+chi(e_c, e_c) is odd.  That is q1 -> -q1 for the conifold (01) and q0 ->
+-q0 for y{m}0 (0^m), each pinned order by order against the products.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import characters, partitions
-from .catalog import ShiftMatrix
+from .catalog import ShiftMatrix, _ymn
+from .ncalg import Quiver, chi_form
 from .qseries import (
     Mono,
     QSeries,
@@ -102,16 +105,23 @@ def ymn_ncdt_product(sigma: str, order: int) -> QSeries:
     return substitute(Substitution(vars_, _qs(n), images), prod)
 
 
+def fixed_point_flips(q: Quiver) -> tuple[bool, ...]:
+    """Whether q_c -> -q_c, vertex by vertex: the parity of [c = 0] +
+    chi(e_c, e_c)."""
+    return tuple(
+        ((c == 0) + chi_form(q, {v: 1}, {v: 1})) % 2 == 1 for c, v in enumerate(q.vertices)
+    )
+
+
 def check_ymn_ncdt(sigma: str, enumerator, order: int, name: str) -> CheckResult:
     """The unsigned count ``enumerator(order)`` in q0..q_(N-1), under the
-    sign twist of sigma, against :func:`ymn_ncdt_product`."""
+    fixed-point sign twist of the quiver of sigma, against
+    :func:`ymn_ncdt_product`."""
     t0 = time.perf_counter()
     n = len(sigma)
     target = ymn_ncdt_product(sigma, order)
     twist = {}
-    for c in range(n):
-        loop = sigma[c] == sigma[(c + 1) % n]
-        flip = loop if c == 0 else not loop
+    for c, flip in enumerate(fixed_point_flips(_ymn(sigma)[0])):
         twist[f"q{c}"] = Mono(-1 if flip else 1, tuple(int(d == c) for d in range(n)))
     signed = substitute(Substitution(_qs(n), _qs(n), twist), enumerator(order))
     return _result(name, order, t0, compare(signed, target))

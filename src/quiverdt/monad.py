@@ -43,8 +43,9 @@ class RelationsViolated(MonadError):
     pass
 
 
-# entry term: (coordinate exponents, arrow word) -> coefficient
-Entry = dict[tuple[tuple[int, ...], tuple[str, ...]], Fraction]
+# entry term: (coordinate exponents, arrow word) -> exact coefficient
+# (an int when integral, see linalg.exact)
+Entry = dict[tuple[tuple[int, ...], tuple[str, ...]], int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def assemble(template: MonadTemplate,
     """Bind marked symbols to scalars (rank-one framing slots) and validate
     the result; a marked symbol left out of ``marked_values`` stays in its
     words."""
-    values = {name: Fraction(v) for name, v in (marked_values or {}).items()}
+    values = {name: linalg.exact(v) for name, v in (marked_values or {}).items()}
     for name in values:
         if not any(a.name == name and a.marked for a in template.quiver.arrows):
             raise MonadError(f"{name!r} is not a marked arrow of {template.label}")
@@ -91,7 +92,7 @@ def assemble(template: MonadTemplate,
     return complex_
 
 
-def _bind(e: Entry, values: Mapping[str, Fraction]) -> Entry:
+def _bind(e: Entry, values: Mapping[str, int | Fraction]) -> Entry:
     out: Entry = {}
     for (exps, word), c in e.items():
         for name in word:
@@ -99,7 +100,7 @@ def _bind(e: Entry, values: Mapping[str, Fraction]) -> Entry:
                 c *= values[name]
         if c != 0:
             key = (exps, tuple(name for name in word if name not in values))
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c != 0}
 
 
@@ -157,7 +158,7 @@ def _entry_mul(first: Entry, then: Entry) -> Entry:
         for (e2, w2), c2 in then.items():
             exps = tuple(a + b for a, b in zip(e1, e2))
             key = (exps, w1 + w2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            out[key] = out.get(key, 0) + c1 * c2
     return {k: c for k, c in out.items() if c != 0}
 
 
@@ -173,18 +174,18 @@ def compose_stage(c: MonadComplex, stage: int) -> list[list[Entry]]:
             for l in range(mid):
                 part = _entry_mul(d1[l][j], d2[i][l])
                 for k, v in part.items():
-                    acc[k] = acc.get(k, Fraction(0)) + v
+                    acc[k] = acc.get(k, 0) + v
             out[i][j] = {k: v for k, v in acc.items() if v != 0}
     return out
 
 
 def entry_to_ncpolys(e: Entry, src_vertex: str) -> dict[tuple[int, ...], NCPoly]:
     """Split an entry by coordinate monomial into word polynomials."""
-    buckets: dict[tuple[int, ...], dict[Path, Fraction]] = {}
+    buckets: dict[tuple[int, ...], dict[Path, int | Fraction]] = {}
     for (exps, word), coeff in e.items():
         p = Path(tuple(word)) if word else trivial_path(src_vertex)
         bucket = buckets.setdefault(exps, {})
-        bucket[p] = bucket.get(p, Fraction(0)) + coeff
+        bucket[p] = bucket.get(p, 0) + coeff
     return {exps: NCPoly(terms) for exps, terms in buckets.items()}
 
 

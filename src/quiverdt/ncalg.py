@@ -598,7 +598,7 @@ def ideal_membership(
     return MembershipSystem(q, relations, word_length_bound).decide(p)
 
 
-# -- Euler form and block dimensions -----------------------------------------
+# -- Euler form ---------------------------------------------------------------
 
 DimVector = Mapping[str, int]
 
@@ -616,54 +616,6 @@ def chi_form(q: Quiver, a: DimVector, b: DimVector, exclude: frozenset[str] = fr
             continue
         total -= a.get(e.src, 0) * b.get(e.tgt, 0)
     return total
-
-
-def block_dims(q: Quiver, a: DimVector, b: DimVector, exclude: frozenset[str] = frozenset()):
-    """Dimensions (X_ab, G_ab, X_(a+b), G_(a+b), X_a, G_a, X_b, G_b) of the
-    arrow and gauge spaces for the pair, the sum, and each summand."""
-
-    def xdim(d: DimVector) -> int:
-        return sum(
-            d.get(e.src, 0) * d.get(e.tgt, 0)
-            for e in q.arrows
-            if not e.marked and e.src not in exclude and e.tgt not in exclude
-        )
-
-    def gdim(d: DimVector) -> int:
-        return sum(d.get(v, 0) ** 2 for v in q.vertices if v not in exclude)
-
-    def pair_x() -> int:
-        total = 0
-        for e in q.arrows:
-            if e.marked or e.src in exclude or e.tgt in exclude:
-                continue
-            s, t = e.src, e.tgt
-            total += (
-                a.get(s, 0) * a.get(t, 0)
-                + a.get(s, 0) * b.get(t, 0)
-                + b.get(s, 0) * b.get(t, 0)
-            )
-        return total
-
-    def pair_g() -> int:
-        total = 0
-        for v in q.vertices:
-            if v in exclude:
-                continue
-            total += a.get(v, 0) ** 2 + a.get(v, 0) * b.get(v, 0) + b.get(v, 0) ** 2
-        return total
-
-    ab = {v: a.get(v, 0) + b.get(v, 0) for v in q.vertices}
-    return (
-        pair_x(),
-        pair_g(),
-        xdim(ab),
-        gdim(ab),
-        xdim(a),
-        gdim(a),
-        xdim(b),
-        gdim(b),
-    )
 
 
 # -- numeric evaluation -------------------------------------------------------

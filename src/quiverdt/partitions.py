@@ -46,10 +46,6 @@ def partition_counts(order: int) -> list[int]:
     return c
 
 
-def partition_count(n: int) -> int:
-    return partition_counts(n)[n] if n >= 0 else 0
-
-
 def partition_series(order: int) -> QSeries:
     """Coefficient of q^n counts partitions of n."""
     counts = partition_counts(order)

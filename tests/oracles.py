@@ -21,11 +21,16 @@ logarithmic-derivative recurrence.  The catalog's quivers and potentials
 as they were written out by hand before the parity-sequence generator
 (``literal_quiver_with_potential``), and the NCDT products built MacMahon
 by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``), pin the
-generator and ``checks.ymn_ncdt_product``.  The monad templates typed out
-row by row (``literal_monad_templates``) pin the catalog's construction of
-them from chart resolutions, generator maps and the quartic terms of the
-potential.  The framed potential expanded by a recursion over each word
-(``expand_by_recursion``) is the reference for ``framing.expand``.
+generator and ``checks.ymn_ncdt_product``; the NCDT sign twist as it was
+read off the parity sequence (``ymn_sign_flips``) pins the twist that
+``checks`` derives from the Euler form, and the arrow and gauge dimensions
+of a pair of dimension vectors (``block_dims``) cross-check the Euler form
+itself.  The monad templates typed out row by row
+(``literal_monad_templates``) pin, up to a sign on each summand, the
+catalog's derivation of them from the framed quiver with potential and one
+chart monomial per arrow.  The framed potential expanded by a recursion
+over each word (``expand_by_recursion``) is the reference for
+``framing.expand``.
 """
 
 from __future__ import annotations
@@ -563,6 +568,22 @@ def literal_quiver_with_potential(geometry: str):
     return q, Potential.from_words(q, words)
 
 
+# -- the NCDT sign twist read off the parity sequence ------------------------------
+
+
+def ymn_sign_flips(sigma: str) -> tuple[bool, ...]:
+    """Whether q_c -> -q_c, as the rule was stated on sigma before it was
+    derived from the Euler form: for each vertex c != 0 without a loop, and
+    for c = 0 when vertex 0 has a loop (vertex c has one when sigma_c =
+    sigma_(c+1))."""
+    n = len(sigma)
+    flips = []
+    for c in range(n):
+        loop = sigma[c] == sigma[(c + 1) % n]
+        flips.append(loop if c == 0 else not loop)
+    return tuple(flips)
+
+
 # -- NCDT products, MacMahon by MacMahon --------------------------------------------
 
 
@@ -809,8 +830,8 @@ def _entry_matrix(rows) -> tuple:
 
 def literal_monad_templates() -> dict:
     """Every stored monad template with its slots and differential entries
-    typed out row by row, as the catalog held them before it built them
-    from the chart resolutions and generator maps.  Coordinates and twists
+    typed out row by row, as the catalog held them before it derived them
+    from the framed quiver with potential.  Coordinates and twists
     come from the catalog entry of the geometry, the quiver from the
     framed example (or the geometry)."""
     from quiverdt import catalog
@@ -826,6 +847,59 @@ def literal_monad_templates() -> dict:
             tuple(_entry_matrix(d) for d in rows), quiver,
         )
     return out
+
+
+# -- Euler form and block dimensions ------------------------------------------------
+
+
+def block_dims(q, a, b, exclude: frozenset[str] = frozenset()):
+    """Dimensions (X_ab, G_ab, X_(a+b), G_(a+b), X_a, G_a, X_b, G_b) of the
+    arrow and gauge spaces for the pair, the sum, and each summand: the
+    cross-check of ``ncalg.chi_form``, which equals G_ab - G_a - G_b - X_ab +
+    X_a + X_b."""
+
+    def xdim(d) -> int:
+        return sum(
+            d.get(e.src, 0) * d.get(e.tgt, 0)
+            for e in q.arrows
+            if not e.marked and e.src not in exclude and e.tgt not in exclude
+        )
+
+    def gdim(d) -> int:
+        return sum(d.get(v, 0) ** 2 for v in q.vertices if v not in exclude)
+
+    def pair_x() -> int:
+        total = 0
+        for e in q.arrows:
+            if e.marked or e.src in exclude or e.tgt in exclude:
+                continue
+            s, t = e.src, e.tgt
+            total += (
+                a.get(s, 0) * a.get(t, 0)
+                + a.get(s, 0) * b.get(t, 0)
+                + b.get(s, 0) * b.get(t, 0)
+            )
+        return total
+
+    def pair_g() -> int:
+        total = 0
+        for v in q.vertices:
+            if v in exclude:
+                continue
+            total += a.get(v, 0) ** 2 + a.get(v, 0) * b.get(v, 0) + b.get(v, 0) ** 2
+        return total
+
+    ab = {v: a.get(v, 0) + b.get(v, 0) for v in q.vertices}
+    return (
+        pair_x(),
+        pair_g(),
+        xdim(ab),
+        gdim(ab),
+        xdim(a),
+        gdim(a),
+        xdim(b),
+        gdim(b),
+    )
 
 
 # -- framed potentials expanded arrow by arrow ----------------------------------------

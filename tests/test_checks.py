@@ -1,7 +1,9 @@
 """The named compare targets all pass; these back the CLI compare command."""
 
+import itertools
 import json
 from functools import partial
+from math import prod
 
 import pytest
 
@@ -37,6 +39,26 @@ def test_ymn_product_matches_macmahon_by_macmahon_oracle(order):
     assert checks.ymn_ncdt_product("00", order) == y20
     for m in (2, 3, 4):
         assert checks.ymn_ncdt_product("0" * m, order) == oracles.ym0_ncdt_product(m, order)
+
+
+def test_euler_form_twist_matches_the_parity_sequence_rule():
+    """For every sigma with sigma_0 = 0 and N <= 6, at every d in {0,1,2}^N,
+    (-1)^(d_0 + chi(d, d)) on the quiver of sigma is the product of the sign
+    flips the sigma rule gives, and :func:`checks.fixed_point_flips` reads
+    the same flips off the quiver."""
+    vectors = 0
+    for n in range(1, 7):
+        for tail in itertools.product("01", repeat=n - 1):
+            sigma = "0" + "".join(tail)
+            q, _ = catalog._ymn(sigma)
+            flips = oracles.ymn_sign_flips(sigma)
+            assert checks.fixed_point_flips(q) == flips, sigma
+            for d in itertools.product(range(3), repeat=n):
+                dims = dict(zip(q.vertices, d))
+                sign = (-1) ** (d[0] + ncalg.chi_form(q, dims, dims))
+                assert sign == prod((-1) ** (f * k) for f, k in zip(flips, d))
+                vectors += 1
+    assert vectors == 27993
 
 
 @pytest.mark.parametrize("m", [4, 5])

@@ -31,9 +31,9 @@ def test_c3_assembled_entries():
 def test_adhm_assembled_shape():
     c = monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"Af": 0})
     assert len(c.diffs[0]) == 4 and len(c.diffs[1]) == 4 and len(c.diffs[2]) == 1
-    # fourth row of the middle differential carries the framing block -z
+    # fourth row of the middle differential carries the framing block z
     corner = c.diffs[1][3][3]
-    assert corner == {((0, 0, 1), ()): Fraction(-1)}
+    assert corner == {((0, 0, 1), ()): 1}
 
 
 def test_ny_assembled_quadratic_entries():
@@ -71,7 +71,7 @@ def test_marked_symbol_left_unbound_stays_in_entries():
 
 def test_marked_symbol_bound_to_a_scalar_scales_its_term():
     c = monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"Af": 3})
-    assert c.diffs[1][3][3] == {((0, 0, 0), ()): Fraction(3), ((0, 0, 1), ()): Fraction(-1)}
+    assert c.diffs[1][3][3] == {((0, 0, 0), ()): -3, ((0, 0, 1), ()): 1}
 
 
 # -- certification ---------------------------------------------------------------
@@ -130,6 +130,19 @@ def test_certify_all_templates(template_id):
     assert report.certified
     assert len(report.entries) == COMPONENTS[template_id]
     assert_certificates_expand(c, rels, report)
+
+
+def test_integral_coefficients_stay_int_through_composition():
+    """Template entries and their composites keep integral coefficients as
+    ``int``; only the certificates carry ``Fraction``."""
+    for template_id in catalog.monad_template_ids():
+        c, rels = catalog.monad_case(template_id)
+        composites = [monad.compose_stage(c, k) for k in range(len(c.diffs) - 1)]
+        coeffs = [x for mat in (*c.diffs, *composites) for row in mat for e in row for x in e.values()]
+        assert coeffs and all(type(x) is int for x in coeffs), template_id
+        report = monad.certify_d_squared(c, rels)
+        parts = [p for e in report.entries for p in e.membership.certificate.parts]
+        assert parts and all(type(p[0]) is Fraction for p in parts), template_id
 
 
 @pytest.mark.parametrize("template_id", catalog.monad_template_ids())
@@ -251,8 +264,8 @@ def test_conifold_monad_resolves_curve_module():
 
 def test_validate_rejects_ill_typed_entry():
     tpl = catalog.get_monad_template("pervsystem-conifold")
-    # d1 entry (0,1) holds -B (vertex 1 -> 0); B*B does not compose
-    assert tpl.diffs[0][0][1] == {((0, 0, 0), ("B",)): Fraction(-1)}
+    # d1 entry (0,1) holds B (vertex 1 -> 0); B*B does not compose
+    assert tpl.diffs[0][0][1] == {((0, 0, 0), ("B",)): 1}
     bad = _with_entry(tpl, 0, 0, 1, {((0, 0, 0), ("B", "B")): Fraction(-1)})
     with pytest.raises(monad.MonadError, match=r"stage 0 entry \(0,1\): word \('B', 'B'\) is not composable"):
         monad.assemble(bad)

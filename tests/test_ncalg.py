@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import block_dims
 from quiverdt import catalog, framing, linalg
 from quiverdt.ncalg import (
     Arrow,
@@ -21,7 +22,6 @@ from quiverdt.ncalg import (
     RelationSet,
     UnknownArrow,
     _paths_up_to,
-    block_dims,
     chi_form,
     cyclic_derivative,
     ideal_membership,

