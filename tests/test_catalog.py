@@ -124,6 +124,111 @@ def test_chart_point_kills_every_cyclic_derivative(geometry):
         assert all(c == 0 for c in image.values()), (geometry, r.arrow, image)
 
 
+# -- the chart resolutions are complexes, the arrows' maps are chain maps ---------
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _mat_mul(m1, m2):
+    out = []
+    for row in m1:
+        cells = []
+        for j in range(len(m2[0])):
+            acc = {}
+            for k, cell in enumerate(row):
+                for e, c in _poly_mul(cell, m2[k][j]).items():
+                    acc[e] = acc.get(e, 0) + c
+            cells.append({e: c for e, c in acc.items() if c != 0})
+        out.append(cells)
+    return out
+
+
+def _is_zero(mat):
+    return all(not cell for row in mat for cell in row)
+
+
+def _chart_complexes(entry):
+    """The chart's resolution of each vertex v, read off the point mu and
+    the potential W independently of the monad templates,
+
+        O -> (+)_{a into v} O -> (+)_{b out of v} O -> O,
+
+    with d_0 = -mu(a), d_2 = -mu(b) and d_1[b][a] the sum of c * mu(R) over
+    the rotations a b R of the terms c*w of W; and, for each arrow x, the
+    chain map from the resolution of src x to that of tgt x: the unit at
+    slot x in stages 0 and 2, and in stage 1 the sum of -c * mu(R) over the
+    rotations a x b R (the part of the monad differentials linear in x,
+    with the Koszul sign (-1)^k on stage k)."""
+    q, mu = entry.quiver, entry.point
+    zero = (0,) * len(entry.coords)
+    into = {v: [a.name for a in q.arrows if a.tgt == v] for v in q.vertices}
+    out_of = {v: [a.name for a in q.arrows if a.src == v] for v in q.vertices}
+
+    def mono(names, c):
+        return {tuple(map(sum, zip(zero, *(mu[x] for x in names)))): c}
+
+    def add(cell, names, c):
+        for e, d in mono(names, c).items():
+            cell[e] = cell.get(e, 0) + d
+
+    res = {
+        v: (
+            [[mono([a], -1)] for a in into[v]],
+            [[{} for _ in into[v]] for _ in out_of[v]],
+            [[mono([b], -1) for b in out_of[v]]],
+        )
+        for v in q.vertices
+    }
+    maps = {}
+    for x in q.arrows:
+        src, tgt = x.src, x.tgt
+        maps[x.name] = (
+            [[{zero: 1} if a == x.name else {}] for a in into[tgt]],
+            [[{} for _ in into[src]] for _ in out_of[tgt]],
+            [[{zero: 1} if b == x.name else {} for b in out_of[src]]],
+        )
+    for w, c in entry.potential.terms.items():
+        for r in range(len(w.names)):
+            rot = w.names[r:] + w.names[:r]
+            a, b = rot[0], rot[1]
+            v = q.arrow(a).tgt
+            add(res[v][1][out_of[v].index(b)][into[v].index(a)], rot[2:], c)
+            if len(rot) >= 3:
+                x, b = rot[1], rot[2]
+                stage = maps[x][1]
+                add(stage[out_of[q.arrow(x).tgt].index(b)][into[q.arrow(x).src].index(a)], rot[3:], -c)
+    return res, maps
+
+
+@pytest.mark.parametrize("geometry", ["c3", "conifold", "y20"])
+def test_resolutions_have_zero_composites(geometry):
+    res, _ = _chart_complexes(catalog.get_entry(geometry))
+    for v, diffs in res.items():
+        assert len(diffs) == 3
+        for d1, d2 in zip(diffs, diffs[1:]):
+            assert _is_zero(_mat_mul(d2, d1)), (geometry, v)
+
+
+@pytest.mark.parametrize("geometry", ["c3", "conifold", "y20"])
+def test_generator_maps_are_chain_maps(geometry):
+    entry = catalog.get_entry(geometry)
+    res, maps = _chart_complexes(entry)
+    for arrow_name, stages in maps.items():
+        arrow = entry.quiver.arrow(arrow_name)
+        src, tgt = res[arrow.src], res[arrow.tgt]
+        for k in range(len(stages) - 1):
+            lhs = _mat_mul(tgt[k + 1], stages[k])
+            rhs = _mat_mul(stages[k + 1], src[k])
+            assert lhs == rhs, (geometry, arrow_name, k)
+
+
 # template -> the basis sign of each slot, term by term, under which the
 # derived differentials equal the hand-typed rows
 LITERAL_SIGNS = {
