@@ -285,9 +285,22 @@ def get_monad_template(template: str) -> MonadTemplate:
     cyclic derivatives of W; their coordinate-only parts vanish because mu
     kills every abelianised cyclic derivative.
     """
+    return _derive_template(template, *_monad_source(template))
+
+
+def _monad_source(template: str) -> tuple[CatalogEntry, CatalogEntry | FramedQuiverWithPotential]:
+    """A template's geometry entry and the quiver with potential it is
+    derived from: its framed example, or the entry itself when unframed."""
     geometry, example = _monad_spec(template)
     entry = get_entry(geometry)
-    qp = entry if example is None else get_framed_example(example)
+    return entry, entry if example is None else get_framed_example(example)
+
+
+def _derive_template(
+    template: str, entry: CatalogEntry, qp: CatalogEntry | FramedQuiverWithPotential
+) -> MonadTemplate:
+    """The template of :func:`get_monad_template` from its
+    :func:`_monad_source` pair."""
     quiver, deg, mu = qp.quiver, entry.degrees, entry.point
     zero = (0,) * len(entry.coords)
     unmarked = [a for a in quiver.arrows if not a.marked]
@@ -336,14 +349,13 @@ def monad_case(template: str):
     zero, and the relation set its d^2 is certified against: the
     potential's relations for an unframed template, the framed relations at
     zero framing for a framed one."""
-    tpl = get_monad_template(template)
-    geometry, example = _monad_spec(template)
-    if example is None:
-        rels = relations_from_potential(*get_quiver_with_potential(geometry))
+    entry, qp = _monad_source(template)
+    tpl = _derive_template(template, entry, qp)
+    if qp is entry:
+        rels = relations_from_potential(entry.quiver, entry.potential)
     else:
-        fq = get_framed_example(example)
         rels = framing.framed_relations(
-            framing.specialize(fq, framing.FramingStructure.zero(fq))
+            framing.specialize(qp, framing.FramingStructure.zero(qp))
         )
     c = monad.assemble(tpl, {a.name: 0 for a in tpl.quiver.arrows if a.marked})
     return c, rels

@@ -10,6 +10,7 @@ separators).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -360,7 +361,18 @@ def cmd_compare(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``quiverdt`` argument parser, built on the first call and the
+    same object on every later one (``parse_args`` returns a fresh
+    namespace each time, so nothing carries over between parses).
+
+    Two things are read once, at that first build: each subcommand's
+    handler, bound by ``set_defaults(fn=cmd_*)``, and the ``compare``
+    target choices, taken from ``checks.COMPARE_TARGETS``.  A test that
+    patches a ``cmd_*`` handler or adds a ``COMPARE_TARGETS`` key must call
+    ``build_parser.cache_clear()`` before and after.
+    """
     parser = argparse.ArgumentParser(
         prog="quiverdt",
         description="Quivers with potential, fixed-point counts, and vacuum characters",
@@ -429,9 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one ``quiverdt`` command line (``sys.argv[1:]`` when ``argv`` is
+    None) and return its exit code.  The parser is built by the first call
+    in the process and reused by every later one; see :func:`build_parser`.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -77,7 +77,8 @@ def _row_chains(order: int, m: int, pit: tuple[int, int]) -> dict[int, int]:
     digits.  A pit (M, N) caps every row after the M-th at N parts.  What can
     follow a row depends only on the row phase (i mod m, min(i, M + 1)), the
     row itself and the budget left; that triple keys the memo, which lives
-    for one call.
+    for one call.  The pit (0, N) caps every row at N parts and keeps one
+    row phase per color; :func:`nested_series` counts its chains that way.
     """
     base = order + 1
     unit = [base**c for c in range(m)]
@@ -121,10 +122,12 @@ def _unpack(weight: int, order: int, m: int) -> tuple[int, ...]:
 
 def nested_series(r: int, order: int) -> QSeries:
     """Containment chains of r partitions graded by total size: plane
-    partitions with at most r rows."""
+    partitions with at most r rows, counted by their transposes, the plane
+    partitions with at most r parts per row: the pit (0, r) keeps one row
+    phase where (r, 0) would keep r + 1, so its memo is smaller."""
     if r < 1:
         raise ValueError("rank must be positive")
-    counts = _row_chains(order, 1, (r, 0))
+    counts = _row_chains(order, 1, (0, r))
     return QSeries(("q",), order, {(n,): c for n, c in counts.items()})
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from quiverdt import catalog, framing, linalg
-from quiverdt.cli import run
+from quiverdt.cli import build_parser, run
 
 
 def run_capture(capsys, argv):
@@ -388,3 +388,35 @@ def test_compare_json(capsys):
 def test_usage_error_exit_two(capsys):
     assert run(["count", "bogus-family", "--order", "3"]) == 2
     assert run([]) == 2
+
+
+# usage errors, help and valid calls, in an order where leftover parser state
+# would show: each must behave as it does alone in a fresh process
+SHARED_PARSER_SEQUENCE = [
+    ["count", "plane", "--order", "3", "--pit", "1,2,3"],
+    ["count", "plane", "--order", "6", "--pit", "2,0", "--json"],
+    ["count", "plane", "--order", "6"],
+    ["character", "--shift", "5", "--divisor", "mu=3,1", "--m", "2", "--n", "0", "--t", "1", "--order", "3"],
+    ["compare", "nope"],
+    ["compare", "monad-certification", "--order", "3"],
+    ["--help"],
+    ["--help"],
+    ["monad", "verify", "c3"],
+    ["character", "--divisor", "mu=3,1", "--m", "2", "--n", "0", "--t", "2", "--order", "3", "--json"],
+    ["character", "--m", "2", "--n", "0", "--t", "1", "--order", "3"],
+    ["compare", "blowup", "--json", "--order", "6"],
+    ["compare", "monad-certification", "--json"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap the same in both
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    parser = build_parser()
+    for argv in SHARED_PARSER_SEQUENCE:
+        alone = subprocess.run(
+            [sys.executable, "-m", "quiverdt", *argv], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert run_capture(capsys, argv) == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert build_parser() is parser
