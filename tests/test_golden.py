@@ -26,6 +26,15 @@ GOLDEN = Path(__file__).parent / "golden"
 GEOMETRIES = ("c3", "y10", "conifold", "y11", "y20", "y30", "y40", "y50", "y60")
 # pyramid and plane-partition order caps (partitions.*_MAX_ORDER)
 NCDT_CAPS = {"conifold-ncdt": 21, "y20-ncdt": 18, "y30-ncdt": 18}
+# the other ordered targets, each at the order perfbench runs it
+BENCH_ORDERS = {
+    "c3-dt": 14,
+    "vw-rank1": 30,
+    "nested-gl": 16,
+    "blowup": 20,
+    "character-figures": 30,
+    "character-limits": 23,
+}
 # framed examples replayed with the rank > 1 framing stored as
 # tests/golden/framing_<example>.json
 RANKED_FRAMINGS = ("adhm3d", "spiked", "chainsaw2")
@@ -44,6 +53,8 @@ def _cases() -> list[list[str]]:
     cases.append(["compare", "all", "--json"])
     for target, cap in NCDT_CAPS.items():
         cases += [["compare", target, "--order", str(o), "--json"] for o in (0, 6, 12, cap)]
+    for target, bench in BENCH_ORDERS.items():
+        cases += [["compare", target, "--order", str(o), "--json"] for o in (0, 6, bench)]
     return cases
 
 
