@@ -218,18 +218,26 @@ def framed_example_ids() -> tuple[str, ...]:
     return ("pervsystem-c3", "pervsystem-conifold", "pervsystem-y20") + tuple(_FRAMED)
 
 
+def _framed_spec(example: str) -> tuple:
+    """The :data:`_FRAMED` row of a framed example."""
+    e = example.lower()
+    if e.startswith("pervsystem-"):
+        return (e.removeprefix("pervsystem-"), ("inf",), (Arrow("I", "inf", "0"),), (), ())
+    if e in _FRAMED:
+        return _FRAMED[e]
+    raise NotInCatalog(example)
+
+
 def get_framed_example(example: str) -> FramedQuiverWithPotential:
     """Framed quiver-with-potential templates; marked arrows carry fixed
     matrices to be bound by a framing structure."""
+    return _frame(example, *get_quiver_with_potential(_framed_spec(example)[0]))
+
+
+def _frame(example: str, base: Quiver, w: Potential) -> FramedQuiverWithPotential:
+    """A framed example built on its base geometry's quiver and potential."""
     e = example.lower()
-    if e.startswith("pervsystem-"):
-        spec = (e.removeprefix("pervsystem-"), ("inf",), (Arrow("I", "inf", "0"),), (), ())
-    elif e in _FRAMED:
-        spec = _FRAMED[e]
-    else:
-        raise NotInCatalog(example)
-    geometry, framing_vertices, arrows, words, nilpotent = spec
-    base, w = get_quiver_with_potential(geometry)
+    _, framing_vertices, arrows, words, nilpotent = _framed_spec(e)
     q = Quiver(base.vertices + framing_vertices, base.arrows + arrows)
     terms = [(c, wd.names) for wd, c in w.terms.items()] + list(words)
     return FramedQuiverWithPotential(
@@ -293,7 +301,7 @@ def _monad_source(template: str) -> tuple[CatalogEntry, CatalogEntry | FramedQui
     derived from: its framed example, or the entry itself when unframed."""
     geometry, example = _monad_spec(template)
     entry = get_entry(geometry)
-    return entry, entry if example is None else get_framed_example(example)
+    return entry, entry if example is None else _frame(example, entry.quiver, entry.potential)
 
 
 def _derive_template(

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import QSeries, compare, factor_product, macmahon
+from .catalog import ShiftMatrix
+from .qseries import QSeries, factor_product, macmahon
 
 EVEN, ODD = 0, 1
 
@@ -147,13 +148,24 @@ def character_from_shift(shift, t: int, order: int) -> QSeries:
 # -- closed forms of the displayed character figures -------------------------
 
 
-# figure kind -> its pochhammers (see _pochhammer_factors) at rank r
-FIGURE_POCHHAMMERS = {
-    "glr-principal": lambda r: [(j + 1, -1) for j in range(r)],
-    "gl2-s0": lambda r: [(j + 1, -4) for j in range(r)],
-    "gl2-s1": lambda r: [(1, 1), (r, 2)] + [(j + 1, -4) for j in range(r)],
-    "gl2-s2": lambda r: [(1, 1), (2, 1), (r, 2), (r + 1, -2)] + [(j + 1, -4) for j in range(r)],
-    "glrr": lambda r: [(j + 1, -2) for j in range(r)] + [(j + 1, 2, -1) for j in range(r)],
+def _upto(n: int, *power_sign) -> list:
+    """The pochhammers ``(w, *power_sign)`` for w = 1..n."""
+    return [(w, *power_sign) for w in range(1, n + 1)]
+
+
+# figure kind -> (shift matrix, family index at rank r, pochhammers at rank r);
+# the figure's pyramid at rank r is pyramid_from_shift(shift, t(r))
+FIGURES = {
+    "glr-principal": (ShiftMatrix(1, 0, ()), lambda r: r, lambda r: _upto(r, -1)),
+    "gl2-s0": (ShiftMatrix(2, 0, (0,)), lambda r: r, lambda r: _upto(r, -4)),
+    # rows (r, r-1), offset 1
+    "gl2-s1": (ShiftMatrix(2, 0, (1,)), lambda r: r - 1, lambda r: [(1, 1), (r, 2)] + _upto(r, -4)),
+    # rows (r+1, r-1), offset 2
+    "gl2-s2": (
+        ShiftMatrix(2, 0, (2,)), lambda r: r - 1,
+        lambda r: [(1, 1), (2, 1), (r, 2), (r + 1, -2)] + _upto(r, -4),
+    ),
+    "glrr": (ShiftMatrix(1, 1, (0,)), lambda r: r, lambda r: _upto(r, -2) + _upto(r, 2, -1)),
 }
 
 
@@ -161,9 +173,9 @@ def figure_factors(kind: str, r: int, order: int) -> Factors:
     """Factor multiset of the displayed vacuum-character product formula of
     a figure kind at rank r, with factors that do not depend on the inner
     product index read globally."""
-    if kind not in FIGURE_POCHHAMMERS:
+    if kind not in FIGURES:
         raise CharacterError(f"unknown figure kind {kind!r}")
-    return _pochhammer_factors(order, FIGURE_POCHHAMMERS[kind](r))
+    return _pochhammer_factors(order, FIGURES[kind][2](r))
 
 
 def figure_series(kind: str, r: int, order: int) -> QSeries:
@@ -171,69 +183,30 @@ def figure_series(kind: str, r: int, order: int) -> QSeries:
     return factor_product(("q",), order, figure_factors(kind, r, order))
 
 
-def figure_pyramid(kind: str, r: int):
-    """Pyramid whose row data matches the figure annotations for rank r."""
-    if kind == "glr-principal":
-        return single_row_pyramid(r)
-    if kind == "gl2-s0":
-        return Pyramid((PyramidRow(EVEN, 1, r), PyramidRow(EVEN, 1, r)))
-    if kind == "gl2-s1":  # rows (r, r-1), offset 1
-        rows = [PyramidRow(EVEN, 1, r)]
-        if r - 1 >= 1:
-            rows.append(PyramidRow(EVEN, 2, r - 1))
-        return Pyramid(tuple(rows))
-    if kind == "gl2-s2":  # rows (r+1, r-1), offset 2
-        rows = [PyramidRow(EVEN, 1, r + 1)]
-        if r - 1 >= 1:
-            rows.append(PyramidRow(EVEN, 3, r - 1))
-        return Pyramid(tuple(rows))
-    if kind == "glrr":
-        return Pyramid((PyramidRow(EVEN, 1, r), PyramidRow(ODD, 1, r)))
-    raise CharacterError(f"unknown figure kind {kind!r}")
-
-
 # -- stable large-rank limits -------------------------------------------------
 
 
+# (m, n, sub) -> pochhammers through q^order of the closed-form large-rank
+# limit of the characters of that shift data; the character at family index
+# t equals it through q^order once t >= order + sum(sub)
+LIMITS = {
+    # prod_k (1 - q^k)^(-4k), times prod_{k>=w} (1 - q^k) for w = 1..sub
+    (2, 0, (0,)): lambda order: _upto(order, -4),
+    (2, 0, (1,)): lambda order: _upto(order, -4) + _upto(1, 1),
+    (2, 0, (2,)): lambda order: _upto(order, -4) + _upto(2, 1),
+    # prod_k (1 + q^k)^(2k) (1 - q^k)^(-2k)
+    (1, 1, (0,)): lambda order: _upto(order, -2) + _upto(order, 2, -1),
+}
+
+
 def limit_series(m: int, n: int, sub: tuple[int, ...], order: int) -> QSeries:
-    """Closed-form large-rank limit of the vacuum characters for the
-    supported shift data: gl2 with subdiagonal (0), (1), (2), and gl(1|1)
-    with subdiagonal (0)."""
-    every = range(1, order + 1)
-    if (m, n) == (2, 0) and sub in ((0,), (1,), (2,)):
-        # prod_k (1 - q^k)^(-4k), times prod_{k>=w} (1 - q^k) for w = 1..sub
-        pochhammers = [(w, -4) for w in every] + [(w, 1) for w in range(1, sub[0] + 1)]
-    elif (m, n) == (1, 1) and sub == (0,):
-        # prod_k (1 + q^k)^(2k) (1 - q^k)^(-2k)
-        pochhammers = [(w, -2) for w in every] + [(w, 2, -1) for w in every]
-    else:
+    """Closed-form large-rank limit of the vacuum characters of the shift
+    data (m, n, sub), from :data:`LIMITS`."""
+    if (m, n, sub) not in LIMITS:
         raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
-    return factor_product(("q",), order, _pochhammer_factors(order, pochhammers))
+    return factor_product(("q",), order, _pochhammer_factors(order, LIMITS[m, n, sub](order)))
 
 
 def macmahon_power(order: int, power: int) -> QSeries:
     """prod_k (1 - q^k)^(-power*k) as a series in q."""
     return macmahon(None, order, vars=("q",), power=power)
-
-
-@dataclass
-class LimitReport:
-    order: int
-    t_used: int
-    equal: bool
-    mismatch: tuple | None
-
-
-def limit_check(shift, order: int, t_max: int) -> LimitReport:
-    """Compare the character at a large family index against the stored
-    closed-form limit.  Weight stabilization needs t_max at least the order
-    plus the total shift."""
-    total_shift = sum(shift.sub)
-    if t_max < order + total_shift:
-        raise CharacterError(
-            f"t_max={t_max} too small for stabilization (need >= {order + total_shift})"
-        )
-    got = character_from_shift(shift, t_max, order)
-    want = limit_series(shift.m, shift.n, shift.sub, order)
-    mismatch = compare(got, want, order)
-    return LimitReport(order=order, t_used=t_max, equal=mismatch is None, mismatch=mismatch)

@@ -1,6 +1,7 @@
 """Named cross-checks: enumerators against closed-form products, character
-figures, limits, and monad certification, each returning a structured
-verdict.  These are the identities behind the ``compare`` CLI command.
+figures, limits, and monad certification.  These are the identities behind
+the ``compare`` CLI command; each is one :data:`COMPARE_TARGETS` row that
+yields its cases, and :func:`run_check` times and compares them.
 
 Fixed-point signs.  The enumerators count unsigned objects.  For the
 Y_{m,n} geometry, the signed series that the closed-form product computes
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from . import characters, partitions
+from . import catalog, characters, monad, partitions
 from .catalog import ShiftMatrix, _ymn
 from .ncalg import Quiver, chi_form
 from .qseries import (
@@ -55,22 +56,12 @@ class CheckResult:
         )
 
 
-def _result(name, order, t0, mismatch) -> CheckResult:
-    return CheckResult(name, mismatch is None, order, mismatch, time.perf_counter() - t0)
+def _c3_dt(order):
+    yield None, partitions.plane_partition_series(order), macmahon(None, order, vars=("q",))
 
 
-def check_c3_dt(order: int = 12) -> CheckResult:
-    t0 = time.perf_counter()
-    got = partitions.plane_partition_series(order)
-    want = macmahon(None, order, vars=("q",))
-    return _result("c3-dt", order, t0, compare(got, want))
-
-
-def check_vw_rank1(order: int = 12) -> CheckResult:
-    t0 = time.perf_counter()
-    got = partitions.partition_series(order)
-    want = euler_factor(("q",), order, power=-1)
-    return _result("vw-rank1", order, t0, compare(got, want))
+def _vw_rank1(order):
+    yield None, partitions.partition_series(order), euler_factor(("q",), order, power=-1)
 
 
 def _qs(n: int) -> tuple[str, ...]:
@@ -113,41 +104,32 @@ def fixed_point_flips(q: Quiver) -> tuple[bool, ...]:
     )
 
 
-def check_ymn_ncdt(sigma: str, enumerator, order: int, name: str) -> CheckResult:
-    """The unsigned count ``enumerator(order)`` in q0..q_(N-1), under the
-    fixed-point sign twist of the quiver of sigma, against
-    :func:`ymn_ncdt_product`."""
-    t0 = time.perf_counter()
+def ymn_ncdt_cases(sigma: str, enumerator, order: int):
+    """The one case of an NCDT target: the unsigned count
+    ``enumerator(order)`` in q0..q_(N-1), under the fixed-point sign twist of
+    the quiver of sigma, against :func:`ymn_ncdt_product`."""
     n = len(sigma)
     target = ymn_ncdt_product(sigma, order)
     twist = {}
     for c, flip in enumerate(fixed_point_flips(_ymn(sigma)[0])):
         twist[f"q{c}"] = Mono(-1 if flip else 1, tuple(int(d == c) for d in range(n)))
-    signed = substitute(Substitution(_qs(n), _qs(n), twist), enumerator(order))
-    return _result(name, order, t0, compare(signed, target))
+    yield None, substitute(Substitution(_qs(n), _qs(n), twist), enumerator(order)), target
 
 
 def _colored(m: int):
     return lambda order: partitions.plane_partition_series(order, colors=m)
 
 
-def check_nested_gl(order: int = 10, ranks=(1, 2, 3, 4)) -> CheckResult:
-    t0 = time.perf_counter()
-    for r in ranks:
+def _nested_gl(order):
+    for r in (1, 2, 3, 4):
         got = partitions.nested_series(r, order)
-        want = characters.character(
-            characters.generator_weights(characters.single_row_pyramid(r)), order
-        )
-        mismatch = compare(got, want)
-        if mismatch is not None:
-            return _result(f"nested-gl (rank {r})", order, t0, mismatch)
-    return _result("nested-gl", order, t0, None)
+        pyramid = characters.single_row_pyramid(r)
+        yield f"rank {r}", got, characters.character(characters.generator_weights(pyramid), order)
 
 
-def check_blowup(order: int = 8) -> CheckResult:
+def _blowup(order):
     """Lattice sum against sum_k q^(k^2/2) / eta-squared, in the doubled
     variable qh with qh^2 = q."""
-    t0 = time.perf_counter()
     got = partitions.blowup_series(order)
     qh = ("qh",)
     eta2 = euler_factor(qh, 2 * order, q=Mono(1, (2,)), power=-2)
@@ -157,81 +139,76 @@ def check_blowup(order: int = 8) -> CheckResult:
         mult = 1 if k == 0 else 2
         theta = theta + QSeries.monomial(qh, 2 * order, (k * k,), mult)
         k += 1
-    want = theta * eta2
-    return _result("blowup", order, t0, compare(got, want))
+    yield None, got, theta * eta2
 
 
-def check_character_figures(order: int = 20, max_rank: int = 5) -> CheckResult:
-    t0 = time.perf_counter()
-    for kind in ("glr-principal", "gl2-s0", "gl2-s1", "gl2-s2", "glrr"):
-        for r in range(1, max_rank + 1):
-            p = characters.figure_pyramid(kind, r)
-            got = characters.character(characters.generator_weights(p), order)
-            want = characters.figure_series(kind, r, order)
-            mismatch = compare(got, want)
-            if mismatch is not None:
-                return _result(f"character-figures ({kind}, r={r})", order, t0, mismatch)
-    return _result("character-figures", order, t0, None)
+def _character_figures(order):
+    for kind, (shift, t, _) in characters.FIGURES.items():
+        for r in range(1, 6):
+            got = characters.character_from_shift(shift, t(r), order)
+            yield f"{kind}, r={r}", got, characters.figure_series(kind, r, order)
 
 
-def check_character_limits(order: int = 12, t_max: int = 25) -> CheckResult:
-    t0 = time.perf_counter()
-    cases = [
-        ShiftMatrix(2, 0, (0,)),
-        ShiftMatrix(2, 0, (1,)),
-        ShiftMatrix(2, 0, (2,)),
-        ShiftMatrix(1, 1, (0,)),
-    ]
-    for shift in cases:
-        report = characters.limit_check(shift, order, t_max)
-        if not report.equal:
-            name = f"character-limits (m={shift.m}, n={shift.n}, sub={shift.sub})"
-            return _result(name, order, t0, report.mismatch)
-    return _result("character-limits", order, t0, None)
+def _character_limits(order):
+    """Each stored limit against the character at family index order +
+    sum(sub), past which the coefficients through q^order are stable."""
+    for m, n, sub in characters.LIMITS:
+        want = characters.limit_series(m, n, sub, order)
+        got = characters.character_from_shift(ShiftMatrix(m, n, sub), order + sum(sub), order)
+        yield f"m={m}, n={n}, sub={sub}", got, want
 
 
-def check_monad_certification() -> CheckResult:
-    """d^2 = 0 modulo relations for every stored monad template."""
-    from . import catalog, monad
-
-    t0 = time.perf_counter()
+def _monad_certification(_order):
+    """d^2 = 0 modulo relations for every stored monad template: each case
+    is the reason it is not certified, or None."""
     for tpl_id in catalog.monad_template_ids():
         c, rels = catalog.monad_case(tpl_id)
         try:
             monad.certify_d_squared(c, rels, raise_on_failure=True)
         except monad.NotInIdeal as exc:
-            return CheckResult(
-                f"monad ({tpl_id})", False, 0, None, time.perf_counter() - t0, detail=str(exc)
-            )
-    return CheckResult("monad-certification", True, 0, None, time.perf_counter() - t0)
+            yield tpl_id, str(exc), None
+        else:
+            yield tpl_id, None, None
 
 
-# The NCDT enumerators look the partitions functions up at call time, so
-# perfbench's tracer, which wraps them there, sees the calls.
+# target -> (default order, or None for a target without one; the cases
+# (label, got, want) at an order).  The NCDT enumerators look the partitions
+# functions up at call time, so perfbench's tracer, which wraps them there,
+# sees the calls.
 COMPARE_TARGETS = {
-    "c3-dt": check_c3_dt,
-    "conifold-ncdt": partial(
-        check_ymn_ncdt, "01", lambda order: partitions.pyramid_series(order), order=10,
-        name="conifold-ncdt",
+    "c3-dt": (12, _c3_dt),
+    "conifold-ncdt": (
+        10, partial(ymn_ncdt_cases, "01", lambda order: partitions.pyramid_series(order))
     ),
-    "y20-ncdt": partial(check_ymn_ncdt, "00", _colored(2), order=10, name="y20-ncdt"),
-    "y30-ncdt": partial(check_ymn_ncdt, "000", _colored(3), order=8, name="y30-ncdt"),
-    "vw-rank1": check_vw_rank1,
-    "nested-gl": check_nested_gl,
-    "blowup": check_blowup,
-    "character-figures": check_character_figures,
-    "character-limits": check_character_limits,
-    "monad-certification": check_monad_certification,
+    "y20-ncdt": (10, partial(ymn_ncdt_cases, "00", _colored(2))),
+    "y30-ncdt": (8, partial(ymn_ncdt_cases, "000", _colored(3))),
+    "vw-rank1": (12, _vw_rank1),
+    "nested-gl": (10, _nested_gl),
+    "blowup": (8, _blowup),
+    "character-figures": (20, _character_figures),
+    "character-limits": (12, _character_limits),
+    "monad-certification": (None, _monad_certification),
 }
 
 
-# targets without a truncation order
-ORDERLESS_TARGETS = frozenset({"monad-certification"})
-
-
 def run_check(name: str, order: int | None = None) -> CheckResult:
-    """Run a compare target, at ``order`` when it takes one."""
-    fn = COMPARE_TARGETS[name]
-    if order is None or name in ORDERLESS_TARGETS:
-        return fn()
-    return fn(order=order)
+    """Run a compare target at ``order`` (its default when None; a target
+    without an order reports 0).  Cases are built one at a time: the first
+    that differs names the result ``<name> (<label>)`` with its first
+    mismatching coefficient, or with its detail when it is not a series,
+    and no later case is built."""
+    default, cases = COMPARE_TARGETS[name]
+    if default is None:
+        order = 0
+    elif order is None:
+        order = default
+    t0 = time.perf_counter()
+    for label, got, want in cases(order):
+        if isinstance(got, QSeries):
+            mismatch, detail = compare(got, want), None
+        else:
+            mismatch, detail = None, None if got == want else str(got)
+        if mismatch is not None or detail is not None:
+            failed = name if label is None else f"{name} ({label})"
+            return CheckResult(failed, False, order, mismatch, time.perf_counter() - t0, detail)
+    return CheckResult(name, True, order, None, time.perf_counter() - t0)

@@ -274,7 +274,8 @@ def cmd_character(args) -> int:
     if args.divisor is not None:
         shift = catalog.divisor_to_shift_matrix(args.m, args.n, *args.divisor)
     else:
-        shift = catalog.ShiftMatrix(args.m, args.n, args.shift)
+        sub = (0,) * (args.m + args.n - 1) if args.shift is None else args.shift
+        shift = catalog.ShiftMatrix(args.m, args.n, sub)
     series = characters.character_from_shift(shift, args.t, args.order)
     if args.json:
         _emit_json(
@@ -332,7 +333,8 @@ def _divisor(text: str) -> tuple[list[int], list[int]]:
 
 
 def cmd_compare(args) -> int:
-    if args.target in checks.ORDERLESS_TARGETS and args.order is not None:
+    orderless = args.target != "all" and checks.COMPARE_TARGETS[args.target][0] is None
+    if orderless and args.order is not None:
         print(f"usage: compare target {args.target!r} takes no --order", file=sys.stderr)
         return 2
     names = list(checks.COMPARE_TARGETS) if args.target == "all" else [args.target]
@@ -422,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("character", help="vacuum character from a shift matrix")
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--shift", type=_shift, default="0", help='subdiagonal entries, e.g. "0;1"')
+    source.add_argument(
+        "--shift", type=_shift, help='subdiagonal entries, e.g. "0;1" (default: m + n - 1 zeros)'
+    )
     source.add_argument("--divisor", type=_divisor, help='partitions, e.g. "mu=3,1 nu=2"')
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

@@ -124,10 +124,12 @@ def specialize(
         if a.name not in f.matrices:
             raise ShapeMismatch(f"no matrix bound for marked arrow {a.name}")
         m = f.matrices[a.name]
-        want = (f.ranks[a.tgt], f.ranks[a.src])
-        if linalg.shape(m) != want:
+        rows, cols = f.ranks[a.tgt], f.ranks[a.src]
+        lengths = [len(row) for row in m]
+        if lengths != [cols] * rows:
             raise ShapeMismatch(
-                f"marked arrow {a.name}: matrix is {linalg.shape(m)}, expected {want}"
+                f"marked arrow {a.name}: matrix has rows of lengths {lengths}, "
+                f"expected {rows} rows of length {cols}"
             )
         if a.name in template.nilpotent_marked and not linalg.is_nilpotent(m):
             raise NilpotencyViolated(f"marked arrow {a.name} must be nilpotent")

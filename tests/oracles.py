@@ -30,7 +30,9 @@ itself.  The monad templates typed out row by row
 catalog's derivation of them from the framed quiver with potential and one
 chart monomial per arrow.  The framed potential expanded by a recursion
 over each word (``expand_by_recursion``) is the reference for
-``framing.expand``.
+``framing.expand``.  The character figures' pyramids as they were typed
+from the figure annotations (``figure_pyramid``) pin the shift matrix and
+family index that ``characters.FIGURES`` gives each figure kind.
 """
 
 from __future__ import annotations
@@ -1001,3 +1003,29 @@ def expand_by_recursion(fq):
 
     terms = [(c, w) for c, w in terms if w]
     return expanded, Potential.from_words(expanded, terms)
+
+
+# -- character-figure pyramids typed from the figure annotations -----------------
+
+
+def figure_pyramid(kind: str, r: int):
+    """Pyramid whose row data matches the figure annotations for rank r."""
+    from quiverdt.characters import EVEN, ODD, Pyramid, PyramidRow, single_row_pyramid
+
+    if kind == "glr-principal":
+        return single_row_pyramid(r)
+    if kind == "gl2-s0":
+        return Pyramid((PyramidRow(EVEN, 1, r), PyramidRow(EVEN, 1, r)))
+    if kind == "gl2-s1":  # rows (r, r-1), offset 1
+        rows = [PyramidRow(EVEN, 1, r)]
+        if r - 1 >= 1:
+            rows.append(PyramidRow(EVEN, 2, r - 1))
+        return Pyramid(tuple(rows))
+    if kind == "gl2-s2":  # rows (r+1, r-1), offset 2
+        rows = [PyramidRow(EVEN, 1, r + 1)]
+        if r - 1 >= 1:
+            rows.append(PyramidRow(EVEN, 3, r - 1))
+        return Pyramid(tuple(rows))
+    if kind == "glrr":
+        return Pyramid((PyramidRow(EVEN, 1, r), PyramidRow(ODD, 1, r)))
+    raise ValueError(f"unknown figure kind {kind!r}")

@@ -45,31 +45,31 @@ def test_criterion_03_y20_and_y30_ncdt():
 
 def test_criterion_04_vw_rank1():
     t0 = time.time()
-    result = checks.check_vw_rank1(order=12)
+    result = checks.run_check("vw-rank1", 12)
     report(4, "rank-1 partition series vs eta^-1", result.equal, t0, 1)
 
 
 def test_criterion_05_nested_vs_characters():
     t0 = time.time()
-    result = checks.check_nested_gl(order=10, ranks=(1, 2, 3, 4))
+    result = checks.run_check("nested-gl", 10)
     report(5, "nested partitions vs principal characters", result.equal, t0, 10)
 
 
 def test_criterion_06_blowup():
     t0 = time.time()
-    result = checks.check_blowup(order=8)
+    result = checks.run_check("blowup", 8)
     report(6, "blowup lattice sum, order 8", result.equal, t0, 5)
 
 
 def test_criterion_07_character_figures():
     t0 = time.time()
-    result = checks.check_character_figures(order=20, max_rank=5)
+    result = checks.run_check("character-figures", 20)
     report(7, "five character figures, r <= 5, order 20", result.equal, t0, 5)
 
 
 def test_criterion_08_character_limits():
     t0 = time.time()
-    result = checks.check_character_limits(order=12, t_max=25)
+    result = checks.run_check("character-limits", 12)
     report(8, "four stable character limits, order 12", result.equal, t0, 30)
 
 

@@ -304,6 +304,17 @@ def test_spiked_has_three_framing_nodes():
     assert len(fq.potential.terms) == 5  # two commutator words + three couplings
 
 
+@pytest.mark.parametrize("template", catalog.monad_template_ids())
+def test_monad_case_builds_its_geometry_once(template, monkeypatch):
+    calls, real = [], catalog.get_quiver_with_potential
+    monkeypatch.setattr(
+        catalog, "get_quiver_with_potential", lambda g: calls.append(g) or real(g)
+    )
+    c, _ = catalog.monad_case(template)
+    assert calls == [catalog._monad_spec(template)[0]]
+    assert c.template == catalog.get_monad_template(template)
+
+
 # -- shift matrices --------------------------------------------------------------
 
 

@@ -62,10 +62,15 @@ def test_generator_count_affine_like():
         assert ws == {(1, 0): m * m}
 
 
+def figure_pyramid(kind, r):
+    shift, t, _ = C.FIGURES[kind]
+    return C.pyramid_from_shift(shift, t(r))
+
+
 def test_reflection_invariance():
-    for kind in ("glr-principal", "gl2-s0", "gl2-s1", "gl2-s2", "glrr"):
+    for kind in C.FIGURES:
         for r in (2, 3, 4):
-            p = C.figure_pyramid(kind, r)
+            p = figure_pyramid(kind, r)
             reflected = C.Pyramid(
                 tuple(C.PyramidRow(row.parity, -row.right, row.length) for row in p.rows)
             )
@@ -105,46 +110,48 @@ def test_character_of_union_is_product():
 
 
 def test_figures_match_pyramid_rule():
-    for kind in ("glr-principal", "gl2-s0", "gl2-s1", "gl2-s2", "glrr"):
+    for kind in C.FIGURES:
         for r in range(1, 5):
-            got = C.character(C.generator_weights(C.figure_pyramid(kind, r)), 14)
+            got = C.character(C.generator_weights(figure_pyramid(kind, r)), 14)
             assert compare(got, C.figure_series(kind, r, 14)) is None, (kind, r)
 
 
-@pytest.mark.parametrize("kind", sorted(C.FIGURE_POCHHAMMERS))
+@pytest.mark.parametrize("kind", sorted(C.FIGURES))
 def test_figures_against_factor_by_factor_oracle(kind):
     # each side of character-figures, built by factor_product, equals the
     # other side's multiset expanded one factor at a time
     for r in range(1, 6):
-        ws = C.generator_weights(C.figure_pyramid(kind, r))
+        ws = C.generator_weights(figure_pyramid(kind, r))
         pyramid_side = oracles.factor_product_by_factors(("q",), 20, C.character_factors(ws, 20))
         figure_side = oracles.factor_product_by_factors(("q",), 20, C.figure_factors(kind, r, 20))
         assert C.character(ws, 20) == figure_side, (kind, r)
         assert C.figure_series(kind, r, 20) == pyramid_side, (kind, r)
 
 
-def test_figure_pyramids_match_shift_construction():
+def test_figure_pyramids_match_the_typed_figure_annotations():
     # the shift-matrix route (family index t per figure) rebuilds the rows
-    for r in range(2, 6):
-        assert C.pyramid_from_shift(ShiftMatrix(2, 0, (0,)), r) == C.figure_pyramid("gl2-s0", r)
-        assert C.pyramid_from_shift(ShiftMatrix(2, 0, (1,)), r - 1) == C.figure_pyramid(
-            "gl2-s1", r
-        )
-        assert C.pyramid_from_shift(ShiftMatrix(2, 0, (2,)), r - 1) == C.figure_pyramid(
-            "gl2-s2", r
-        )
-        assert C.pyramid_from_shift(ShiftMatrix(1, 1, (0,)), r) == C.figure_pyramid("glrr", r)
+    for kind in C.FIGURES:
+        for r in range(1, 12):
+            assert figure_pyramid(kind, r) == oracles.figure_pyramid(kind, r), (kind, r)
 
 
-def test_limit_checks():
-    for sub in ((0,), (1,), (2,)):
-        assert C.limit_check(ShiftMatrix(2, 0, sub), 10, 25).equal
-    assert C.limit_check(ShiftMatrix(1, 1, (0,)), 10, 25).equal
+@pytest.mark.parametrize("order", [*range(13), 23, 24, 30, 40])
+def test_limits_equal_the_character_at_order_plus_total_shift(order):
+    for (m, n, sub) in C.LIMITS:
+        got = C.character_from_shift(ShiftMatrix(m, n, sub), order + sum(sub), order)
+        assert compare(got, C.limit_series(m, n, sub, order)) is None, (m, n, sub)
 
 
-def test_limit_check_requires_stabilized_t():
+def test_limits_differ_from_the_character_below_family_index_order():
+    # the shortest row has length t, so t = order - 1 misses a generator
+    for (m, n, sub) in C.LIMITS:
+        got = C.character_from_shift(ShiftMatrix(m, n, sub), 11, 12)
+        assert compare(got, C.limit_series(m, n, sub, 12)) is not None, (m, n, sub)
+
+
+def test_unstored_limit_is_rejected():
     with pytest.raises(C.CharacterError):
-        C.limit_check(ShiftMatrix(2, 0, (2,)), 12, 12)
+        C.limit_series(3, 0, (0, 0), 4)
 
 
 def test_mixed_nonrectangular_super_pyramid_warns():

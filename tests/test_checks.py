@@ -10,6 +10,7 @@ import pytest
 import oracles
 from quiverdt import catalog, checks, monad, ncalg, partitions
 from quiverdt.cli import run
+from quiverdt.qseries import QSeries, compare
 
 
 @pytest.mark.parametrize("name", sorted(checks.COMPARE_TARGETS))
@@ -64,15 +65,16 @@ def test_euler_form_twist_matches_the_parity_sequence_rule():
 @pytest.mark.parametrize("m", [4, 5])
 def test_ym0_ncdt_beyond_the_compare_targets(m):
     count = partial(partitions.plane_partition_series, colors=m)
-    result = checks.check_ymn_ncdt("0" * m, count, 8, f"y{m}0-ncdt")
-    assert result.equal, result.describe()
+    ((label, got, want),) = checks.ymn_ncdt_cases("0" * m, count, 8)
+    assert label is None and compare(got, want) is None
 
 
 def test_stray_key_error_in_compare_is_not_reported_as_unknown_target(monkeypatch):
-    def broken(order=10):
+    def broken(order):
         raise KeyError("q7")
+        yield
 
-    monkeypatch.setitem(checks.COMPARE_TARGETS, "conifold-ncdt", broken)
+    monkeypatch.setitem(checks.COMPARE_TARGETS, "conifold-ncdt", (10, broken))
     with pytest.raises(KeyError):
         run(["compare", "conifold-ncdt"])
 
@@ -106,8 +108,57 @@ def test_failed_monad_certification_exits_one_naming_the_entry(monkeypatch, caps
 
     assert run(["compare", "monad-certification"]) == 1
     out = capsys.readouterr().out
-    assert "monad (y20): FAILED" in out and where in out
+    assert "monad-certification (y20): FAILED" in out and where in out
 
     assert run(["compare", "monad-certification", "--json"]) == 1
     (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["name"] == "monad-certification (y20)"
     assert entry["equal"] is False and where in entry["detail"]
+
+
+@pytest.mark.parametrize("order", [24, 30])
+def test_character_limits_run_at_every_order(order, capsys):
+    assert run(["compare", "character-limits", "--order", str(order)]) == 0
+    assert f"character-limits: equal through total degree {order}" in capsys.readouterr().out
+
+
+def test_runner_names_the_first_differing_case_and_builds_no_later_one(monkeypatch, capsys):
+    built = []
+
+    def cases(order):
+        one = QSeries.one(("q",), order)
+        for label, coeff in (("first", 1), ("second", 2), ("third", 1)):
+            built.append(label)
+            yield label, one, QSeries.monomial(("q",), order, (0,), coeff)
+
+    monkeypatch.setitem(checks.COMPARE_TARGETS, "c3-dt", (3, cases))
+    result = checks.run_check("c3-dt")
+    assert built == ["first", "second"]
+    assert (result.name, result.equal, result.order) == ("c3-dt (second)", False, 3)
+    assert result.mismatch == ((0,), 1, 2) and result.detail is None
+
+    assert run(["compare", "c3-dt", "--json"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["name"] == "c3-dt (second)" and entry["mismatch"] == {"exp": [0], "a": 1, "b": 2}
+
+
+def test_runner_reports_a_case_that_is_not_a_series_by_its_detail(monkeypatch):
+    def cases(order):
+        yield "fine", None, None
+        yield "broken", "entry (0,1) is not in the ideal", None
+
+    monkeypatch.setitem(checks.COMPARE_TARGETS, "monad-certification", (None, cases))
+    result = checks.run_check("monad-certification", 7)
+    assert (result.name, result.order, result.mismatch) == ("monad-certification (broken)", 0, None)
+    assert result.describe() == (
+        "monad-certification (broken): FAILED: entry (0,1) is not in the ideal"
+    )
+
+
+ORDERED = [name for name, (default, _) in checks.COMPARE_TARGETS.items() if default is not None]
+
+
+@pytest.mark.parametrize("name", ORDERED)
+def test_negative_order_is_usage_error_naming_the_order(name, capsys):
+    assert run(["compare", name, "--order", "-1"]) == 2
+    assert capsys.readouterr().err == "error: order must be non-negative\n"

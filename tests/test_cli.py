@@ -106,6 +106,8 @@ def test_relations_framing_on_unframed_geometry_is_usage_error(tmp_path, capsys,
         ({"arrows": []}, "'arrows'"),
         ({"arrows": {"Af": 3}}, "'Af'"),
         ({"arrows": {"Af": [["x"]]}}, "'Af'"),
+        ({"ranks": {"inf": 2}, "arrows": {"Af": [[0, 0], [0]]}}, "marked arrow Af"),
+        ({"ranks": {"inf": 2}, "arrows": {"Af": [[0, 1], [0]]}}, "marked arrow Af"),
     ],
 )
 def test_malformed_framing_file_is_usage_error(tmp_path, capsys, spec, named):
@@ -330,6 +332,23 @@ def test_character_golden_line(capsys):
     assert code == 0
     # weight multiset {1: x3, 2: x2}: prod (1-q^k)^-3 (1-q^(k+1))^-2
     assert out.strip().splitlines()[-1] == "1,3,11,30,80"
+
+
+@pytest.mark.parametrize("m, zeros", [(1, ""), (3, "0;0")])
+def test_character_default_shift_is_m_plus_n_minus_one_zeros(capsys, m, zeros):
+    argv = ["character", "--m", str(m), "--n", "0", "--t", "1", "--order", "3", "--json"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "") and json.loads(out)["sub"] == [0] * (m - 1)
+    assert run_capture(capsys, [*argv, "--shift", zeros]) == (code, out, err)
+
+
+def test_character_default_shift_for_m_two_is_unchanged(capsys):
+    argv = ["character", "--m", "2", "--n", "0", "--t", "3", "--order", "8"]
+    assert run_capture(capsys, argv) == run_capture(capsys, [*argv, "--shift", "0"])
+    assert run_capture(capsys, argv)[1].splitlines() == [
+        "shift (0,) (m=2, n=0), t=3",
+        "1,4,18,64,211,636,1822,4936,12861",
+    ]
 
 
 def test_character_divisor_route(capsys):

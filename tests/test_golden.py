@@ -6,7 +6,9 @@ The stored files were written before the catalog's quivers, potentials and
 NCDT checks were generated from parity sequences, so they pin that the
 generator changed no output; the ``relations <example> --framing`` cases
 with rank > 1 framings were written before ``framing.expand`` became one
-product over junction copies.  To rewrite them after a deliberate change of
+product over junction copies; the ``compare`` cases of the targets outside
+``NCDT_CAPS`` were written before every target became a table row of cases
+walked by one runner.  To rewrite them after a deliberate change of
 output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
