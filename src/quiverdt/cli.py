@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import catalog, characters, checks, framing, monad, ncalg, partitions
@@ -444,6 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning: ...`` line on stderr, without the
+    source path and line of the package code that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     """Run one ``quiverdt`` command line (``sys.argv[1:]`` when ``argv`` is
     None) and return its exit code.  The parser is built by the first call
@@ -454,7 +461,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code = args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 
@@ -88,7 +88,7 @@ class QSeries:
     # -- basics ---------------------------------------------------------
 
     def grade(self, exps: tuple[int, ...]) -> int:
-        return sum(w * e for w, e in zip(self.grading, exps))
+        return sum(map(mul, self.grading, exps))
 
     def _like(self, coeffs: Mapping[tuple[int, ...], int]) -> "QSeries":
         return QSeries(self.vars, self.order, coeffs, self.grading)
@@ -163,7 +163,8 @@ class QSeries:
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z")
         zero = (0,) * len(self.vars)
-        by_grade: dict[int, dict[tuple[int, ...], int]] = {}
+        bound = self.order * max((abs(x) for e in self.coeffs for x in e), default=0)
+        by_grade: dict[int, dict[int, int]] = {}  # grade -> {packed exps: coeff}
         for e, c in self.coeffs.items():
             g = self.grade(e)
             if g == 0 and e != zero:
@@ -171,9 +172,10 @@ class QSeries:
                     f"cannot invert: non-constant monomial {e} has grade 0; "
                     "use a grading vector that weights it positively"
                 )
-            by_grade.setdefault(g, {})[e] = c
+            by_grade.setdefault(g, {})[_pack(e, bound)] = c
         # a * inv = 1: inv_e = -c0 * sum_f a_f * inv_(e-f) over grade(f) > 0
-        return self._like(_grade_recurrence(self.order, zero, c0, by_grade, lambda g, c: -c0 * c))
+        coeffs = _grade_recurrence(len(zero), self.order, bound, c0, by_grade, lambda g, c: -c0 * c)
+        return self._like(coeffs)
 
     def __pow__(self, k: int) -> "QSeries":
         if k < 0:
@@ -233,21 +235,29 @@ class QSeries:
 # -- factor products -----------------------------------------------------
 
 
-def _grade_recurrence(order, zero, c0, rhs, finish) -> dict[tuple[int, ...], int]:
-    """Coefficients ``a`` of a series with ``a_zero = c0`` that obey, grade
-    by grade, ``a_e = finish(g, sum_f rhs_f * a_(e-f))`` for every e of
-    grade g >= 1, the sum running over the terms of ``rhs`` (grade ->
-    {exps: coeff}) of positive grade."""
-    levels = [{zero: c0}]
+def _pack(exps, bound: int) -> int:
+    """``exps`` as signed base-``(2*bound + 1)`` digits, additive within ``+-bound``."""
+    return sum(e * (2 * bound + 1) ** i for i, e in enumerate(exps))
+
+
+def _grade_recurrence(n, order, bound, c0, rhs, finish) -> dict[tuple[int, ...], int]:
+    """Coefficients ``a`` of a series in n variables with ``a_0 = c0`` that
+    obey, grade by grade, ``a_e = finish(g, sum_f rhs_f * a_(e-f))`` for every
+    e of grade g >= 1, the sum running over the terms of ``rhs`` (grade ->
+    {packed exps: coeff}) of positive grade, all exponents within +-bound."""
+    terms = [list(rhs.get(h, {}).items()) for h in range(1, order + 1)]
+    levels = [[(0, c0)]]  # grade -> [(packed exps, coeff)]
     for g in range(1, order + 1):
-        level: dict[tuple[int, ...], int] = {}
-        for h in range(1, g + 1):
-            for f, b in rhs.get(h, {}).items():
-                for e, a in levels[g - h].items():
-                    key = _add_exps(f, e)
+        level: dict[int, int] = {}
+        for fs, below in zip(terms, reversed(levels)):  # grades h and g - h
+            for f, b in fs:
+                for e, a in below:
+                    key = f + e
                     level[key] = level.get(key, 0) + b * a
-        levels.append({e: finish(g, c) for e, c in level.items() if c})
-    return {e: c for level in levels for e, c in level.items()}
+        levels.append([(e, finish(g, c)) for e, c in level.items() if c])
+    base, offset = 2 * bound + 1, _pack((bound,) * n, bound)  # offset: every digit +bound
+    unpack = lambda p: tuple((p + offset) // base**i % base - bound for i in range(n))  # noqa: E731
+    return {unpack(p): c for level in levels for p, c in level}
 
 
 def factor_product(vars, order, factors: Mapping, grading=None) -> QSeries:
@@ -261,11 +271,15 @@ def factor_product(vars, order, factors: Mapping, grading=None) -> QSeries:
     each coefficient follows from lower grades by one exact integer
     division.  A grade-0 factor is invisible to D; with a non-negative
     power it is a polynomial, expanded directly and multiplied in last.
+
+    Exponent vectors are packed as signed base-``(2*bound + 1)`` digits, with
+    ``bound = order * max|exps_i|``: a grade <= order sums <= order factor ``m``.
     """
     one = QSeries.one(vars, order, grading)
     zero = (0,) * len(one.vars)
     flat = one  # product of the grade-0 factors
-    log_deriv: dict[int, dict[tuple[int, ...], int]] = {}  # grade -> {exps: b}
+    bound = order * max((abs(x) for exps, _ in factors for x in exps), default=0)
+    log_deriv: dict[int, dict[int, int]] = {}  # grade -> {packed exps: b}
     for (exps, sign), power in factors.items():
         exps = tuple(exps)
         g = one.grade(exps)
@@ -279,11 +293,11 @@ def factor_product(vars, order, factors: Mapping, grading=None) -> QSeries:
         if g == 0:
             flat = flat * (one - QSeries.monomial(vars, order, exps, sign, grading)) ** power
             continue
+        packed, b = _pack(exps, bound), -power * g  # m**k packs to k * packed
         for k in range(1, order // g + 1):
             level = log_deriv.setdefault(k * g, {})
-            e = tuple(k * x for x in exps)
-            level[e] = level.get(e, 0) - power * g * sign ** k
-    coeffs = _grade_recurrence(order, zero, 1, log_deriv, lambda g, c: c // g)
+            level[k * packed] = level.get(k * packed, 0) + b * sign**k
+    coeffs = _grade_recurrence(len(zero), order, bound, 1, log_deriv, lambda g, c: c // g)
     series = QSeries(vars, order, coeffs, grading)
     return series if flat is one else flat * series
 
@@ -304,9 +318,8 @@ def _q_product(vars, order, q: Mono | None, grading, power_at, x: Mono | None = 
         q = Mono(1, tuple(0 if i < n - 1 else 1 for i in range(n)))
     if x is None:
         x = Mono(1, (0,) * n)
-    weights = QSeries.one(vars, order, grading).grading
-    gq = sum(w * e for w, e in zip(weights, q.exps))
-    gx = sum(w * e for w, e in zip(weights, x.exps))
+    one = QSeries.one(vars, order, grading)
+    gq, gx = one.grade(q.exps), one.grade(x.exps)
     if gq <= 0:
         raise ConeViolation("q-monomial must have positive grade")
     factors = {}
@@ -315,7 +328,7 @@ def _q_product(vars, order, q: Mono | None, grading, power_at, x: Mono | None = 
         exps = tuple(xe + k * qe for xe, qe in zip(x.exps, q.exps))
         factors[(exps, x.sign * q.sign ** k)] = power_at(k)
         k += 1
-    return factor_product(vars, order, factors, weights)
+    return factor_product(vars, order, factors, one.grading)
 
 
 def macmahon(x: Mono | None, order: int, vars=("x", "q"), q: Mono | None = None,
@@ -361,8 +374,7 @@ class Substitution:
                 raise QSeriesError(f"no image for variable {v!r}")
 
     def image_grade(self, var: str) -> int:
-        m = self.images[var]
-        return sum(w * e for w, e in zip(self.target_grading, m.exps))
+        return sum(map(mul, self.target_grading, self.images[var].exps))
 
 
 def substitute(sub: Substitution, a: QSeries) -> QSeries:
@@ -390,7 +402,7 @@ def substitute(sub: Substitution, a: QSeries) -> QSeries:
             for i, me in enumerate(m.exps):
                 image[i] += e * me
         key = tuple(image)
-        g = sum(w * e for w, e in zip(sub.target_grading, key))
+        g = sum(map(mul, sub.target_grading, key))
         if g < 0:
             raise ConeViolation(f"image of {exps} has negative grade")
         if g <= a.order:
@@ -410,9 +422,7 @@ def compare(a: QSeries, b: QSeries, order: int | None = None):
         order = min(a.order, b.order)
     order = min(order, a.order, b.order)
     keys = set(a.coeffs) | set(b.coeffs)
-    for e in sorted(keys, key=lambda e: (a.grade(e), e)):
-        if a.grade(e) > order:
-            continue
+    for _, e in sorted((g, e) for e in keys if (g := a.grade(e)) <= order):
         ca, cb = a.coeffs.get(e, 0), b.coeffs.get(e, 0)
         if ca != cb:
             return (e, ca, cb)

@@ -392,6 +392,21 @@ def test_character_shift_and_divisor_are_exclusive(capsys):
     assert "--shift" in err and "--divisor" in err and "not allowed with" in err
 
 
+MIXED_PYRAMID = ["character", "--divisor", "mu=3,2 nu=1", "--m", "2", "--n", "1", "--t", "2"]
+
+
+def test_character_warning_is_one_plain_stderr_line(capsys):
+    argv = MIXED_PYRAMID + ["--order", "4"]
+    warning = (
+        "warning: mixed even/odd pyramid with non-rectangular blocks: "
+        "the inter-block ordering convention is untested\n"
+    )
+    for _ in range(2):  # on every call, not once per process
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (0, "shift (1, 1) (m=2, n=1), t=2\n1,6,33,148,594\n")
+        assert err == warning
+
+
 def test_compare_pass_exit_zero(capsys):
     code, out, _ = run_capture(capsys, ["compare", "vw-rank1"])
     assert code == 0 and "equal through" in out
@@ -425,6 +440,7 @@ SHARED_PARSER_SEQUENCE = [
     ["character", "--m", "2", "--n", "0", "--t", "1", "--order", "3"],
     ["compare", "blowup", "--json", "--order", "6"],
     ["compare", "monad-certification", "--json"],
+    MIXED_PYRAMID + ["--order", "4"],
 ]
 
 

@@ -201,3 +201,62 @@ def test_factor_product_exponent_length_mismatch():
     for build in (factor_product, oracles.factor_product_by_factors):
         with pytest.raises(QSeriesError):
             build(("q",), 5, {((1, 1), 1): -1})
+
+
+# -- edges of the packed-exponent recurrence -------------------------------
+# factor_product and inverse pack exponent vectors into signed base-(2*bound + 1)
+# digits with bound = order * max|exps_i|; these cases sit on that bound.
+
+
+def _y30_factors(order):
+    """The MacMahon factors of the y30 product: (1 - x q^k)^(-k e) in
+    (x1, x2, q) for the Laurent x = +-(1,0), +-(0,1), +-(1,1)."""
+    factors = {}
+    for (a, b), e in {(0, 0): 3, (1, 0): 1, (0, 1): 1, (1, 1): 1}.items():
+        for x in {(a, b), (-a, -b)}:
+            for k in range(1, (order - sum(x)) // 3 + 1):
+                factors[(x + (k,), 1)] = -k * e
+    return factors
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 9])
+def test_packed_recurrence_three_variables_graded_1_1_3(order):
+    vars, grading, factors = ("x1", "x2", "q"), (1, 1, 3), _y30_factors(order)
+    got = factor_product(vars, order, factors, grading)
+    assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
+    assert got.constant_term() == 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 8])
+def test_packed_recurrence_reaches_the_bound_on_both_sides(order):
+    # m1 = x^-1 q and m2 = x have grade 1 and max|exps_i| = 1, so bound = order:
+    # m1**order = x^-order q^order and m2**order = x^order sit on +-bound
+    vars, grading = ("x", "q"), (1, 2)
+    factors = {((-1, 1), 1): -1, ((1, 0), -1): -2, ((0, 1), 1): 3}
+    got = factor_product(vars, order, factors, grading)
+    assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
+    assert got.coefficient((-order, order)) == 1
+    assert got.coefficient((order, 0)) == (-1) ** order * (order + 1)
+
+
+def test_packed_recurrence_at_orders_zero_and_one():
+    for vars, grading, factors in [
+        (("q",), None, {((1,), 1): -1, ((2,), -1): 2}),
+        (("x", "q"), (1, 2), {((-1, 1), 1): -2, ((-2, 2), -1): 1, ((1, 0), 1): 1}),
+    ]:
+        for order in (0, 1):
+            got = factor_product(vars, order, factors, grading)
+            assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
+    assert factor_product(("q",), 0, {((1,), 1): -1}) == QSeries.one(("q",), 0)
+    assert q1(0, {0: -1}).inverse() == q1(0, {0: -1})
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 7, 10])
+def test_inverse_of_laurent_series_graded_1_2(order):
+    # inverse(prod (1 - m)^p) = prod (1 - m)^-p, both sides by the oracle
+    vars, grading = ("x", "q"), (1, 2)
+    factors = {((-1, 1), 1): 2, ((-2, 2), -1): 1, ((1, 0), 1): 1, ((-1, 2), -1): 3}
+    series = oracles.factor_product_by_factors(vars, order, factors, grading)
+    inverse = {key: -power for key, power in factors.items()}
+    assert series.inverse() == oracles.factor_product_by_factors(vars, order, inverse, grading)
+    assert (-series).inverse() == -series.inverse()
