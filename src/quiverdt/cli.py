@@ -479,6 +479,9 @@ def run(argv=None) -> int:
     except catalog.NotInCatalog as exc:
         print(f"not in catalog: {exc}", file=sys.stderr)
         return 2
+    except Warning as exc:  # a warning the interpreter was told to raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -244,7 +244,22 @@ def _grade_recurrence(n, order, bound, c0, rhs, finish) -> dict[tuple[int, ...],
     """Coefficients ``a`` of a series in n variables with ``a_0 = c0`` that
     obey, grade by grade, ``a_e = finish(g, sum_f rhs_f * a_(e-f))`` for every
     e of grade g >= 1, the sum running over the terms of ``rhs`` (grade ->
-    {packed exps: coeff}) of positive grade, all exponents within +-bound."""
+    {packed exps: coeff}) of positive grade, all exponents within +-bound.
+
+    In one variable (n == 1, where a packed exponent is the exponent itself)
+    grade g holds at most the exponent g / w for the weight w, so the
+    recurrence is a dense convolution over the multiples of |w|, one C-level
+    dot product per grade; w < 0 gives exponents <= 0.  More variables take
+    the packed path below."""
+    if n == 1:
+        w = next((h // f for h, fs in rhs.items() if h for f in fs), 1)
+        step = abs(w)
+        grades = range(step, order + 1, step)
+        b = [sum(rhs.get(h, {}).values()) for h in grades]  # b[i]: grade (i + 1) * step
+        a = [c0]
+        for g in grades:
+            a.append(finish(g, sum(map(mul, b, reversed(a)))))
+        return {(i * step // w,): c for i, c in enumerate(a) if c}  # c0 != 0 stays
     terms = [list(rhs.get(h, {}).items()) for h in range(1, order + 1)]
     levels = [[(0, c0)]]  # grade -> [(packed exps, coeff)]
     for g in range(1, order + 1):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -405,6 +406,19 @@ def test_character_warning_is_one_plain_stderr_line(capsys):
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (0, "shift (1, 1) (m=2, n=1), t=2\n1,6,33,148,594\n")
         assert err == warning
+
+
+def test_character_warning_raised_as_error_is_usage_error(capsys):
+    # under -W error (or PYTHONWARNINGS=error) the warning is raised, not shown
+    argv = MIXED_PYRAMID + ["--order", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: mixed even/odd pyramid with non-rectangular blocks: "
+        "the inter-block ordering convention is untested\n"
+    )
 
 
 def test_compare_pass_exit_zero(capsys):

@@ -146,13 +146,16 @@ def _outcome(build, *args):
 
 
 def _random_factor_case(seed):
-    """A uniformly drawn (vars, grading, factor multiset, order): univariate,
-    or (x, q) with grading (1, 2) and Laurent x^-1, x^-2; signs +-1, powers
-    -4..4, orders 0..25.  Negative-grade and grade-0 monomials occur too."""
+    """A uniformly drawn (vars, grading, factor multiset, order): univariate
+    under grading None, (2,), (3,) or (-1,), with exponents -1..4 times the
+    weight's sign, or (x, q) with grading (1, 2) and Laurent x^-1, x^-2;
+    signs +-1, powers -4..4, orders 0..25.  Negative-grade and grade-0
+    monomials occur too."""
     rng = random.Random(seed)
     if rng.random() < 0.5:
-        vars, grading = ("q",), None
-        monomial = lambda: (rng.randint(-1, 4),)
+        vars, grading = ("q",), rng.choice((None, (2,), (3,), (-1,)))
+        direction = -1 if grading == (-1,) else 1
+        monomial = lambda: (direction * rng.randint(-1, 4),)
     else:
         vars, grading = ("x", "q"), (1, 2)
         monomial = lambda: (rng.randint(-2, 2), rng.randint(0, 2))
@@ -249,6 +252,32 @@ def test_packed_recurrence_at_orders_zero_and_one():
             assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
     assert factor_product(("q",), 0, {((1,), 1): -1}) == QSeries.one(("q",), 0)
     assert q1(0, {0: -1}).inverse() == q1(0, {0: -1})
+
+
+def test_one_variable_recurrence_edges():
+    # the dense one-variable path steps through the multiples of |w|, reads
+    # the exponent of grade g as g / w, and skips grade 0 (inverse's constant
+    # term) and every grade above the order
+    vars = ("q",)
+    factors = {((-1,), 1): -2, ((-2,), -1): 3, ((-3,), 1): 1}
+    inverse = {key: -power for key, power in factors.items()}
+    for order in (0, 1, 5, 12):
+        series = factor_product(vars, order, factors, (-1,))
+        assert series == oracles.factor_product_by_factors(vars, order, factors, (-1,))
+        assert series.inverse() == oracles.factor_product_by_factors(vars, order, inverse, (-1,))
+        assert order == 0 or series.coefficient((-1,)) == 2
+    factors = {((1,), 1): 2, ((2,), -1): -1, ((3,), 1): 3}
+    inverse = {key: -power for key, power in factors.items()}
+    for order in (0, 2, 5, 14):
+        series = -oracles.factor_product_by_factors(vars, order, factors, (2,))
+        assert series.constant_term() == -1
+        assert series.inverse() == -oracles.factor_product_by_factors(vars, order, inverse, (2,))
+    for grading, exps in ((None, (2,)), ((2,), (1,)), ((3,), (1,)), ((-1,), (-2,))):
+        factors = {(exps, 1): -1, ((3 * exps[0],), -1): 2}
+        for order in (0, 1):
+            got = factor_product(vars, order, factors, grading)
+            assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
+            assert got == QSeries.one(vars, order, grading)
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 7, 10])
