@@ -8,8 +8,10 @@ generator changed no output; the ``relations <example> --framing`` cases
 with rank > 1 framings were written before ``framing.expand`` became one
 product over junction copies; the ``compare`` cases of the targets outside
 ``NCDT_CAPS`` were written before every target became a table row of cases
-walked by one runner.  To rewrite them after a deliberate change of
-output, run ``PYTHONPATH=src python tests/test_golden.py``.
+walked by one runner; the ``series`` cases were written before
+``qseries.macmahon`` and ``euler_factor`` became one-variable products.
+To rewrite them after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -57,6 +59,12 @@ def _cases() -> list[list[str]]:
         cases += [["compare", target, "--order", str(o), "--json"] for o in (0, 6, 12, cap)]
     for target, bench in BENCH_ORDERS.items():
         cases += [["compare", target, "--order", str(o), "--json"] for o in (0, 6, bench)]
+    cases += [["series", f, "--order", "30", "--json"] for f in ("macmahon", "eta", "eta-inverse")]
+    cases += [
+        ["series", "macmahon-power", "--power", str(p), "--order", "30", "--json"]
+        for p in (-3, -1, 0, 2)
+    ]
+    cases.append(["series", "macmahon", "--order", "0", "--json"])
     return cases
 
 
@@ -76,6 +84,11 @@ def _replay(argv: list[str]) -> str:
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
 def test_output_is_byte_identical(argv):
     assert _replay(argv) == _file(argv).read_text()
+
+
+def test_every_case_has_its_own_file():
+    # the file name drops signs and punctuation: --power -1 and 1 would share one
+    assert len({_file(argv) for argv in _cases()}) == len(_cases())
 
 
 if __name__ == "__main__":
