@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import ShiftMatrix
-from .qseries import QSeries, factor_product, macmahon
+from .qseries import QSeries, factor_product
 
 EVEN, ODD = 0, 1
 
@@ -206,7 +206,3 @@ def limit_series(m: int, n: int, sub: tuple[int, ...], order: int) -> QSeries:
         raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
     return factor_product(("q",), order, _pochhammer_factors(order, LIMITS[m, n, sub](order)))
 
-
-def macmahon_power(order: int, power: int) -> QSeries:
-    """prod_k (1 - q^k)^(-power*k) as a series in q."""
-    return macmahon(None, order, vars=("q",), power=power)

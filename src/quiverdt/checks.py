@@ -57,11 +57,11 @@ class CheckResult:
 
 
 def _c3_dt(order):
-    yield None, partitions.plane_partition_series(order), macmahon(None, order, vars=("q",))
+    yield None, partitions.plane_partition_series(order), macmahon(order)
 
 
 def _vw_rank1(order):
-    yield None, partitions.partition_series(order), euler_factor(("q",), order, power=-1)
+    yield None, partitions.partition_series(order), euler_factor(order, power=-1)
 
 
 def _qs(n: int) -> tuple[str, ...]:
@@ -72,10 +72,10 @@ def ymn_ncdt_product(sigma: str, order: int) -> QSeries:
     """The NCDT product of the Y_{m,n} geometry with parity sequence sigma
     of length N, in q0..q_(N-1): ``M(1,q)^N`` times ``(M(x_[a,b], q)
     M(x_[a,b]^-1, q))^e`` over 1 <= a <= b < N, with e = +1 when sigma_a =
-    sigma_(b+1 mod N) and -1 otherwise, graded (1, ..., 1, N) on (x_1, ...,
-    x_(N-1), q), under q -> -q0...q_(N-1) and x_i -> q_i.  One
-    :func:`factor_product` over the factors ``(1 - x q^k)^(-k e)`` of
-    ``M(x, q)^e``."""
+    sigma_(b+1 mod N) and -1 otherwise, under q -> -q0...q_(N-1) and x_i ->
+    q_i.  One :func:`factor_product` over the images ``(-1)^k q0^k q1^(k +
+    x_1) ... q_(N-1)^(k + x_(N-1))`` of the factors ``(1 - x q^k)^(-k e)`` of
+    ``M(x, q)^e``, each of total degree ``k N + sum(x)``."""
     n = len(sigma)
     powers = {(0,) * (n - 1): n}  # x-exponents of a MacMahon factor -> its power
     for a in range(1, n):
@@ -85,15 +85,9 @@ def ymn_ncdt_product(sigma: str, order: int) -> QSeries:
             powers[x] = powers[tuple(-v for v in x)] = e
     factors = {}
     for x, power in powers.items():
-        k = 1
-        while sum(x) + k * n <= order:
-            factors[(x + (k,), 1)] = -k * power
-            k += 1
-    vars_ = tuple(f"x{i}" for i in range(1, n)) + ("q",)
-    prod = factor_product(vars_, order, factors, (1,) * (n - 1) + (n,))
-    images = {f"x{i}": Mono(1, tuple(int(c == i) for c in range(n))) for i in range(1, n)}
-    images["q"] = Mono(-1, (1,) * n)
-    return substitute(Substitution(vars_, _qs(n), images), prod)
+        for k in range(1, (order - sum(x)) // n + 1):
+            factors[((k,) + tuple(k + v for v in x), (-1) ** k)] = -k * power
+    return factor_product(_qs(n), order, factors)
 
 
 def fixed_point_flips(q: Quiver) -> tuple[bool, ...]:
@@ -132,7 +126,7 @@ def _blowup(order):
     variable qh with qh^2 = q."""
     got = partitions.blowup_series(order)
     qh = ("qh",)
-    eta2 = euler_factor(qh, 2 * order, q=Mono(1, (2,)), power=-2)
+    eta2 = factor_product(qh, 2 * order, {((2 * k,), 1): -2 for k in range(1, order + 1)})
     theta = QSeries.zero(qh, 2 * order)
     k = 0
     while k * k <= 2 * order:

@@ -257,13 +257,13 @@ def cmd_series(args) -> int:
     from .qseries import euler_factor, macmahon
 
     if args.formula == "macmahon":
-        series = macmahon(None, args.order, vars=("q",))
+        series = macmahon(args.order)
     elif args.formula == "eta-inverse":
-        series = euler_factor(("q",), args.order, power=-1)
+        series = euler_factor(args.order, power=-1)
     elif args.formula == "eta":
-        series = euler_factor(("q",), args.order, power=1)
+        series = euler_factor(args.order)
     else:
-        series = characters.macmahon_power(args.order, args.power)
+        series = macmahon(args.order, args.power)
     if args.json:
         _emit_json(series.to_json())
     else:

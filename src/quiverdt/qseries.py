@@ -323,44 +323,19 @@ def binomial_factor(vars, order, exps, sign=1, power=1, grading=None) -> QSeries
     return factor_product(vars, order, {(tuple(exps), sign): power}, grading)
 
 
-def _q_product(vars, order, q: Mono | None, grading, power_at, x: Mono | None = None) -> QSeries:
-    """``prod_{k>=1} (1 - X*Q**k)**power_at(k)``.  ``X`` defaults to 1 and
-    ``Q`` to the last variable; factors beyond the truncation order are
-    dropped."""
-    vars = tuple(vars)
-    n = len(vars)
-    if q is None:
-        q = Mono(1, tuple(0 if i < n - 1 else 1 for i in range(n)))
-    if x is None:
-        x = Mono(1, (0,) * n)
-    one = QSeries.one(vars, order, grading)
-    gq, gx = one.grade(q.exps), one.grade(x.exps)
-    if gq <= 0:
-        raise ConeViolation("q-monomial must have positive grade")
-    factors = {}
-    k = 1
-    while gx + k * gq <= order:
-        exps = tuple(xe + k * qe for xe, qe in zip(x.exps, q.exps))
-        factors[(exps, x.sign * q.sign ** k)] = power_at(k)
-        k += 1
-    return factor_product(vars, order, factors, one.grading)
+def macmahon(order: int, power: int = 1) -> QSeries:
+    """MacMahon's ``prod_{k>=1} (1 - q**k)**(-k*power)`` in the one variable q.
 
-
-def macmahon(x: Mono | None, order: int, vars=("x", "q"), q: Mono | None = None,
-             grading=None, power: int = 1) -> QSeries:
-    """MacMahon-type product ``prod_{k>=1} (1 - X*Q**k)**(-k*power)``.
-
-    ``X`` defaults to 1 (when ``x`` is None); ``Q`` defaults to the last
-    variable.  Factors with grade beyond the truncation order are dropped.
-    With a Laurent ``X`` the grading must weight every factor positively,
-    e.g. grading (1, 2) on (x, q) for M(x**-1, q).
+    Laurent or multivariate MacMahon products such as ``M(x**-1, q)`` are
+    :func:`factor_product` multisets under a grading that weights every
+    factor positively, e.g. (1, 2) on (x, q).
     """
-    return _q_product(vars, order, q, grading, lambda k: -k * power, x)
+    return factor_product(("q",), order, {((k,), 1): -k * power for k in range(1, order + 1)})
 
 
-def euler_factor(vars, order, q: Mono | None = None, grading=None, power: int = 1) -> QSeries:
-    """``prod_{k>=1} (1 - Q**k)**power`` (so ``power=-1`` is the partition series)."""
-    return _q_product(vars, order, q, grading, lambda k: power)
+def euler_factor(order: int, power: int = 1) -> QSeries:
+    """``prod_{k>=1} (1 - q**k)**power`` in q (so ``power=-1`` is the partition series)."""
+    return factor_product(("q",), order, {((k,), 1): power for k in range(1, order + 1)})
 
 
 # -- substitution --------------------------------------------------------

@@ -20,8 +20,9 @@ time by ring arithmetic, independent of the package's
 logarithmic-derivative recurrence.  The catalog's quivers and potentials
 as they were written out by hand before the parity-sequence generator
 (``literal_quiver_with_potential``), and the NCDT products built MacMahon
-by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``), pin the
-generator and ``checks.ymn_ncdt_product``; the NCDT sign twist as it was
+by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``) or in Laurent
+variables under a substitution (``ymn_ncdt_product_by_substitution``), pin
+the generator and ``checks.ymn_ncdt_product``; the NCDT sign twist as it was
 read off the parity sequence (``ymn_sign_flips``) pins the twist that
 ``checks`` derives from the Euler form, and the arrow and gauge dimensions
 of a pair of dimension vectors (``block_dims``) cross-check the Euler form
@@ -589,18 +590,33 @@ def ymn_sign_flips(sigma: str) -> tuple[bool, ...]:
 # -- NCDT products, MacMahon by MacMahon --------------------------------------------
 
 
+def _laurent_macmahon_factors(x, grading, order: int, power: int = 1) -> dict:
+    """The factors ``(1 - x q^k)^(-k power)``, k >= 1, of ``M(x, q)^power``
+    whose grade under ``grading`` is at most order: x is an exponent vector
+    on every variable but the last, which is q."""
+    gx = sum(w * e for w, e in zip(grading, x))
+    return {(tuple(x) + (k,), 1): -k * power for k in range(1, (order - gx) // grading[-1] + 1)}
+
+
+def _laurent_macmahon(vars_, grading, x, order: int, power: int = 1):
+    from quiverdt.qseries import factor_product
+
+    factors = _laurent_macmahon_factors(x, grading, order, power)
+    return factor_product(vars_, order, factors, grading)
+
+
 def xq_ncdt_product(order: int, inverse_outer: bool):
     """M(1,q)^2 M(x^-1,q)^e M(x,q)^e in (x, q) with grading (1, 2), for e =
     -1 (conifold) or +1 (y20), under q -> -q0 q1, x -> q1."""
-    from quiverdt.qseries import Mono, Substitution, macmahon, substitute
+    from quiverdt.qseries import Mono, Substitution, substitute
 
     vars_xq = ("x", "q")
     grading = (1, 2)
     e = -1 if inverse_outer else 1
     prod = (
-        macmahon(None, order, vars_xq, grading=grading) ** 2
-        * macmahon(Mono(1, (-1, 0)), order, vars_xq, grading=grading, power=e)
-        * macmahon(Mono(1, (1, 0)), order, vars_xq, grading=grading, power=e)
+        _laurent_macmahon(vars_xq, grading, (0,), order) ** 2
+        * _laurent_macmahon(vars_xq, grading, (-1,), order, power=e)
+        * _laurent_macmahon(vars_xq, grading, (1,), order, power=e)
     )
     to_q01 = Substitution(
         ("x", "q"), ("q0", "q1"), {"q": Mono(-1, (1, 1)), "x": Mono(1, (0, 1))}
@@ -611,23 +627,47 @@ def xq_ncdt_product(order: int, inverse_outer: bool):
 def ym0_ncdt_product(m: int, order: int):
     """M(1,q)^m times paired interval factors M(x_[a,b]^{+-1}, q) under
     q -> -q0...q_(m-1), x_i -> q_i."""
-    from quiverdt.qseries import Mono, Substitution, macmahon, substitute
+    from quiverdt.qseries import Mono, Substitution, substitute
 
     xs = tuple(f"x{i}" for i in range(1, m))
     vars_ = xs + ("q",)
     grading = (1,) * (m - 1) + (m,)
-    prod = macmahon(None, order, vars_, grading=grading) ** m
+    prod = _laurent_macmahon(vars_, grading, (0,) * (m - 1), order) ** m
     for a in range(1, m):
         for b in range(a, m):
-            exps = tuple(1 if a <= i <= b else 0 for i in range(1, m)) + (0,)
+            exps = tuple(1 if a <= i <= b else 0 for i in range(1, m))
             inv = tuple(-e for e in exps)
-            prod = prod * macmahon(Mono(1, exps), order, vars_, grading=grading)
-            prod = prod * macmahon(Mono(1, inv), order, vars_, grading=grading)
+            prod = prod * _laurent_macmahon(vars_, grading, exps, order)
+            prod = prod * _laurent_macmahon(vars_, grading, inv, order)
     targets = tuple(f"q{c}" for c in range(m))
     images = {"q": Mono(-1, (1,) * m)}
     for i in range(1, m):
         images[f"x{i}"] = Mono(1, tuple(1 if c == i else 0 for c in range(m)))
     return substitute(Substitution(vars_, targets, images), prod)
+
+
+def ymn_ncdt_product_by_substitution(sigma: str, order: int):
+    """The NCDT product of the parity sequence sigma of length N as it was
+    built before ``checks.ymn_ncdt_product`` wrote its factors straight in
+    q0..q_(N-1): one product over the MacMahon factors in Laurent variables
+    (x_1, ..., x_(N-1), q) graded (1, ..., 1, N), then q -> -q0...q_(N-1)
+    and x_i -> q_i."""
+    from quiverdt.qseries import Mono, Substitution, factor_product, substitute
+
+    n = len(sigma)
+    grading = (1,) * (n - 1) + (n,)
+    factors = _laurent_macmahon_factors((0,) * (n - 1), grading, order, n)
+    for a in range(1, n):
+        for b in range(a, n):
+            e = 1 if sigma[a] == sigma[(b + 1) % n] else -1
+            x = tuple(1 if a <= i <= b else 0 for i in range(1, n))
+            factors.update(_laurent_macmahon_factors(x, grading, order, e))
+            factors.update(_laurent_macmahon_factors(tuple(-v for v in x), grading, order, e))
+    vars_ = tuple(f"x{i}" for i in range(1, n)) + ("q",)
+    images = {f"x{i}": Mono(1, tuple(int(c == i) for c in range(n))) for i in range(1, n)}
+    images["q"] = Mono(-1, (1,) * n)
+    prod = factor_product(vars_, order, factors, grading)
+    return substitute(Substitution(vars_, tuple(f"q{c}" for c in range(n)), images), prod)
 
 
 # -- hand-typed monad templates ---------------------------------------------------

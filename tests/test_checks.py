@@ -42,6 +42,18 @@ def test_ymn_product_matches_macmahon_by_macmahon_oracle(order):
         assert checks.ymn_ncdt_product("0" * m, order) == oracles.ym0_ncdt_product(m, order)
 
 
+SIGMAS_UP_TO_5 = ["0" + "".join(t) for n in range(5) for t in itertools.product("01", repeat=n)]
+
+
+@pytest.mark.parametrize("sigma", SIGMAS_UP_TO_5)
+def test_ymn_product_matches_the_laurent_substitution_oracle(sigma):
+    """Every sigma with sigma_0 = 0 of length <= 5, period-3 ones such as
+    001 and 011 included, at orders 0-6."""
+    for order in range(7):
+        want = oracles.ymn_ncdt_product_by_substitution(sigma, order)
+        assert checks.ymn_ncdt_product(sigma, order).dumps() == want.dumps(), order
+
+
 def test_euler_form_twist_matches_the_parity_sequence_rule():
     """For every sigma with sigma_0 = 0 and N <= 6, at every d in {0,1,2}^N,
     (-1)^(d_0 + chi(d, d)) on the quiver of sigma is the product of the sign

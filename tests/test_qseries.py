@@ -39,21 +39,23 @@ def test_one_minus_q_times_geometric_is_one():
 
 
 def test_eta_inverse_is_partition_series():
-    assert coefficients_in_single_var(euler_factor(("q",), 5, power=-1)) == [1, 1, 2, 3, 5, 7]
+    assert coefficients_in_single_var(euler_factor(5, power=-1)) == [1, 1, 2, 3, 5, 7]
 
 
 def test_macmahon_small_coefficients():
-    m = macmahon(None, 6, vars=("q",))
+    m = macmahon(6)
     assert coefficients_in_single_var(m) == [1, 1, 3, 6, 13, 24, 48]
 
 
 def test_macmahon_xq_single_factor_coefficient():
-    m = macmahon(Mono(1, (1, 0)), 6, vars=("x", "q"), grading=(1, 2))
+    # M(x, q) = prod_k (1 - x q^k)^(-k) in (x, q) graded (1, 2): grade 1 + 2k <= 6
+    m = factor_product(("x", "q"), 6, {((1, k), 1): -k for k in (1, 2)}, (1, 2))
     assert m.coefficient((1, 1)) == 1  # the k = 1 factor contributes x*q once
 
 
 def test_macmahon_laurent_cone():
-    m = macmahon(Mono(1, (-1, 0)), 8, vars=("x", "q"), grading=(1, 2))
+    # M(x^-1, q) in (x, q) graded (1, 2): grade 2k - 1 <= 8
+    m = factor_product(("x", "q"), 8, {((-1, k), 1): -k for k in range(1, 5)}, (1, 2))
     assert all(e[0] + e[1] >= 0 for e in m.coeffs)  # b >= a in every x^-a q^b
 
 
@@ -83,8 +85,8 @@ def test_substitute_cone_violation():
 
 
 def test_compare_reports_first_mismatch():
-    m = macmahon(None, 4, vars=("q",))
-    eta_inv = euler_factor(("q",), 4, power=-1)
+    m = macmahon(4)
+    eta_inv = euler_factor(4, power=-1)
     assert compare(m, eta_inv) == ((2,), 3, 2)
     assert compare(m, m) is None
 
