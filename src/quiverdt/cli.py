@@ -232,14 +232,31 @@ def cmd_monad(args) -> int:
     return 0 if report.certified else 1
 
 
+def _unread_option(args, choice: str, readers: dict[str, tuple[str, ...]]) -> bool:
+    """Whether ``args`` sets an option that ``choice`` does not read, after
+    printing a usage line that names it; ``readers`` maps each option to
+    the choices that read it."""
+    for option, choices in readers.items():
+        if getattr(args, option) is not None and choice not in choices:
+            only = " and ".join(choices)
+            msg = f"usage: {args.command} --{option} applies only to {only}, not to {choice}"
+            print(msg, file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_count(args) -> int:
     family = args.family
+    readers = {"rank": ("tuples", "nested"), "colors": ("plane",), "pit": ("plane",)}
+    if _unread_option(args, family, readers):
+        return 2
+    rank = 1 if args.rank is None else args.rank
     if family == "partitions":
         series = partitions.partition_series(args.order)
     elif family == "tuples":
-        series = partitions.tuple_series(args.rank, args.order)
+        series = partitions.tuple_series(rank, args.order)
     elif family == "nested":
-        series = partitions.nested_series(args.rank, args.order)
+        series = partitions.nested_series(rank, args.order)
     elif family == "plane":
         series = partitions.plane_partition_series(args.order, colors=args.colors, pit=args.pit)
     elif family == "pyramid":
@@ -256,6 +273,8 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     from .qseries import euler_factor, macmahon
 
+    if _unread_option(args, args.formula, {"power": ("macmahon-power",)}):
+        return 2
     if args.formula == "macmahon":
         series = macmahon(args.order)
     elif args.formula == "eta-inverse":
@@ -263,7 +282,7 @@ def cmd_series(args) -> int:
     elif args.formula == "eta":
         series = euler_factor(args.order)
     else:
-        series = macmahon(args.order, args.power)
+        series = macmahon(args.order, 1 if args.power is None else args.power)
     if args.json:
         _emit_json(series.to_json())
     else:
@@ -410,16 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="fixed-point enumerators")
     p.add_argument("family", choices=["partitions", "tuples", "nested", "plane", "pyramid", "blowup"])
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--pit", type=_pit, help="M,N")
+    p.add_argument("--rank", type=int, help="tuples and nested only (default 1)")
+    p.add_argument("--colors", type=int, help="plane only")
+    p.add_argument("--pit", type=_pit, help="M,N (plane only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("series", help="closed-form series expansions")
     p.add_argument("formula", choices=["macmahon", "macmahon-power", "eta", "eta-inverse"])
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=int, help="macmahon-power only (default 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_series)
 

@@ -326,6 +326,41 @@ def test_series_macmahon(capsys):
     assert {"exp": [4], "c": "13"} in data["coeffs"]
 
 
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (
+            ["count", "pyramid", "--order", "3", "--colors", "5", "--pit", "1,1", "--rank", "7"],
+            "count --rank applies only to tuples and nested, not to pyramid",
+        ),
+        (["count", "plane", "--order", "3", "--rank", "2"], "count --rank applies only to"),
+        (["count", "partitions", "--order", "3", "--colors", "2"], "count --colors applies only to plane"),
+        (["count", "nested", "--order", "3", "--pit", "1,1"], "count --pit applies only to plane"),
+        (
+            ["series", "macmahon", "--order", "3", "--power", "9"],
+            "series --power applies only to macmahon-power, not to macmahon",
+        ),
+        (["series", "eta", "--order", "3", "--power", "1"], "series --power applies only to"),
+    ],
+)
+def test_option_the_choice_does_not_read_is_usage_error(capsys, argv, says):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and says in err
+
+
+@pytest.mark.parametrize(
+    "bare, explicit",
+    [
+        (["count", "tuples", "--order", "4"], ["count", "tuples", "--order", "4", "--rank", "1"]),
+        (["count", "nested", "--order", "4"], ["count", "nested", "--order", "4", "--rank", "1"]),
+        (["series", "macmahon-power", "--order", "5"], ["series", "macmahon", "--order", "5"]),
+    ],
+)
+def test_unset_rank_and_power_default_to_one(capsys, bare, explicit):
+    assert run_capture(capsys, bare) == run_capture(capsys, explicit)
+
+
 def test_character_golden_line(capsys):
     code, out, _ = run_capture(
         capsys, ["character", "--shift", "1", "--m", "2", "--n", "0", "--t", "1", "--order", "4"]
