@@ -50,8 +50,8 @@ class Pyramid:
                 raise CharacterError("row parity must be 0 (even) or 1 (odd)")
 
 
-def single_row_pyramid(length: int, parity: int = EVEN) -> Pyramid:
-    return Pyramid((PyramidRow(parity, 1, length),))
+def single_row_pyramid(length: int) -> Pyramid:
+    return Pyramid((PyramidRow(EVEN, 1, length),))
 
 
 def pyramid_from_shift(shift, t: int) -> Pyramid:

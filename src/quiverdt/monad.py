@@ -215,15 +215,15 @@ class CertificationReport:
 
 
 def certify_d_squared(
-    c: MonadComplex, relations, word_length_bound: int = 1,
-    raise_on_failure: bool = False,
+    c: MonadComplex, relations, raise_on_failure: bool = False
 ) -> CertificationReport:
     """Expand every composite d o d entry and certify membership of each
     coordinate-monomial component in the two-sided relation ideal.
 
     ``relations`` is a RelationSet (or FramedRelationSet) over a quiver
     containing every unmarked symbol the complex uses.  One
-    :class:`MembershipSystem` decides every component, so components with
+    :class:`MembershipSystem`, with path coefficients of length at most 1
+    on each side of a relation, decides every component, so components with
     the same endpoints share one echelon form.  A failed component
     signals a transcription error in the template or the relations; with
     ``raise_on_failure`` it raises :class:`NotInIdeal` carrying the first
@@ -232,7 +232,7 @@ def certify_d_squared(
     spent composing and deciding.
     """
     rel_quiver, rel_set = _unwrap_relations(relations)
-    system = MembershipSystem(rel_quiver, rel_set, word_length_bound)
+    system = MembershipSystem(rel_quiver, rel_set, 1)
     phases = {"compose": 0.0, "membership": 0.0}
     entries: list[EntryCertificate] = []
     failures: list[EntryCertificate] = []

@@ -603,16 +603,14 @@ def ideal_membership(
 DimVector = Mapping[str, int]
 
 
-def chi_form(q: Quiver, a: DimVector, b: DimVector, exclude: frozenset[str] = frozenset()) -> int:
-    """Euler pairing: vertex products minus arrow products; marked arrows and
-    excluded (framing) vertices do not contribute."""
+def chi_form(q: Quiver, a: DimVector, b: DimVector) -> int:
+    """Euler pairing: vertex products minus arrow products; marked arrows do
+    not contribute."""
     total = 0
     for v in q.vertices:
-        if v in exclude:
-            continue
         total += a.get(v, 0) * b.get(v, 0)
     for e in q.arrows:
-        if e.marked or e.src in exclude or e.tgt in exclude:
+        if e.marked:
             continue
         total -= a.get(e.src, 0) * b.get(e.tgt, 0)
     return total

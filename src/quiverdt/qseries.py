@@ -342,7 +342,8 @@ def euler_factor(order: int, power: int = 1) -> QSeries:
 
 
 class Substitution:
-    """Variable -> signed monomial map between series rings.
+    """Variable -> signed monomial map between series rings, into target
+    variables graded by total degree.
 
     The image of each source variable must have target grade at least the
     source weight; a source variable that ever occurs with a negative
@@ -351,20 +352,16 @@ class Substitution:
     least the source grade, so truncation at the source order stays sound.
     """
 
-    def __init__(self, source_vars, target_vars, images: Mapping[str, Mono],
-                 target_grading=None):
+    def __init__(self, source_vars, target_vars, images: Mapping[str, Mono]):
         self.source_vars = tuple(source_vars)
         self.target_vars = tuple(target_vars)
-        self.target_grading = (
-            tuple(target_grading) if target_grading is not None else (1,) * len(self.target_vars)
-        )
         self.images = dict(images)
         for v in self.source_vars:
             if v not in self.images:
                 raise QSeriesError(f"no image for variable {v!r}")
 
     def image_grade(self, var: str) -> int:
-        return sum(map(mul, self.target_grading, self.images[var].exps))
+        return sum(self.images[var].exps)
 
 
 def substitute(sub: Substitution, a: QSeries) -> QSeries:
@@ -392,12 +389,12 @@ def substitute(sub: Substitution, a: QSeries) -> QSeries:
             for i, me in enumerate(m.exps):
                 image[i] += e * me
         key = tuple(image)
-        g = sum(map(mul, sub.target_grading, key))
+        g = sum(key)
         if g < 0:
             raise ConeViolation(f"image of {exps} has negative grade")
         if g <= a.order:
             out[key] = out.get(key, 0) + sign * c
-    return QSeries(sub.target_vars, a.order, out, sub.target_grading)
+    return QSeries(sub.target_vars, a.order, out)
 
 
 # -- comparison and printing ---------------------------------------------
