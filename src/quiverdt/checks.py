@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from math import isqrt
 
 from . import catalog, characters, monad, partitions
 from .catalog import ShiftMatrix, _ymn
@@ -127,13 +128,8 @@ def _blowup(order):
     got = partitions.blowup_series(order)
     qh = ("qh",)
     eta2 = factor_product(qh, 2 * order, {((2 * k,), 1): -2 for k in range(1, order + 1)})
-    theta = QSeries.zero(qh, 2 * order)
-    k = 0
-    while k * k <= 2 * order:
-        mult = 1 if k == 0 else 2
-        theta = theta + QSeries.monomial(qh, 2 * order, (k * k,), mult)
-        k += 1
-    yield None, got, theta * eta2
+    theta = {(k * k,): 1 if k == 0 else 2 for k in range(isqrt(2 * order) + 1)}
+    yield None, got, QSeries(qh, 2 * order, theta) * eta2
 
 
 def _character_figures(order):

@@ -275,14 +275,10 @@ def cmd_series(args) -> int:
 
     if _unread_option(args, args.formula, {"power": ("macmahon-power",)}):
         return 2
-    if args.formula == "macmahon":
-        series = macmahon(args.order)
-    elif args.formula == "eta-inverse":
-        series = euler_factor(args.order, power=-1)
-    elif args.formula == "eta":
-        series = euler_factor(args.order)
-    else:
+    if args.formula in ("macmahon", "macmahon-power"):
         series = macmahon(args.order, 1 if args.power is None else args.power)
+    else:
+        series = euler_factor(args.order, -1 if args.formula == "eta-inverse" else 1)
     if args.json:
         _emit_json(series.to_json())
     else:

@@ -103,9 +103,6 @@ class QSeries:
     def constant_term(self) -> int:
         return self.coeffs.get((0,) * len(self.vars), 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -151,9 +148,6 @@ class QSeries:
                     e = _add_exps(e1, e2)
                     out[e] = out.get(e, 0) + c1 * c2
         return QSeries(self.vars, order, out, self.grading)
-
-    def scale(self, k: int) -> "QSeries":
-        return self._like({e: k * c for e, c in self.coeffs.items()})
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse, grade by grade; needs unit constant term
