@@ -116,8 +116,11 @@ def _colored(m: int):
 
 
 def _nested_gl(order):
-    for r in (1, 2, 3, 4):
-        got = partitions.nested_series(r, order)
+    """Nested chains of rank r = 1..4 against the single-row pyramid
+    characters.  The four counts come from one row-chain call, made before
+    the first case is yielded; each character is still built only when its
+    case is reached."""
+    for r, got in enumerate(partitions.nested_series_by_rank(4, order), 1):
         pyramid = characters.single_row_pyramid(r)
         yield f"rank {r}", got, characters.character(characters.generator_weights(pyramid), order)
 
@@ -186,7 +189,8 @@ def run_check(name: str, order: int | None = None) -> CheckResult:
     without an order reports 0).  Cases are built one at a time: the first
     that differs names the result ``<name> (<label>)`` with its first
     mismatching coefficient, or with its detail when it is not a series,
-    and no later case is built."""
+    and no later case is built, except what a target computes for all its
+    cases at once (``nested-gl`` counts every rank in one call)."""
     default, cases = COMPARE_TARGETS[name]
     if default is None:
         order = 0

@@ -6,13 +6,17 @@ The counts are output-sensitive.  Pyramid configurations are visited once
 each by a reverse search over the addable stones.  Nested chains and plane
 partitions are both chains of rows, each row a partition inside the one
 before; one memoised row-chain counter (``_row_chains``) counts them by
-weight, keyed on the row phase, the previous row and the budget left, so no
-chain is built.  The earlier explicit enumerators are kept as test oracles
-in ``tests/oracles.py`` (``pyramid_configurations``, ``nested_chains``,
-``plane_partitions_upto``), beside the box-pile and stone-by-stone BFS
-oracles.  Every series is exact integer :class:`~quiverdt.qseries.QSeries`.
-Counts are unsigned; fixed-point signs belong to the closed-form side and
-enter only through variable substitutions (see quiverdt.checks).
+weight, so no chain is built.  Its memo keys on the row phase, the budget
+left and the previous row clipped to what that budget can still reach (part
+j at most left // j), and it splits its counts by the length of the first
+row, so one call under the pit (0, r) gives every nested rank up to r.  The
+earlier explicit enumerators and the counter keyed on the full row are kept
+as test oracles in ``tests/oracles.py`` (``pyramid_configurations``,
+``nested_chains``, ``plane_partitions_upto``, ``row_chains``), beside the
+box-pile and stone-by-stone BFS oracles.  Every series is exact integer
+:class:`~quiverdt.qseries.QSeries`.  Counts are unsigned; fixed-point
+signs belong to the closed-form side and enter only through variable
+substitutions (see quiverdt.checks).
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ class OrderTooLarge(ValueError):
 
 # Each cap is the largest order whose whole compare target runs within the
 # time the target took at the previous cap with the explicit enumerators
-# (medians of in-process runs on a 2-core Xeon).
-# c3-dt / y20-ncdt: budget 0.059 / 0.061 s (order 14); 0.037 / 0.050 s at 18.
+# (medians of in-process runs on a 2-core Xeon; ranges span two sets of runs).
+# c3-dt / y20-ncdt: budget 0.059 / 0.061 s (order 14); 0.021-0.032 /
+# 0.028-0.040 s at 18.
 PLANE_PARTITION_MAX_ORDER = 18
-# conifold-ncdt: budget 0.35 s (order 12); 0.28 s at 21, 0.45 s at 22.
+# conifold-ncdt: budget 0.35 s (order 12); 0.28-0.33 s at 21, 0.43-0.52 s at 22.
 PYRAMID_MAX_ORDER = 21
 
 
@@ -68,17 +73,21 @@ def tuple_series(r: int, order: int) -> QSeries:
 # -- row chains: nested chains and plane partitions ---------------------------
 
 
-def _row_chains(order: int, m: int, pit: tuple[int, int]) -> dict[int, int]:
-    """Plane partitions of total size <= order, counted by packed color weight.
+def _row_chains(order: int, m: int, pit: tuple[int, int]) -> list[dict[int, int]]:
+    """Plane partitions of total size <= order, counted by packed color weight
+    and split by first-row length: entry L counts those whose first row has
+    L parts (entry 0 is the empty one).
 
     A plane partition is a chain of nonempty rows, each a partition contained
     in the row before.  Row i (1-indexed) puts its j-th part on color
     (i - j) mod m, and a weight packs the color totals as base-(order + 1)
     digits.  A pit (M, N) caps every row after the M-th at N parts.  What can
     follow a row depends only on the row phase (i mod m, min(i, M + 1)), the
-    row itself and the budget left; that triple keys the memo, which lives
-    for one call.  The pit (0, N) caps every row at N parts and keeps one
-    row phase per color; :func:`nested_series` counts its chains that way.
+    row and the budget left.  A row of size <= left has part j <= left // j,
+    so the memo (one per call) keys on the row above clipped to
+    min(outer_j, left // j), with the raw key as an alias so that a repeated
+    lookup does not clip again.  Under a pit (0, N) nothing below the first
+    row depends on N, so length L <= N of the split counts what (0, L) counts.
     """
     base = order + 1
     unit = [base**c for c in range(m)]
@@ -86,11 +95,12 @@ def _row_chains(order: int, m: int, pit: tuple[int, int]) -> dict[int, int]:
     memo: dict[tuple, dict[int, int]] = {}
     stop = {0: 1}  # only the empty continuation; never mutated
 
-    def grow(out: dict[int, int], i: int, outer: tuple[int, ...], cap: int,
+    def grow(outs: list[dict[int, int]], i: int, outer: tuple[int, ...], cap: int,
              row: tuple[int, ...], rest: int, weight: int) -> None:
         # every nonempty row extending ``row`` inside ``outer``, with what can
-        # follow it, added into ``out``
+        # follow it, added into ``outs[length - 1]``
         j = len(row)
+        out = outs[j]
         top = min(outer[j], row[-1] if row else rest, rest)
         u = unit[(i - j - 1) % m]
         for part in range(top, 0, -1):
@@ -98,21 +108,40 @@ def _row_chains(order: int, m: int, pit: tuple[int, int]) -> dict[int, int]:
             for k, c in below(i + 1, longer, rest - part).items():
                 out[k + w] = out.get(k + w, 0) + c
             if j + 1 < cap:
-                grow(out, i, outer, cap, longer, rest - part, w)
+                grow(outs, i, outer, cap, longer, rest - part, w)
 
     def below(i: int, outer: tuple[int, ...], left: int) -> dict[int, int]:
-        cap = len(outer) if i <= free else min(len(outer), width)
-        if not cap or left <= 0:
+        if not left:
             return stop
         key = (i % m, min(i, free + 1), outer, left)
-        if key not in memo:
-            memo[key] = out = {0: 1}
-            grow(out, i, outer, cap, (), left, 0)
-        return memo[key]
+        out = memo.get(key)
+        if out is None:
+            outer = tuple(map(min, outer, map(left.__floordiv__, range(1, left + 1))))
+            clipped = key[:2] + (outer, left)
+            out = memo.get(clipped)
+            if out is None:
+                memo[clipped] = out = {0: 1}
+                cap = len(outer) if i <= free else min(len(outer), width)
+                if cap:
+                    grow([out] * cap, i, outer, cap, (), left, 0)
+            memo[key] = out
+        return out
 
-    counts = below(1, (order,) * order, order)
+    first = tuple(map(order.__floordiv__, range(1, order + 1)))  # clipped, as in below
+    cap = len(first) if free else min(len(first), width)
+    by_length = [{0: 1}] + [{} for _ in range(cap)]
+    if cap:
+        grow(by_length[1:], 1, first, cap, (), order, 0)
     memo.clear()  # the recursive closure keeps the memo alive until a gc pass
-    return counts
+    return by_length
+
+
+def _merged(counts: list[dict[int, int]]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for part in counts:
+        for k, c in part.items():
+            out[k] = out.get(k, 0) + c
+    return out
 
 
 def _unpack(weight: int, order: int, m: int) -> tuple[int, ...]:
@@ -120,15 +149,24 @@ def _unpack(weight: int, order: int, m: int) -> tuple[int, ...]:
     return tuple(weight // base**c % base for c in range(m))
 
 
+def nested_series_by_rank(r: int, order: int) -> list[QSeries]:
+    """:func:`nested_series` for ranks 1, ..., r, read off one row-chain count
+    under the pit (0, r): rank s sums the first-row lengths <= s."""
+    if r < 1:
+        raise ValueError("rank must be positive")
+    by_length = _row_chains(order, 1, (0, r))
+    return [
+        QSeries(("q",), order, {(n,): c for n, c in _merged(by_length[: s + 1]).items()})
+        for s in range(1, r + 1)
+    ]
+
+
 def nested_series(r: int, order: int) -> QSeries:
     """Containment chains of r partitions graded by total size: plane
     partitions with at most r rows, counted by their transposes, the plane
     partitions with at most r parts per row: the pit (0, r) keeps one row
     phase where (r, 0) would keep r + 1, so its memo is smaller."""
-    if r < 1:
-        raise ValueError("rank must be positive")
-    counts = _row_chains(order, 1, (0, r))
-    return QSeries(("q",), order, {(n,): c for n, c in counts.items()})
+    return nested_series_by_rank(r, order)[-1]
 
 
 def plane_partition_series(
@@ -153,7 +191,7 @@ def plane_partition_series(
         raise ValueError("pit coordinates must be positive, or one of them zero")
     n = max(order, 0)
     # without a pit, (0, n) caps nothing: a row of size <= n has <= n parts
-    counts = _row_chains(n, m, pit if pit is not None else (0, n))
+    counts = _merged(_row_chains(n, m, pit if pit is not None else (0, n)))
     vars = ("q",) if colors is None else tuple(f"q{c}" for c in range(m))
     return QSeries(vars, order, {_unpack(w, n, m): c for w, c in counts.items()})
 

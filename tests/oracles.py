@@ -8,7 +8,9 @@ chains by filtering plain tuples.  The package's
 earlier enumerators are kept here as well: the atom-list walk over pyramid
 configurations (``pyramid_configurations``) and the row-by-row generation of
 nested chains and plane partitions (``nested_chains``,
-``plane_partitions_upto``, with pit (0, N) by transposition); the pyramid
+``plane_partitions_upto``, with pit (0, N) by transposition), and the
+memoised row-chain counter as it was before its memo key was clipped and
+its counts split by first-row length (``row_chains``); the pyramid
 oracles build their stone poset from the geometry (``pyramid_stones``), not
 from the package.  Ideal membership and rank have dense Gaussian-elimination
 references here, independent of the package's sparse echelon form; the
@@ -339,6 +341,56 @@ def _partitions(n, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
+
+
+# -- the row-chain counter keyed on the full row -----------------------------------
+
+
+def row_chains(order: int, m: int, pit: tuple[int, int]) -> dict[int, int]:
+    """Plane partitions of total size <= order, counted by packed color weight.
+
+    A plane partition is a chain of nonempty rows, each a partition contained
+    in the row before.  Row i (1-indexed) puts its j-th part on color
+    (i - j) mod m, and a weight packs the color totals as base-(order + 1)
+    digits.  A pit (M, N) caps every row after the M-th at N parts.  What can
+    follow a row depends only on the row phase (i mod m, min(i, M + 1)), the
+    row itself and the budget left; that triple keys the memo, which lives
+    for one call.  The pit (0, N) caps every row at N parts and keeps one
+    row phase per color.
+    """
+    base = order + 1
+    unit = [base**c for c in range(m)]
+    free, width = pit
+    memo: dict[tuple, dict[int, int]] = {}
+    stop = {0: 1}  # only the empty continuation; never mutated
+
+    def grow(out: dict[int, int], i: int, outer: tuple[int, ...], cap: int,
+             row: tuple[int, ...], rest: int, weight: int) -> None:
+        # every nonempty row extending ``row`` inside ``outer``, with what can
+        # follow it, added into ``out``
+        j = len(row)
+        top = min(outer[j], row[-1] if row else rest, rest)
+        u = unit[(i - j - 1) % m]
+        for part in range(top, 0, -1):
+            longer, w = row + (part,), weight + part * u
+            for k, c in below(i + 1, longer, rest - part).items():
+                out[k + w] = out.get(k + w, 0) + c
+            if j + 1 < cap:
+                grow(out, i, outer, cap, longer, rest - part, w)
+
+    def below(i: int, outer: tuple[int, ...], left: int) -> dict[int, int]:
+        cap = len(outer) if i <= free else min(len(outer), width)
+        if not cap or left <= 0:
+            return stop
+        key = (i % m, min(i, free + 1), outer, left)
+        if key not in memo:
+            memo[key] = out = {0: 1}
+            grow(out, i, outer, cap, (), left, 0)
+        return memo[key]
+
+    counts = below(1, (order,) * order, order)
+    memo.clear()  # the recursive closure keeps the memo alive until a gc pass
+    return counts
 
 
 # -- dense exact linear algebra -------------------------------------------------
@@ -894,26 +946,22 @@ def literal_monad_templates() -> dict:
 # -- Euler form and block dimensions ------------------------------------------------
 
 
-def block_dims(q, a, b, exclude: frozenset[str] = frozenset()):
+def block_dims(q, a, b):
     """Dimensions (X_ab, G_ab, X_(a+b), G_(a+b), X_a, G_a, X_b, G_b) of the
     arrow and gauge spaces for the pair, the sum, and each summand: the
     cross-check of ``ncalg.chi_form``, which equals G_ab - G_a - G_b - X_ab +
     X_a + X_b."""
 
     def xdim(d) -> int:
-        return sum(
-            d.get(e.src, 0) * d.get(e.tgt, 0)
-            for e in q.arrows
-            if not e.marked and e.src not in exclude and e.tgt not in exclude
-        )
+        return sum(d.get(e.src, 0) * d.get(e.tgt, 0) for e in q.arrows if not e.marked)
 
     def gdim(d) -> int:
-        return sum(d.get(v, 0) ** 2 for v in q.vertices if v not in exclude)
+        return sum(d.get(v, 0) ** 2 for v in q.vertices)
 
     def pair_x() -> int:
         total = 0
         for e in q.arrows:
-            if e.marked or e.src in exclude or e.tgt in exclude:
+            if e.marked:
                 continue
             s, t = e.src, e.tgt
             total += (
@@ -926,8 +974,6 @@ def block_dims(q, a, b, exclude: frozenset[str] = frozenset()):
     def pair_g() -> int:
         total = 0
         for v in q.vertices:
-            if v in exclude:
-                continue
             total += a.get(v, 0) ** 2 + a.get(v, 0) * b.get(v, 0) + b.get(v, 0) ** 2
         return total
 

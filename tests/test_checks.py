@@ -154,6 +154,26 @@ def test_runner_names_the_first_differing_case_and_builds_no_later_one(monkeypat
     assert entry["name"] == "c3-dt (second)" and entry["mismatch"] == {"exp": [0], "a": 1, "b": 2}
 
 
+def test_nested_gl_names_the_first_wrong_rank_of_the_one_call(monkeypatch, capsys):
+    # the four ranks come from one call; a wrong rank 2 still names rank 2
+    real = partitions.nested_series_by_rank
+
+    def wrong_rank_two(r, order):
+        by_rank = real(r, order)
+        by_rank[1] = by_rank[1] + QSeries.monomial(("q",), order, (3,), 1)
+        return by_rank
+
+    monkeypatch.setattr(partitions, "nested_series_by_rank", wrong_rank_two)
+    result = checks.run_check("nested-gl", 6)
+    assert (result.name, result.equal, result.order) == ("nested-gl (rank 2)", False, 6)
+    e, got, want = result.mismatch
+    assert e == (3,) and got == want + 1
+
+    assert run(["compare", "nested-gl", "--json"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["name"] == "nested-gl (rank 2)" and entry["equal"] is False
+
+
 def test_runner_reports_a_case_that_is_not_a_series_by_its_detail(monkeypatch):
     def cases(order):
         yield "fine", None, None

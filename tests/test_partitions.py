@@ -63,6 +63,19 @@ def test_nested_series_matches_chain_oracle(r):
         assert P.nested_series(r, order).coeffs == want, order
 
 
+@pytest.mark.parametrize("order", range(17))
+def test_nested_ranks_from_one_call_match_a_count_per_rank(order):
+    # a separate count per rank, narrowest first, then every rank from one
+    # call: a first-row state shared between widths fails one or the other.
+    # Rank 5 exceeds the small orders' row lengths, so the split ends early.
+    per_rank = [P.nested_series(r, order) for r in range(1, 6)]
+    for r, got in enumerate(per_rank, 1):
+        want = oracles.row_chains(order, 1, (0, r))
+        assert got.coeffs == {(n,): c for n, c in want.items()}, r
+        assert got.vars == ("q",) and got.order == order
+    assert P.nested_series_by_rank(5, order) == per_rank
+
+
 def test_nested_monotone_in_rank():
     low = coeffs(P.nested_series(2, 8))
     high = coeffs(P.nested_series(3, 8))
@@ -122,6 +135,23 @@ def test_plane_partition_series_matches_row_oracle(colors, pit):
         got = P.plane_partition_series(order, colors=colors, pit=pit)
         assert got.coeffs == oracles.plane_partition_weights(order, colors, pit), order
         assert got.vars == (("q",) if colors is None else tuple(f"q{c}" for c in range(colors)))
+
+
+PITS = [None] + [(0, n) for n in (1, 2, 3)] + [(k, 0) for k in (1, 2, 3)] + [
+    (k, n) for k in (1, 2, 3) for n in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("pit", PITS, ids=str)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_row_chains_match_the_full_row_key_counter(m, pit):
+    # the clipped memo key and the first-row split count what the counter
+    # keyed on the full row counts
+    for order in range(13):
+        bound = pit if pit is not None else (0, order)
+        by_length = P._row_chains(order, m, bound)
+        assert P._merged(by_length) == oracles.row_chains(order, m, bound), order
+        assert by_length[0] == {0: 1}
 
 
 def test_plane_partition_bad_arguments():
