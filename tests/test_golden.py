@@ -9,7 +9,10 @@ with rank > 1 framings were written before ``framing.expand`` became one
 product over junction copies; the ``compare`` cases of the targets outside
 ``NCDT_CAPS`` were written before every target became a table row of cases
 walked by one runner; the ``series`` cases were written before
-``qseries.macmahon`` and ``euler_factor`` became one-variable products.
+``qseries.macmahon`` and ``euler_factor`` became one-variable products;
+the text ``catalog show``, ``relations`` and ``catalog list`` cases were
+written before a cyclic word became a tuple of arrow names and before the
+monad-template table became a tuple of ids.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -47,10 +50,13 @@ RANKED_FRAMINGS = ("adhm3d", "spiked", "chainsaw2")
 def _cases() -> list[list[str]]:
     shown = ("c3", "conifold", "y20", "y30", "y10", "y11")
     cases = [["catalog", "show", g, "--json"] for g in shown]
+    cases += [["catalog", "show", g] for g in shown[:4]]
+    cases.append(["catalog", "list"])
     examples = catalog.framed_example_ids()
     cases += [["quiver", g] for g in GEOMETRIES]
     cases += [["quiver", e, "--framed"] for e in examples]
     cases += [["relations", i, "--json"] for i in GEOMETRIES + examples]
+    cases += [["relations", i] for i in shown[:4] + examples]
     cases += [
         ["relations", e, "--framing", f"framing_{e}.json", "--json"] for e in RANKED_FRAMINGS
     ]
