@@ -98,6 +98,8 @@ def _load_points(path: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def cmd_catalog(args) -> int:
+    if _unread_option(args, args.action, {"id": ("show",), "--json": ("show",)}):
+        return 2
     if args.action == "list":
         for g in catalog.geometry_ids():
             print(f"geometry  {g}")
@@ -233,13 +235,13 @@ def cmd_monad(args) -> int:
 
 
 def _unread_option(args, choice: str, readers: dict[str, tuple[str, ...]]) -> bool:
-    """Whether ``args`` sets an option that ``choice`` does not read, after
-    printing a usage line that names it; ``readers`` maps each option to
-    the choices that read it."""
+    """Whether ``args`` sets an argument that ``choice`` does not read, after
+    printing a usage line that names it; ``readers`` maps each argument, as
+    spelled on the command line, to the choices that read it."""
     for option, choices in readers.items():
-        if getattr(args, option) is not None and choice not in choices:
+        if getattr(args, option.lstrip("-")) is not None and choice not in choices:
             only = " and ".join(choices)
-            msg = f"usage: {args.command} --{option} applies only to {only}, not to {choice}"
+            msg = f"usage: {args.command} {option} applies only to {only}, not to {choice}"
             print(msg, file=sys.stderr)
             return True
     return False
@@ -247,7 +249,7 @@ def _unread_option(args, choice: str, readers: dict[str, tuple[str, ...]]) -> bo
 
 def cmd_count(args) -> int:
     family = args.family
-    readers = {"rank": ("tuples", "nested"), "colors": ("plane",), "pit": ("plane",)}
+    readers = {"--rank": ("tuples", "nested"), "--colors": ("plane",), "--pit": ("plane",)}
     if _unread_option(args, family, readers):
         return 2
     rank = 1 if args.rank is None else args.rank
@@ -273,7 +275,7 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     from .qseries import euler_factor, macmahon
 
-    if _unread_option(args, args.formula, {"power": ("macmahon-power",)}):
+    if _unread_option(args, args.formula, {"--power": ("macmahon-power",)}):
         return 2
     if args.formula in ("macmahon", "macmahon-power"):
         series = macmahon(args.order, 1 if args.power is None else args.power)
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or show catalog entries")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("id", nargs="?", help="geometry id for 'show'")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", default=None, help="'show' only")
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("quiver", help="emit a quiver as JSON or DOT")

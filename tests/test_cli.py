@@ -341,6 +341,8 @@ def test_series_macmahon(capsys):
             "series --power applies only to macmahon-power, not to macmahon",
         ),
         (["series", "eta", "--order", "3", "--power", "1"], "series --power applies only to"),
+        (["catalog", "list", "c3"], "catalog id applies only to show, not to list"),
+        (["catalog", "list", "--json"], "catalog --json applies only to show, not to list"),
     ],
 )
 def test_option_the_choice_does_not_read_is_usage_error(capsys, argv, says):
