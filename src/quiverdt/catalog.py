@@ -239,7 +239,7 @@ def _frame(example: str, base: Quiver, w: Potential) -> FramedQuiverWithPotentia
     e = example.lower()
     _, framing_vertices, arrows, words, nilpotent = _framed_spec(e)
     q = Quiver(base.vertices + framing_vertices, base.arrows + arrows)
-    terms = [(c, wd.names) for wd, c in w.terms.items()] + list(words)
+    terms = [(c, wd) for wd, c in w.terms.items()] + list(words)
     return FramedQuiverWithPotential(
         q, frozenset(framing_vertices), Potential.from_words(q, terms),
         nilpotent_marked=frozenset(nilpotent), label=e,
@@ -249,27 +249,13 @@ def _frame(example: str, base: Quiver, w: Potential) -> FramedQuiverWithPotentia
 # -- monad templates --------------------------------------------------------------
 
 
-# template -> (geometry, framed example or None)
-_MONAD_TEMPLATES = {
-    "c3": ("c3", None),
-    "y20": ("y20", None),
-    "pervsystem-c3": ("c3", "pervsystem-c3"),
-    "pervsystem-conifold": ("conifold", "pervsystem-conifold"),
-    "adhm3d": ("c3", "adhm3d"),
-    "kn": ("y20", "kn"),
-    "ny3d": ("conifold", "ny3d"),
-}
+# the monad templates: a geometry id names an unframed template, a framed
+# example id a framed one, whose geometry is its _FRAMED base
+_MONAD_TEMPLATES = ("c3", "y20", "pervsystem-c3", "pervsystem-conifold", "adhm3d", "kn", "ny3d")
 
 
 def monad_template_ids() -> tuple[str, ...]:
-    return tuple(_MONAD_TEMPLATES)
-
-
-def _monad_spec(template: str) -> tuple[str, str | None]:
-    try:
-        return _MONAD_TEMPLATES[template.lower()]
-    except KeyError:
-        raise NotInCatalog(template) from None
+    return _MONAD_TEMPLATES
 
 
 def get_monad_template(template: str) -> MonadTemplate:
@@ -299,9 +285,12 @@ def get_monad_template(template: str) -> MonadTemplate:
 def _monad_source(template: str) -> tuple[CatalogEntry, CatalogEntry | FramedQuiverWithPotential]:
     """A template's geometry entry and the quiver with potential it is
     derived from: its framed example, or the entry itself when unframed."""
-    geometry, example = _monad_spec(template)
-    entry = get_entry(geometry)
-    return entry, entry if example is None else _frame(example, entry.quiver, entry.potential)
+    t = template.lower()
+    if t not in _MONAD_TEMPLATES:
+        raise NotInCatalog(template)
+    framed = t in framed_example_ids()
+    entry = get_entry(_framed_spec(t)[0] if framed else t)
+    return entry, _frame(t, entry.quiver, entry.potential) if framed else entry
 
 
 def _derive_template(
@@ -334,8 +323,8 @@ def _derive_template(
     col = {a.name: j for j, a in enumerate(outs)}
     row = {b.name: i for i, b in enumerate(ins)}
     for w, c in qp.potential.terms.items():
-        for r in range(len(w.names)):
-            rot = w.names[r:] + w.names[:r]
+        for r in range(len(w)):
+            rot = w[r:] + w[:r]
             for k in range(1, len(rot)):
                 rest = rot[k + 1:]
                 if rot[0] in col and rot[k] in row and all(x in mu for x in rest):
@@ -355,8 +344,8 @@ def _derive_template(
 def monad_case(template: str):
     """The assembled monad of a stored template, with its marked symbols at
     zero, and the relation set its d^2 is certified against: the
-    potential's relations for an unframed template, the framed relations at
-    zero framing for a framed one."""
+    potential's relations for an unframed template, the relations of the
+    framed quiver expanded at zero framing for a framed one."""
     entry, qp = _monad_source(template)
     tpl = _derive_template(template, entry, qp)
     if qp is entry:
@@ -364,7 +353,7 @@ def monad_case(template: str):
     else:
         rels = framing.framed_relations(
             framing.specialize(qp, framing.FramingStructure.zero(qp))
-        )
+        ).relations
     c = monad.assemble(tpl, {a.name: 0 for a in tpl.quiver.arrows if a.marked})
     return c, rels
 

@@ -178,7 +178,7 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
     )
     terms: list[tuple[Fraction, tuple[str, ...]]] = []
     for w, coeff in fq.potential.terms.items():
-        word = [fq.quiver.arrow(name) for name in w.names]
+        word = [fq.quiver.arrow(name) for name in w]
         # copies[k] is the copy at junction k, the source of word[k]
         for copies in product(*(range(rank[a.src]) for a in word)):
             weight, names = coeff, []
@@ -197,7 +197,9 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
 
 @dataclass
 class FramedRelationSet:
-    """Relations of the expanded framed quiver, one per unmarked arrow copy."""
+    """Relations of the expanded framed quiver, one per unmarked arrow copy;
+    :mod:`quiverdt.monad` certifies a framed template against its
+    ``.relations``, whose ``.quiver`` is the same expanded quiver."""
 
     quiver: Quiver
     relations: RelationSet

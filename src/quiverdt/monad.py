@@ -189,12 +189,6 @@ def entry_to_ncpolys(e: Entry, src_vertex: str) -> dict[tuple[int, ...], NCPoly]
     return {exps: NCPoly(terms) for exps, terms in buckets.items()}
 
 
-def _unwrap_relations(relations) -> tuple[Quiver, RelationSet]:
-    if isinstance(relations, RelationSet):
-        return relations.quiver, relations
-    return relations.quiver, relations.relations
-
-
 @dataclass
 class EntryCertificate:
     stage: int
@@ -215,13 +209,14 @@ class CertificationReport:
 
 
 def certify_d_squared(
-    c: MonadComplex, relations, raise_on_failure: bool = False
+    c: MonadComplex, relations: RelationSet, raise_on_failure: bool = False
 ) -> CertificationReport:
     """Expand every composite d o d entry and certify membership of each
     coordinate-monomial component in the two-sided relation ideal.
 
-    ``relations`` is a RelationSet (or FramedRelationSet) over a quiver
-    containing every unmarked symbol the complex uses.  One
+    ``relations`` is a RelationSet over a quiver containing every unmarked
+    symbol the complex uses; for a framed template that is the ``.relations``
+    of its :class:`~quiverdt.framing.FramedRelationSet`.  One
     :class:`MembershipSystem`, with path coefficients of length at most 1
     on each side of a relation, decides every component, so components with
     the same endpoints share one echelon form.  A failed component
@@ -231,8 +226,7 @@ def certify_d_squared(
     report.  The report also carries the system's sizes and the seconds
     spent composing and deciding.
     """
-    rel_quiver, rel_set = _unwrap_relations(relations)
-    system = MembershipSystem(rel_quiver, rel_set, 1)
+    system = MembershipSystem(relations.quiver, relations, 1)
     phases = {"compose": 0.0, "membership": 0.0}
     entries: list[EntryCertificate] = []
     failures: list[EntryCertificate] = []
@@ -275,7 +269,6 @@ def certify_d_squared(
 
 @dataclass
 class EvaluationResult:
-    point: tuple[Fraction, ...]
     d_squared_zero: bool
     fiber_cohomology: list[int]  # ranks of the evaluated fiber complex
     sheaf_fibers: list[int | None]  # None = not determined by fiber data alone
@@ -286,7 +279,7 @@ def evaluate(
     rep: Mapping[str, linalg.Matrix],
     dims: Mapping[str, int],
     point: Sequence,
-    relations=None,
+    relations: RelationSet | None = None,
     resolution_certified: bool = False,
 ) -> EvaluationResult:
     """Substitute numerics and count ranks by exact elimination.
@@ -307,12 +300,11 @@ def evaluate(
     if len(point) != len(c.template.coords):
         raise MonadError("point has wrong number of coordinates")
     if relations is not None:
-        rel_quiver, rel_set = _unwrap_relations(relations)
-        residuals = numeric_relation_residual(rel_quiver, rel_set, dict(rep), dims)
-        for r, res in zip(rel_set, residuals):
+        residuals = numeric_relation_residual(relations.quiver, relations, dict(rep), dims)
+        for r, res in zip(relations, residuals):
             if res != 0:
                 raise RelationsViolated(
-                    f"relation d/d{r.arrow}: {r.poly.render(rel_quiver)} = 0 ({r.src} -> {r.tgt}) "
+                    f"relation d/d{r.arrow}: {r.poly.render(relations.quiver)} = 0 ({r.src} -> {r.tgt}) "
                     f"fails on the representation by {res}"
                 )
     sizes = [sum(dims.get(s.vertex, 0) for s in term) for term in c.terms]
@@ -356,7 +348,7 @@ def evaluate(
             sheaf.append(0)
         else:
             sheaf.append(0 if resolution_certified else None)
-    return EvaluationResult(point, d2_zero, fiber, sheaf)
+    return EvaluationResult(d2_zero, fiber, sheaf)
 
 
 def _assemble_blocks(blocks: list[list[linalg.Matrix]]) -> linalg.Matrix:

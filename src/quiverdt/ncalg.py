@@ -10,8 +10,9 @@ A path is stored as the sequence of arrows in traversal order: in a word
 ``(a, b)`` the arrow ``a`` is traversed first, so composability means
 ``target(a) == source(b)``, and a numeric representation evaluates the word
 as ``M(b) @ M(a)``.  Potentials are formal sums of cyclic words (closed
-paths up to rotation); the canonical representative of a cyclic word is its
-lexicographically least rotation in the quiver's declared arrow order.
+paths up to rotation); a cyclic word is stored as its canonical rotation, the
+lexicographically least one in the quiver's declared arrow order, a tuple of
+arrow names.
 
 All coefficients are exact rationals; there is no floating point anywhere
 in this module.
@@ -111,16 +112,6 @@ class Quiver:
                 for a in self.arrows
             ],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Quiver":
-        return Quiver(
-            tuple(data["vertices"]),
-            tuple(
-                Arrow(d["name"], d["src"], d["tgt"], bool(d.get("marked", False)))
-                for d in data["arrows"]
-            ),
-        )
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
@@ -294,27 +285,15 @@ def _canonical_rotation(q: Quiver, names: tuple[str, ...]) -> tuple[str, ...]:
     return names[best:] + names[:best]
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """Closed path up to rotation; stored as the canonical rotation."""
-
-    names: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __str__(self) -> str:
-        return "*".join(self.names)
-
-
 class Potential:
-    """Rational combination of cyclic words on a quiver."""
+    """Rational combination of cyclic words on a quiver, keyed by canonical
+    rotations (see :meth:`from_words`)."""
 
     __slots__ = ("quiver", "terms")
 
-    def __init__(self, quiver: Quiver, terms: Mapping[CyclicWord, Fraction]):
+    def __init__(self, quiver: Quiver, terms: Mapping[tuple[str, ...], Fraction]):
         self.quiver = quiver
-        clean: dict[CyclicWord, Fraction] = {}
+        clean: dict[tuple[str, ...], Fraction] = {}
         for w, c in terms.items():
             c = Fraction(c)
             if c != 0:
@@ -327,7 +306,7 @@ class Potential:
 
         Each word must be a closed composable path in traversal order.
         """
-        acc: dict[CyclicWord, Fraction] = {}
+        acc: dict[tuple[str, ...], Fraction] = {}
         for coeff, names in terms:
             names = tuple(names)
             if not names:
@@ -336,35 +315,15 @@ class Potential:
             p.validate(quiver)
             if p.source(quiver) != p.target(quiver):
                 raise NCAlgError(f"word {names} is not closed")
-            w = CyclicWord(_canonical_rotation(quiver, names))
+            w = _canonical_rotation(quiver, names)
             acc[w] = acc.get(w, Fraction(0)) + Fraction(coeff)
         return Potential(quiver, acc)
-
-    @staticmethod
-    def zero(quiver: Quiver) -> "Potential":
-        return Potential(quiver, {})
-
-    def __add__(self, other: "Potential") -> "Potential":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return Potential(self.quiver, out)
-
-    def scale(self, k) -> "Potential":
-        return Potential(self.quiver, {w: Fraction(k) * c for w, c in self.terms.items()})
 
     def restrict_to(self, quiver: Quiver) -> "Potential":
         """Drop cyclic words using arrows outside ``quiver`` (setting framing
         arrows to zero), re-canonicalized on the target quiver."""
-        kept = [
-            (c, w.names)
-            for w, c in self.terms.items()
-            if all(quiver.has_arrow(a) for a in w.names)
-        ]
+        kept = [(c, w) for w, c in self.terms.items() if all(quiver.has_arrow(a) for a in w)]
         return Potential.from_words(quiver, kept)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Potential):
@@ -377,24 +336,18 @@ class Potential:
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"word": list(w.names), "coeff": str(c)}
+                {"word": list(w), "coeff": str(c)}
                 for w, c in sorted(
                     self.terms.items(),
-                    key=lambda wc: tuple(self.quiver.arrow_index(a) for a in wc[0].names),
+                    key=lambda wc: tuple(self.quiver.arrow_index(a) for a in wc[0]),
                 )
             ]
         }
 
-    @staticmethod
-    def from_json(quiver: Quiver, data: dict) -> "Potential":
-        return Potential.from_words(
-            quiver, [(Fraction(t["coeff"]), tuple(t["word"])) for t in data["terms"]]
-        )
-
     def render(self) -> str:
         if not self.terms:
             return "0"
-        poly = NCPoly({Path(w.names): c for w, c in self.terms.items()})
+        poly = NCPoly({Path(w): c for w, c in self.terms.items()})
         return poly.render(self.quiver)
 
 
@@ -402,16 +355,15 @@ def cyclic_derivative(W: Potential, arrow_name: str) -> NCPoly:
     """Sum over occurrences of the arrow of the cyclic word read starting
     just after that occurrence.  Linear in the potential."""
     a = W.quiver.arrow(arrow_name)
-    out = NCPoly.zero()
+    out: dict[Path, Fraction] = {}
     for w, c in W.terms.items():
-        names = w.names
-        for i, x in enumerate(names):
+        for i, x in enumerate(w):
             if x != arrow_name:
                 continue
-            rest = names[i + 1 :] + names[:i]
+            rest = w[i + 1 :] + w[:i]
             p = Path(rest) if rest else trivial_path(a.tgt)
-            out = out + NCPoly.from_path(p, c)
-    return out
+            out[p] = out.get(p, 0) + c
+    return NCPoly(out)
 
 
 # -- relation sets -----------------------------------------------------------
@@ -433,19 +385,13 @@ class RelationSet:
 
     def __init__(self, quiver: Quiver, relations: Sequence[Relation]):
         self.quiver = quiver
-        seen = []
-        for r in relations:
+        self.relations = tuple(relations)
+        for r in self.relations:
             for p in r.poly.terms:
                 if p.source(quiver) != r.src or p.target(quiver) != r.tgt:
                     raise NCAlgError(
                         f"relation term {p} does not run {r.src} -> {r.tgt}"
                     )
-            if not any(
-                r.src == s.src and r.tgt == s.tgt and r.arrow == s.arrow and r.poly == s.poly
-                for s in seen
-            ):
-                seen.append(r)
-        self.relations = tuple(seen)
 
     def __len__(self) -> int:
         return len(self.relations)

@@ -281,18 +281,18 @@ def pyramid_series(order: int) -> QSeries:
 # -- blowup lattice sum ---------------------------------------------------------
 
 
-def blowup_series(order: int, k_max: int | None = None) -> QSeries:
+def blowup_series(order: int) -> QSeries:
     """Sum over an integer k and a pair of partitions, weighted
     q^(k^2/2 + |lambda_0| + |lambda_1|).
 
-    The lattice ranges over |k| <= k_max (by default every k whose q^(k^2/2)
-    weight fits the order).  Returned in the doubled variable qh with
+    The lattice ranges over every k whose q^(k^2/2) weight fits the order.
+    Returned in the doubled variable qh with
     qh^2 = q, so exponents stay integral; grade bound is 2*order in qh.
     """
     counts = partition_counts(order)
     coeffs: dict[tuple[int], int] = {}
     k = 0
-    while k * k <= 2 * order and (k_max is None or k <= k_max):
+    while k * k <= 2 * order:
         multiplicity = 1 if k == 0 else 2  # k and -k
         pair_budget = (2 * order - k * k) // 2
         for n0 in range(pair_budget + 1):

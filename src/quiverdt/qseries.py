@@ -211,13 +211,6 @@ class QSeries:
             "coeffs": coeffs,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "QSeries":
-        coeffs = {tuple(item["exp"]): int(item["c"]) for item in data["coeffs"]}
-        return QSeries(
-            tuple(data["vars"]), int(data["order"]), coeffs, tuple(data["grading"])
-        )
-
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
@@ -394,14 +387,13 @@ def substitute(sub: Substitution, a: QSeries) -> QSeries:
 # -- comparison and printing ---------------------------------------------
 
 
-def compare(a: QSeries, b: QSeries, order: int | None = None):
-    """Coefficientwise comparison; returns None on equality, else the first
-    mismatch ``(exps, coeff_a, coeff_b)`` in (grade, lex) order."""
+def compare(a: QSeries, b: QSeries):
+    """Coefficientwise comparison up to the lower of the two orders; returns
+    None on equality, else the first mismatch ``(exps, coeff_a, coeff_b)``
+    in (grade, lex) order."""
     if a.vars != b.vars:
         raise QSeriesError("cannot compare series in different variables")
-    if order is None:
-        order = min(a.order, b.order)
-    order = min(order, a.order, b.order)
+    order = min(a.order, b.order)
     keys = set(a.coeffs) | set(b.coeffs)
     for _, e in sorted((g, e) for e in keys if (g := a.grade(e)) <= order):
         ca, cb = a.coeffs.get(e, 0), b.coeffs.get(e, 0)

@@ -1050,8 +1050,7 @@ def expand_by_recursion(fq):
     expanded = Quiver(tuple(vertices), tuple(arrows))
 
     terms: list[tuple[Fraction, tuple[str, ...]]] = []
-    for w, coeff in fq.potential.terms.items():
-        names = w.names
+    for names, coeff in fq.potential.terms.items():
         n = len(names)
 
         def rec(pos, first_idx, prev_idx, acc, weight):

@@ -133,7 +133,7 @@ def relation_polys_from(q, w):
 
 def test_zero_potential_template_gives_zero_relations():
     q = Quiver(("0", "inf"), (Arrow("B", "0", "0"), Arrow("I", "inf", "0")))
-    fq = framing.FramedQuiverWithPotential(q, frozenset({"inf"}), Potential.zero(q))
+    fq = framing.FramedQuiverWithPotential(q, frozenset({"inf"}), Potential(q, {}))
     bound = framing.specialize(fq, framing.FramingStructure.zero(fq))
     rels = framing.framed_relations(bound)
     assert all(r.poly.is_zero() for r in rels.relations)

@@ -16,7 +16,7 @@ def c3_complex():
 
 def framed_relations(example):
     fq = catalog.get_framed_example(example)
-    return framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq)))
+    return framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq))).relations
 
 
 # -- assembly ------------------------------------------------------------------
@@ -149,9 +149,11 @@ def test_integral_coefficients_stay_int_through_composition():
 def test_monad_case_uses_framed_relations_exactly_for_framed_templates(template_id):
     c, rels = catalog.monad_case(template_id)
     framed = template_id in catalog.framed_example_ids()
-    assert isinstance(rels, framing.FramedRelationSet) == framed
+    assert isinstance(rels, ncalg.RelationSet)
     if framed:
-        assert c.template.quiver == catalog.get_framed_example(template_id).quiver
+        fq = catalog.get_framed_example(template_id)
+        assert c.template.quiver == fq.quiver
+        assert rels.quiver == framing.expand(framing.specialize(fq, framing.FramingStructure.zero(fq)))[0]
     else:
         assert rels.quiver == catalog.get_quiver_with_potential(template_id)[0]
 

@@ -246,9 +246,3 @@ def test_blowup_matches_direct_term_count():
     s = P.blowup_series(3)
     # q^(3/2): k = +-1 with one extra box in either partition slot
     assert s.coefficient((3,)) == 2 * 2
-
-
-def test_blowup_k_range_restriction():
-    zero_sector = P.blowup_series(4, k_max=0)
-    assert all(e[0] % 2 == 0 for e in zero_sector.coeffs)
-    assert zero_sector.coefficient((2,)) == 2  # two single-box pairs at k = 0

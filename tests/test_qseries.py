@@ -91,12 +91,6 @@ def test_compare_reports_first_mismatch():
     assert compare(m, m) is None
 
 
-def test_json_roundtrip():
-    s = QSeries(("q0", "q1"), 4, {(1, 1): -2, (0, 0): 1})
-    assert QSeries.from_json(s.to_json()) == s
-    assert s.dumps() == QSeries.from_json(s.to_json()).dumps()
-
-
 def test_format_terms_half_variable():
     s = QSeries(("qh",), 4, {(0,): 1, (1,): 2, (2,): 3})
     text = format_terms(s, half_vars=("qh",))
