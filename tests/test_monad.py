@@ -16,7 +16,8 @@ def c3_complex():
 
 def framed_relations(example):
     fq = catalog.get_framed_example(example)
-    return framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq))).relations
+    bound = framing.specialize(fq, framing.FramingStructure.zero(fq))
+    return framing.framed_relations(bound).relations
 
 
 # -- assembly ------------------------------------------------------------------
@@ -153,7 +154,8 @@ def test_monad_case_uses_framed_relations_exactly_for_framed_templates(template_
     if framed:
         fq = catalog.get_framed_example(template_id)
         assert c.template.quiver == fq.quiver
-        assert rels.quiver == framing.expand(framing.specialize(fq, framing.FramingStructure.zero(fq)))[0]
+        expanded, _ = framing.expand(framing.specialize(fq, framing.FramingStructure.zero(fq)))
+        assert rels.quiver == expanded
     else:
         assert rels.quiver == catalog.get_quiver_with_potential(template_id)[0]
 
