@@ -12,7 +12,9 @@ walked by one runner; the ``series`` cases were written before
 ``qseries.macmahon`` and ``euler_factor`` became one-variable products;
 the text ``catalog show``, ``relations`` and ``catalog list`` cases were
 written before a cyclic word became a tuple of arrow names and before the
-monad-template table became a tuple of ids.
+monad-template table became a tuple of ids; the ``character`` cases were
+written before one-variable factor products dropped exponent packing and
+before ``characters._pochhammer_factors`` became a prefix sum.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -71,6 +73,13 @@ def _cases() -> list[list[str]]:
         for p in (-3, -1, 0, 2)
     ]
     cases.append(["series", "macmahon", "--order", "0", "--json"])
+    for m, n, t in ((2, 0, 3), (1, 1, 4)):
+        shape = ["character", "--m", str(m), "--n", str(n), "--t", str(t), "--order", "30"]
+        cases += [shape, shape + ["--json"]]
+    cases.append(["character", "--m", "2", "--n", "0", "--shift", "2", "--t", "2", "--order", "30"])
+    cases.append(
+        ["character", "--divisor", "mu=3,1", "--m", "2", "--n", "0", "--t", "1", "--order", "20"]
+    )
     return cases
 
 
