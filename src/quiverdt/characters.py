@@ -117,12 +117,18 @@ Factors = dict[tuple[tuple[int, ...], int], int]  # ((exponent,), sign) -> power
 
 def _pochhammer_factors(order: int, pochhammers) -> Factors:
     """Factor multiset of a product of pochhammers ``(w, power[, sign])``,
-    each standing for prod_{k>=w} (1 - sign*q^k)**power (sign 1 if omitted)."""
-    factors: Factors = {}
+    each standing for prod_{k>=w} (1 - sign*q^k)**power (sign 1 if omitted):
+    per sign, a running sum over k from the least w of the powers starting at k."""
+    starts: dict[int, dict[int, int]] = {}  # sign -> {w: summed power}
     for w, power, *sign in pochhammers:
-        for k in range(w, order + 1):
-            key = ((k,), sign[0] if sign else 1)
-            factors[key] = factors.get(key, 0) + power
+        at = starts.setdefault(sign[0] if sign else 1, {})
+        at[w] = at.get(w, 0) + power
+    factors: Factors = {}
+    for sign, at in starts.items():
+        power = 0
+        for k in range(min(at), order + 1):
+            power += at.get(k, 0)
+            factors[(k,), sign] = power
     return factors
 
 

@@ -157,8 +157,9 @@ class QSeries:
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z")
         zero = (0,) * len(self.vars)
-        bound = self.order * max((abs(x) for e in self.coeffs for x in e), default=0)
-        by_grade: dict[int, dict[int, int]] = {}  # grade -> {packed exps: coeff}
+        dense = len(zero) == 1
+        bound = 0 if dense else self.order * max(abs(x) for e in self.coeffs for x in e)
+        rhs = [0] * (self.order + 1) if dense else {}  # grade -> coeff, or {packed exps: coeff}
         for e, c in self.coeffs.items():
             g = self.grade(e)
             if g == 0 and e != zero:
@@ -166,9 +167,12 @@ class QSeries:
                     f"cannot invert: non-constant monomial {e} has grade 0; "
                     "use a grading vector that weights it positively"
                 )
-            by_grade.setdefault(g, {})[_pack(e, bound)] = c
+            if dense:
+                rhs[g] = c
+            else:
+                rhs.setdefault(g, {})[_pack(e, bound)] = c
         # a * inv = 1: inv_e = -c0 * sum_f a_f * inv_(e-f) over grade(f) > 0
-        coeffs = _grade_recurrence(len(zero), self.order, bound, c0, by_grade, lambda g, c: -c0 * c)
+        coeffs = _grade_recurrence(self.grading, self.order, bound, c0, rhs, lambda g, c: -c0 * c)
         return self._like(coeffs)
 
     def __pow__(self, k: int) -> "QSeries":
@@ -227,26 +231,24 @@ def _pack(exps, bound: int) -> int:
     return sum(e * (2 * bound + 1) ** i for i, e in enumerate(exps))
 
 
-def _grade_recurrence(n, order, bound, c0, rhs, finish) -> dict[tuple[int, ...], int]:
-    """Coefficients ``a`` of a series in n variables with ``a_0 = c0`` that
+def _grade_recurrence(grading, order, bound, c0, rhs, finish) -> dict[tuple[int, ...], int]:
+    """Coefficients ``a`` of a series under ``grading`` with ``a_0 = c0`` that
     obey, grade by grade, ``a_e = finish(g, sum_f rhs_f * a_(e-f))`` for every
-    e of grade g >= 1, the sum running over the terms of ``rhs`` (grade ->
-    {packed exps: coeff}) of positive grade, all exponents within +-bound.
+    e of grade g >= 1, the sum running over the terms f of ``rhs`` of positive grade.
 
-    In one variable (n == 1, where a packed exponent is the exponent itself)
-    grade g holds at most the exponent g / w for the weight w, so the
-    recurrence is a dense convolution over the multiples of |w|, one C-level
-    dot product per grade; w < 0 gives exponents <= 0.  More variables take
-    the packed path below."""
+    In one variable ``rhs`` is a list indexed by grade 0..order; under the
+    weight w, grade g holds at most the exponent g / w, so the recurrence is
+    a dense convolution over the multiples of |w|, one C-level dot product
+    per grade (w < 0 gives exponents <= 0).  In more variables ``rhs`` maps
+    grade -> {packed exps: coeff}, all exponents within +-bound."""
+    n = len(grading)
     if n == 1:
-        w = next((h // f for h, fs in rhs.items() if h for f in fs), 1)
-        step = abs(w)
-        grades = range(step, order + 1, step)
-        b = [sum(rhs.get(h, {}).values()) for h in grades]  # b[i]: grade (i + 1) * step
+        step = abs(grading[0]) or order + 1  # weight 0: only the constant term
+        b = rhs[step::step]  # b[i]: grade (i + 1) * step
         a = [c0]
-        for g in grades:
+        for g in range(step, order + 1, step):
             a.append(finish(g, sum(map(mul, b, reversed(a)))))
-        return {(i * step // w,): c for i, c in enumerate(a) if c}  # c0 != 0 stays
+        return {(i if grading[0] > 0 else -i,): c for i, c in enumerate(a) if c}  # c0 != 0 stays
     terms = [list(rhs.get(h, {}).items()) for h in range(1, order + 1)]
     levels = [[(0, c0)]]  # grade -> [(packed exps, coeff)]
     for g in range(1, order + 1):
@@ -274,14 +276,16 @@ def factor_product(vars, order, factors: Mapping, grading=None) -> QSeries:
     division.  A grade-0 factor is invisible to D; with a non-negative
     power it is a polynomial, expanded directly and multiplied in last.
 
-    Exponent vectors are packed as signed base-``(2*bound + 1)`` digits, with
+    In one variable ``b`` is a dense list indexed by grade.  In more,
+    exponent vectors are packed as signed base-``(2*bound + 1)`` digits, with
     ``bound = order * max|exps_i|``: a grade <= order sums <= order factor ``m``.
     """
     one = QSeries.one(vars, order, grading)
     zero = (0,) * len(one.vars)
     flat = one  # product of the grade-0 factors
-    bound = order * max((abs(x) for exps, _ in factors for x in exps), default=0)
-    log_deriv: dict[int, dict[int, int]] = {}  # grade -> {packed exps: b}
+    dense = len(zero) == 1
+    bound = 0 if dense else order * max((abs(x) for exps, _ in factors for x in exps), default=0)
+    log_deriv = [0] * (order + 1) if dense else {}  # grade -> b, or {packed exps: b}
     for (exps, sign), power in factors.items():
         exps = tuple(exps)
         g = one.grade(exps)
@@ -295,11 +299,17 @@ def factor_product(vars, order, factors: Mapping, grading=None) -> QSeries:
         if g == 0:
             flat = flat * (one - QSeries.monomial(vars, order, exps, sign, grading)) ** power
             continue
-        packed, b = _pack(exps, bound), -power * g  # m**k packs to k * packed
+        b = -power * g
+        if dense:  # grade k * g gains b * sign**k
+            at = log_deriv[g::g]
+            at = [c + b for c in at] if sign == 1 else [c + b * sign**k for k, c in enumerate(at, 1)]
+            log_deriv[g::g] = at
+            continue
+        packed = _pack(exps, bound)  # m**k packs to k * packed
         for k in range(1, order // g + 1):
             level = log_deriv.setdefault(k * g, {})
             level[k * packed] = level.get(k * packed, 0) + b * sign**k
-    coeffs = _grade_recurrence(len(zero), order, bound, 1, log_deriv, lambda g, c: c // g)
+    coeffs = _grade_recurrence(one.grading, order, bound, 1, log_deriv, lambda g, c: c // g)
     series = QSeries(vars, order, coeffs, grading)
     return series if flat is one else flat * series
 

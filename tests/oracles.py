@@ -19,7 +19,9 @@ endpoint pair rebuilt per query (``ideal_membership_all_endpoints``), is
 kept as the reference for ``ncalg.MembershipSystem``.
 Products of ``(1 - sign*m)**power`` factors are expanded one factor at a
 time by ring arithmetic, independent of the package's
-logarithmic-derivative recurrence.  The catalog's quivers and potentials
+logarithmic-derivative recurrence, and the factor multiset of a list of
+pochhammers is added up one k at a time (``pochhammer_factors_by_k``),
+independent of the package's running sum.  The catalog's quivers and potentials
 as they were written out by hand before the parity-sequence generator
 (``literal_quiver_with_potential``), and the NCDT products built MacMahon
 by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``) or in Laurent
@@ -570,6 +572,19 @@ def factor_product_by_factors(vars, order, factors, grading=None):
     for (exps, sign), power in factors.items():
         out = out * binomial_factor_by_powers(vars, order, exps, sign, power, grading)
     return out
+
+
+def pochhammer_factors_by_k(order, pochhammers):
+    """The factor multiset ``{((k,), sign): power}`` of pochhammers
+    ``(w, power[, sign])``, each standing for prod_{k>=w} (1 - sign*q^k)**power,
+    added up one k at a time (the package's loop before it became a running
+    sum)."""
+    factors = {}
+    for w, power, *sign in pochhammers:
+        for k in range(w, order + 1):
+            key = ((k,), sign[0] if sign else 1)
+            factors[key] = factors.get(key, 0) + power
+    return factors
 
 
 # -- hand-written catalog geometries ----------------------------------------------

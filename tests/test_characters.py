@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from quiverdt import characters as C
@@ -126,6 +129,38 @@ def test_figures_against_factor_by_factor_oracle(kind):
         figure_side = oracles.factor_product_by_factors(("q",), 20, C.figure_factors(kind, r, 20))
         assert C.character(ws, 20) == figure_side, (kind, r)
         assert C.figure_series(kind, r, 20) == pyramid_side, (kind, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pochhammer_running_sum_matches_the_per_k_oracle(seed):
+    # starts w from -1 to order + 2, drawn from a few values so that they
+    # repeat; signs +-1 or omitted; powers -4..4, zero and negative included
+    rng = random.Random(seed)
+    order = rng.choice((0, 0, 1, 2, 3, 7, 12, 30))
+    starts = [rng.randint(-1, order + 2) for _ in range(3)]
+    pochhammers = [
+        (rng.choice(starts), rng.randint(-4, 4), *rng.choice(((), (1,), (-1,))))
+        for _ in range(rng.randint(0, 7))
+    ]
+    got = C._pochhammer_factors(order, pochhammers)
+    assert got == oracles.pochhammer_factors_by_k(order, pochhammers)
+
+
+@pytest.mark.parametrize(
+    "order, pochhammers",
+    [
+        (0, [(1, -1), (0, 2, -1)]),
+        (0, [(-1, 3)]),
+        (4, [(5, 1), (6, -2, -1)]),  # every start above the order
+        (4, [(2, 3), (3, -3)]),  # powers that cancel from k = 3 on stay as 0
+        (5, [(1, 1, 1), (1, 1), (2, -1, -1), (2, 1, -1)]),
+    ],
+)
+def test_pochhammer_running_sum_edges(order, pochhammers):
+    assert C._pochhammer_factors(order, pochhammers) == oracles.pochhammer_factors_by_k(
+        order, pochhammers
+    )
 
 
 def test_figure_pyramids_match_the_typed_figure_annotations():

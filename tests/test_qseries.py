@@ -276,6 +276,49 @@ def test_one_variable_recurrence_edges():
             assert got == QSeries.one(vars, order, grading)
 
 
+def _one_variable_multisets(direction):
+    """Factor multisets in q whose monomials point along ``direction``: the
+    empty one, sign -1 factors whose multiples k * g alternate in sign at odd
+    and even k, mixed signs and powers, and grade-0 factors."""
+    q = lambda e: (direction * e,)  # noqa: E731
+    return [
+        {},
+        {(q(1), -1): 3},
+        {(q(1), -1): -2, (q(2), -1): 1, (q(3), -1): -1},
+        {(q(2), -1): 4, (q(4), 1): -3, (q(5), -1): 1, (q(1), 1): 2},
+        {(q(3), 1): -1, (q(3), -1): -1, (q(6), -1): 2},
+        {((0,), 1): 0, ((0,), -1): 2, (q(1), -1): -1, (q(2), 1): 1},
+    ]
+
+
+@pytest.mark.parametrize("grading", [None, (1,), (2,), (3,), (-1,)])
+def test_one_variable_dense_log_derivative_matches_the_oracle(grading):
+    vars, direction = ("q",), -1 if grading == (-1,) else 1
+    for factors in _one_variable_multisets(direction):
+        positive = all(exps != (0,) for exps, _ in factors)
+        inverse = {key: -power for key, power in factors.items()}
+        for order in (0, 1, 2, 5, 9, 20):
+            got = factor_product(vars, order, factors, grading)
+            assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
+            if positive:  # the inverse of a product is the product of the inverses
+                want = oracles.factor_product_by_factors(vars, order, inverse, grading)
+                assert got.inverse() == want and (-got).inverse() == -want
+
+
+def test_one_variable_weight_zero_keeps_only_grade_zero_factors():
+    # under grading (0,) every monomial has grade 0: a non-negative power is
+    # expanded as a polynomial, a negative one leaves the cone
+    vars, grading = ("q",), (0,)
+    for order in (0, 3):
+        factors = {((1,), -1): 2, ((2,), 1): 1}
+        got = factor_product(vars, order, factors, grading)
+        assert got == oracles.factor_product_by_factors(vars, order, factors, grading)
+        assert got.coefficient((4,)) == -1
+        with pytest.raises(ConeViolation):
+            factor_product(vars, order, {((1,), 1): -1}, grading)
+        assert QSeries(vars, order, {(0,): -1}, grading).inverse().coeffs == {(0,): -1}
+
+
 @pytest.mark.parametrize("order", [0, 1, 3, 7, 10])
 def test_inverse_of_laurent_series_graded_1_2(order):
     # inverse(prod (1 - m)^p) = prod (1 - m)^-p, both sides by the oracle
