@@ -32,13 +32,19 @@ def _rational(where: str, value) -> Fraction:
         raise ValueError(f"{where}: {value!r} is not a rational number") from None
 
 
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; a parse fault names the file."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_framing(fq, path: str | None):
     """The framing structure of a ``--framing`` file (none given reads as
     ``{}``): ranks default to 1 and marked-arrow matrices to zero."""
-    data = {}
-    if path is not None:
-        with open(path) as handle:
-            data = json.load(handle)
+    data = {} if path is None else _read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a framing file holds a JSON object with 'ranks' and 'arrows'")
     for key in data:
@@ -76,8 +82,7 @@ def _load_framing(fq, path: str | None):
 def _load_points(path: str) -> list[tuple[Fraction, Fraction]]:
     """Plane points of a ``--numeric`` file: the C3 point witness has
     B3 = 0, so every point is an [x, y] pair (z = 0)."""
-    with open(path) as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f"{path}: no 'points' key")
     if not isinstance(data["points"], list):

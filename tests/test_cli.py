@@ -241,6 +241,17 @@ def test_missing_numeric_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("content", [b"", b"{", b"[1, 2", b"\xff\xfe"])
+@pytest.mark.parametrize(
+    "argv", [["monad", "verify", "c3", "--numeric"], ["relations", "adhm3d", "--framing"]]
+)
+def test_unparsable_json_file_is_reported_with_its_name(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_capture(capsys, argv + [str(path)])
+    assert code == 2 and out == "" and err.startswith(f"error: {path}: ")
+
+
 def test_closed_stdout_pipe_is_not_a_usage_error(monkeypatch, capsys):
     read_end, write_end = os.pipe()
     os.close(read_end)
