@@ -14,13 +14,18 @@ the text ``catalog show``, ``relations`` and ``catalog list`` cases were
 written before a cyclic word became a tuple of arrow names and before the
 monad-template table became a tuple of ids; the ``character`` cases were
 written before one-variable factor products dropped exponent packing and
-before ``characters._pochhammer_factors`` became a prefix sum.
+before ``characters._pochhammer_factors`` became a prefix sum; the
+``monad verify`` cases were written while ``monad.assemble`` still
+returned a ``MonadComplex`` beside its ``MonadTemplate`` and ``evaluate``
+still assembled each stage matrix from blocks.  The ``--json`` form of
+``monad verify`` drops ``phases`` (wall-clock seconds) before comparing.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -47,6 +52,8 @@ BENCH_ORDERS = {
 # framed examples replayed with the rank > 1 framing stored as
 # tests/golden/framing_<example>.json
 RANKED_FRAMINGS = ("adhm3d", "spiked", "chainsaw2")
+# monad templates replayed with --numeric tests/golden/points_3.json
+NUMERIC_TEMPLATES = ("c3", "pervsystem-c3")
 
 
 def _cases() -> list[list[str]]:
@@ -80,6 +87,13 @@ def _cases() -> list[list[str]]:
     cases.append(
         ["character", "--divisor", "mu=3,1", "--m", "2", "--n", "0", "--t", "1", "--order", "20"]
     )
+    for t in catalog.monad_template_ids():
+        cases += [["monad", "verify", t], ["monad", "verify", t, "--json"]]
+    for t in NUMERIC_TEMPLATES:
+        shape = ["monad", "verify", t, "--numeric", "points_3.json"]
+        cases += [shape, shape + ["--json"]]
+    # no numeric witness binds adhm3d's arrows: exit 2
+    cases.append(["monad", "verify", "adhm3d", "--numeric", "points_3.json"])
     return cases
 
 
@@ -88,12 +102,20 @@ def _file(argv: list[str]) -> Path:
 
 
 def _replay(argv: list[str]) -> str:
-    # a --framing value names a file under tests/golden/
-    argv = [str(GOLDEN / a) if flag == "--framing" else a for flag, a in zip(["", *argv], argv)]
+    # a --framing or --numeric value names a file under tests/golden/
+    argv = [
+        str(GOLDEN / a) if flag in ("--framing", "--numeric") else a
+        for flag, a in zip(["", *argv], argv)
+    ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
-    return f"exit {code}\n{out.getvalue()}"
+    text = out.getvalue()
+    if argv[0] == "monad" and "--json" in argv:
+        data = json.loads(text)
+        del data["phases"]  # wall-clock seconds, different on every run
+        text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    return f"exit {code}\n{text}"
 
 
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
