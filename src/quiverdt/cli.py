@@ -186,19 +186,18 @@ def cmd_relations(args) -> int:
 
 def cmd_monad(args) -> int:
     c, rels = catalog.monad_case(args.id)
-    tpl = c.template
     if args.numeric:
         points = _load_points(args.numeric)
-        rep, cyclic = framing.numeric_solution_builder(points)
-        unbound = [a.name for a in tpl.quiver.arrows if a.name not in rep]
+        rep, dims, cyclic = framing.numeric_solution_builder(points)
+        unbound = [a.name for a in c.quiver.arrows if a.name not in rep]
         if unbound:
             raise ValueError(
-                f"no numeric witness for template {tpl.label}: "
+                f"no numeric witness for template {c.label}: "
                 f"unbound arrows {', '.join(unbound)}"
             )
     report = monad.certify_d_squared(c, rels)
     payload = {
-        "template": tpl.label,
+        "template": c.label,
         "certified": report.certified,
         "components": len(report.entries),
         "failures": [
@@ -209,7 +208,6 @@ def cmd_monad(args) -> int:
         "phases": report.phases,
     }
     if args.numeric:
-        dims = {"0": len(points), "inf": 1}
         rep = {name: m for name, m in rep.items() if rels.quiver.has_arrow(name)}
         tables = []
         for p in points:
@@ -218,7 +216,7 @@ def cmd_monad(args) -> int:
                     c, rep, dims, (p[0], p[1], 0), relations=rels, resolution_certified=True
                 )
             except monad.RelationsViolated as exc:
-                print(f"numeric witness of {tpl.label}: {exc}", file=sys.stderr)
+                print(f"numeric witness of {c.label}: {exc}", file=sys.stderr)
                 return 1
             tables.append(
                 {
@@ -231,7 +229,7 @@ def cmd_monad(args) -> int:
     if args.json:
         _emit_json(payload)
     else:
-        print(f"template {tpl.label}: {'certified' if report.certified else 'FAILED'}")
+        print(f"template {c.label}: {'certified' if report.certified else 'FAILED'}")
         for f in report.failures:
             print(f"  failure at stage {f.stage} entry ({f.row},{f.col})")
         for t in payload.get("numeric", {}).get("cohomology", []):

@@ -256,9 +256,10 @@ def verify_framing_compatibility(fq: FramedQuiverWithPotential) -> Compatibility
 def numeric_solution_builder(points: Sequence[tuple]):
     """Representation matrices for a framed point configuration: n distinct
     plane points give diagonal B1, B2, vanishing B3, an all-ones column I,
-    and zero J.  Satisfies the framed relations exactly; also reports
-    whether the representation is cyclic (generated from the framing by the
-    loops), which needs distinctness.
+    and zero J.  Satisfies the framed relations exactly.  Returns the
+    matrices, their dimension vector ``{"0": n, "inf": 1}``, and whether the
+    representation is cyclic (generated from the framing by the loops),
+    which needs distinctness.
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(set(pts)) != len(pts):
@@ -278,7 +279,7 @@ def numeric_solution_builder(points: Sequence[tuple]):
         "J": (tuple(Fraction(0) for _ in range(n)),),
     }
     cyclic = _is_cyclic(b1, b2, rep["I"], n)
-    return rep, cyclic
+    return rep, {"0": n, "inf": 1}, cyclic
 
 
 def _is_cyclic(b1, b2, i_col, n: int) -> bool:

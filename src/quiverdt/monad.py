@@ -8,7 +8,7 @@ words follow the traversal-order convention of :mod:`quiverdt.ncalg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 from time import perf_counter
@@ -57,7 +57,8 @@ class Slot:
 @dataclass(frozen=True)
 class MonadTemplate:
     """Shapes of the graded free modules and the differentials between
-    them, each a rows x cols matrix of entries."""
+    them, each a rows x cols matrix of entries.  :func:`assemble` returns
+    the same type with its marked symbols bound and every entry validated."""
 
     label: str
     coords: tuple[str, ...]
@@ -67,18 +68,8 @@ class MonadTemplate:
     quiver: Quiver  # arrows the words may use (marked symbols included)
 
 
-@dataclass
-class MonadComplex:
-    template: MonadTemplate
-    diffs: list[list[list[Entry]]]  # per differential: rows x cols of entries
-
-    @property
-    def terms(self):
-        return self.template.terms
-
-
 def assemble(template: MonadTemplate,
-             marked_values: Mapping[str, Fraction] | None = None) -> MonadComplex:
+             marked_values: Mapping[str, Fraction] | None = None) -> MonadTemplate:
     """Bind marked symbols to scalars (rank-one framing slots) and validate
     the result; a marked symbol left out of ``marked_values`` stays in its
     words."""
@@ -86,10 +77,12 @@ def assemble(template: MonadTemplate,
     for name in values:
         if not any(a.name == name and a.marked for a in template.quiver.arrows):
             raise MonadError(f"{name!r} is not a marked arrow of {template.label}")
-    diffs = [[[_bind(e, values) for e in row] for row in mat] for mat in template.diffs]
-    complex_ = MonadComplex(template, diffs)
-    _validate_complex(complex_)
-    return complex_
+    diffs = tuple(
+        tuple(tuple(_bind(e, values) for e in row) for row in mat) for mat in template.diffs
+    )
+    c = replace(template, diffs=diffs)
+    _validate_complex(c)
+    return c
 
 
 def _bind(e: Entry, values: Mapping[str, int | Fraction]) -> Entry:
@@ -104,12 +97,12 @@ def _bind(e: Entry, values: Mapping[str, int | Fraction]) -> Entry:
     return {k: c for k, c in out.items() if c != 0}
 
 
-def _validate_complex(c: MonadComplex) -> None:
+def _validate_complex(c: MonadTemplate) -> None:
     """The shape of every differential, composability of every nonzero
     entry with its slots, and the line-bundle degree bound on coordinate
     monomials."""
-    q = c.template.quiver
-    twists = c.template.twists
+    q = c.quiver
+    twists = c.twists
     if len(c.diffs) != len(c.terms) - 1:
         raise MonadError(f"{len(c.terms)} terms need {len(c.terms) - 1} differentials")
     for stage, mat in enumerate(c.diffs):
@@ -149,43 +142,34 @@ def _validate_complex(c: MonadComplex) -> None:
                         )
 
 
-def _entry_mul(first: Entry, then: Entry) -> Entry:
-    """Operator composition: apply ``first`` then ``then``; words concatenate
-    in traversal order.  The entries of a validated complex meet at a shared
-    slot, so every concatenated word is a path."""
-    out: Entry = {}
-    for (e1, w1), c1 in first.items():
-        for (e2, w2), c2 in then.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            key = (exps, w1 + w2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def compose_stage(c: MonadComplex, stage: int) -> list[list[Entry]]:
-    """Matrix of d_(stage+1) o d_stage."""
+def compose_stage(c: MonadTemplate, stage: int) -> list[list[Entry]]:
+    """Matrix of d_(stage+1) o d_stage: apply d_stage, then d_(stage+1);
+    words concatenate in traversal order.  The entries of a validated
+    complex meet at a shared slot, so every concatenated word is a path."""
     d1 = c.diffs[stage]
-    d2 = c.diffs[stage + 1]
-    rows, mid, cols = len(d2), len(d1), len(d1[0]) if d1 else 0
-    out: list[list[Entry]] = [[{} for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
+    cols = len(d1[0]) if d1 else 0
+    out: list[list[Entry]] = []
+    for then_row in c.diffs[stage + 1]:
+        out_row: list[Entry] = []
         for j in range(cols):
             acc: Entry = {}
-            for l in range(mid):
-                part = _entry_mul(d1[l][j], d2[i][l])
-                for k, v in part.items():
-                    acc[k] = acc.get(k, 0) + v
-            out[i][j] = {k: v for k, v in acc.items() if v != 0}
+            for first_row, then in zip(d1, then_row):
+                for (e1, w1), c1 in first_row[j].items():
+                    for (e2, w2), c2 in then.items():
+                        key = (tuple(a + b for a, b in zip(e1, e2)), w1 + w2)
+                        acc[key] = acc.get(key, 0) + c1 * c2
+            out_row.append({k: v for k, v in acc.items() if v != 0})
+        out.append(out_row)
     return out
 
 
 def entry_to_ncpolys(e: Entry, src_vertex: str) -> dict[tuple[int, ...], NCPoly]:
-    """Split an entry by coordinate monomial into word polynomials."""
+    """Split an entry by coordinate monomial into word polynomials; the
+    words under one monomial are distinct paths."""
     buckets: dict[tuple[int, ...], dict[Path, int | Fraction]] = {}
     for (exps, word), coeff in e.items():
         p = Path(tuple(word)) if word else trivial_path(src_vertex)
-        bucket = buckets.setdefault(exps, {})
-        bucket[p] = bucket.get(p, 0) + coeff
+        buckets.setdefault(exps, {})[p] = coeff
     return {exps: NCPoly(terms) for exps, terms in buckets.items()}
 
 
@@ -209,14 +193,15 @@ class CertificationReport:
 
 
 def certify_d_squared(
-    c: MonadComplex, relations: RelationSet, raise_on_failure: bool = False
+    c: MonadTemplate, relations: RelationSet, raise_on_failure: bool = False
 ) -> CertificationReport:
     """Expand every composite d o d entry and certify membership of each
     coordinate-monomial component in the two-sided relation ideal.
 
-    ``relations`` is a RelationSet over a quiver containing every unmarked
-    symbol the complex uses; for a framed template that is the ``.relations``
-    of its :class:`~quiverdt.framing.FramedRelationSet`.  One
+    ``c`` is an assembled template and ``relations`` a RelationSet over a
+    quiver containing every unmarked symbol it uses; for a framed template
+    that is the ``.relations`` of its
+    :class:`~quiverdt.framing.FramedRelationSet`.  One
     :class:`MembershipSystem`, with path coefficients of length at most 1
     on each side of a relation, decides every component, so components with
     the same endpoints share one echelon form.  A failed component
@@ -236,12 +221,8 @@ def certify_d_squared(
         phases["compose"] += perf_counter() - start
         for i, row in enumerate(product):
             for j, e in enumerate(row):
-                if not e:
-                    continue
                 src_vertex = c.terms[stage][j].vertex
                 for exps, poly in entry_to_ncpolys(e, src_vertex).items():
-                    if poly.is_zero():
-                        continue
                     start = perf_counter()
                     result = system.decide(poly)
                     phases["membership"] += perf_counter() - start
@@ -250,12 +231,12 @@ def certify_d_squared(
                     if not result.success:
                         if raise_on_failure:
                             raise NotInIdeal(
-                                f"{c.template.label}: stage {stage} entry ({i},{j}) "
+                                f"{c.label}: stage {stage} entry ({i},{j}) "
                                 f"monomial {exps} has residual {result.residual.render()}"
                             )
                         failures.append(cert)
     return CertificationReport(
-        label=c.template.label,
+        label=c.label,
         certified=not failures,
         entries=entries,
         failures=failures,
@@ -275,14 +256,18 @@ class EvaluationResult:
 
 
 def evaluate(
-    c: MonadComplex,
+    c: MonadTemplate,
     rep: Mapping[str, linalg.Matrix],
     dims: Mapping[str, int],
     point: Sequence,
-    relations: RelationSet | None = None,
+    relations: RelationSet,
     resolution_certified: bool = False,
 ) -> EvaluationResult:
-    """Substitute numerics and count ranks by exact elimination.
+    """Substitute numerics and count ranks by exact elimination, after
+    checking that ``rep`` satisfies ``relations``.
+
+    A slot at a vertex of dimension 0 adds no rows and no columns; a stage
+    whose source slots all have dimension 0 has rows of width 0.
 
     Reported per slot:
 
@@ -297,26 +282,24 @@ def evaluate(
       cohomology whenever the relations hold, so middle sheaves vanish).
     """
     point = tuple(Fraction(x) for x in point)
-    if len(point) != len(c.template.coords):
+    if len(point) != len(c.coords):
         raise MonadError("point has wrong number of coordinates")
-    if relations is not None:
-        residuals = numeric_relation_residual(relations.quiver, relations, dict(rep), dims)
-        for r, res in zip(relations, residuals):
-            if res != 0:
-                raise RelationsViolated(
-                    f"relation d/d{r.arrow}: {r.poly.render(relations.quiver)} = 0 ({r.src} -> {r.tgt}) "
-                    f"fails on the representation by {res}"
-                )
+    residuals = numeric_relation_residual(relations, dict(rep), dims)
+    for r, res in zip(relations, residuals):
+        if res != 0:
+            raise RelationsViolated(
+                f"relation d/d{r.arrow}: {r.poly.render(relations.quiver)} = 0 ({r.src} -> {r.tgt}) "
+                f"fails on the representation by {res}"
+            )
     sizes = [sum(dims.get(s.vertex, 0) for s in term) for term in c.terms]
-    quiver = c.template.quiver
     mats: list[linalg.Matrix] = []
     for stage, mat in enumerate(c.diffs):
-        blocks: list[list[linalg.Matrix]] = []
+        rows: list[tuple[Fraction, ...]] = []
         for i, row in enumerate(mat):
             tgt = dims.get(c.terms[stage + 1][i].vertex, 0)
             if tgt == 0:
                 continue
-            block_row = []
+            blocks = []
             for j, e in enumerate(row):
                 sv = c.terms[stage][j].vertex
                 src = dims.get(sv, 0)
@@ -327,13 +310,14 @@ def evaluate(
                      coeff * prod(x ** k for x, k in zip(point, exps)))
                     for (exps, word), coeff in e.items()
                 )
-                block_row.append(path_sum_matrix(quiver, terms, rep, dims, tgt, src))
-            blocks.append(block_row)
-        mats.append(_assemble_blocks(blocks))
-    d2_zero = True
-    for stage in range(len(mats) - 1):
-        if linalg.max_abs(linalg.matmul(mats[stage + 1], mats[stage])) != 0:
-            d2_zero = False
+                blocks.append(path_sum_matrix(c.quiver, terms, rep, dims, tgt, src))
+            rows += (tuple(x for b in blocks for x in b[r]) for r in range(tgt))
+        mats.append(tuple(rows))
+    # a stage with no rows maps into the zero space: its composite is zero
+    d2_zero = all(
+        not then or linalg.max_abs(linalg.matmul(then, first)) == 0
+        for first, then in zip(mats, mats[1:])
+    )
     ranks = [linalg.rank(m) for m in mats]
     fiber = []
     for i, size in enumerate(sizes):
@@ -350,17 +334,3 @@ def evaluate(
             sheaf.append(0 if resolution_certified else None)
     return EvaluationResult(d2_zero, fiber, sheaf)
 
-
-def _assemble_blocks(blocks: list[list[linalg.Matrix]]) -> linalg.Matrix:
-    if not blocks:
-        return ()
-    rows: list[tuple[Fraction, ...]] = []
-    for block_row in blocks:
-        height = max((linalg.shape(b)[0] for b in block_row), default=0)
-        for r in range(height):
-            row: list[Fraction] = []
-            for b in block_row:
-                br, bc = linalg.shape(b)
-                row.extend(b[r] if r < br else (Fraction(0),) * bc)
-            rows.append(tuple(row))
-    return tuple(rows)

@@ -565,7 +565,7 @@ def chi_form(q: Quiver, a: DimVector, b: DimVector) -> int:
 # -- numeric evaluation -------------------------------------------------------
 
 
-def path_matrix(q: Quiver, p: Path, rep: Mapping[str, linalg.Matrix], dims: DimVector) -> linalg.Matrix:
+def path_matrix(p: Path, rep: Mapping[str, linalg.Matrix], dims: DimVector) -> linalg.Matrix:
     """Evaluate a word on a representation: the word ``(a, b)`` becomes
     ``M(b) @ M(a)``; a trivial path is the identity at its vertex."""
     if p.base is not None:
@@ -586,7 +586,7 @@ def path_sum_matrix(
     for p, c in terms:
         if c == 0 or any(dims.get(q.arrow(name).src, 0) == 0 for name in p.arrows):
             continue
-        total = linalg.add(total, linalg.scale(path_matrix(q, p, rep, dims), c))
+        total = linalg.add(total, linalg.scale(path_matrix(p, rep, dims), c))
     return total
 
 
@@ -606,9 +606,11 @@ def _check_rep_shapes(q: Quiver, rep: Mapping[str, linalg.Matrix], dims: DimVect
 
 
 def numeric_relation_residual(
-    q: Quiver, relations: RelationSet, rep: Mapping[str, linalg.Matrix], dims: DimVector
+    relations: RelationSet, rep: Mapping[str, linalg.Matrix], dims: DimVector
 ) -> list[Fraction]:
-    """Largest absolute matrix entry of each relation evaluated on ``rep``."""
+    """Largest absolute matrix entry of each relation evaluated on ``rep``,
+    a representation of ``relations.quiver``."""
+    q = relations.quiver
     _check_rep_shapes(q, rep, dims)
     out = []
     for r in relations:

@@ -94,7 +94,7 @@ def test_criterion_10_numeric_monad_exactness():
     ok = True
     for n in (1, 2, 3):
         pts = plane_points[:n]
-        rep, cyclic = framing.numeric_solution_builder(pts)
+        rep, _, cyclic = framing.numeric_solution_builder(pts)
         rep = {k: rep[k] for k in ("B1", "B2", "B3")}
         ok = ok and cyclic
         for p in pts:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hypothesis import given
@@ -311,7 +313,9 @@ def test_monad_case_builds_its_geometry_once(template, monkeypatch):
     c, _ = catalog.monad_case(template)
     framed = template in catalog.framed_example_ids()
     assert calls == [catalog._framed_spec(template)[0] if framed else template]
-    assert c.template == catalog.get_monad_template(template)
+    assert dataclasses.replace(c, diffs=()) == dataclasses.replace(
+        catalog.get_monad_template(template), diffs=()
+    )
 
 
 # -- shift matrices --------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_numeric_witness_violating_a_relation_exits_1(tmp_path, capsys, monkeypa
             "I": linalg.mat([[1], [1]]),
             "J": linalg.zeros(1, 2),
         }
-        return rep, True
+        return rep, {"0": 2, "inf": 1}, True
 
     monkeypatch.setattr(framing, "numeric_solution_builder", non_commuting)
     path = tmp_path / "points.json"

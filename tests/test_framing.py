@@ -265,26 +265,22 @@ def test_synthetic_bad_monomial_detected():
 
 
 def test_numeric_solution_one_point_origin():
-    rep, cyclic = framing.numeric_solution_builder([(0, 0)])
-    assert cyclic
+    rep, dims, cyclic = framing.numeric_solution_builder([(0, 0)])
+    assert cyclic and dims == {"0": 1, "inf": 1}
     rels = framing.framed_relations(zero_framing("adhm3d"))
     from quiverdt.ncalg import numeric_relation_residual
 
-    residuals = numeric_relation_residual(
-        rels.quiver, rels.relations, rep, {"0": 1, "inf": 1}
-    )
+    residuals = numeric_relation_residual(rels.relations, rep, dims)
     assert all(r == 0 for r in residuals)
 
 
 def test_numeric_solution_two_points():
-    rep, cyclic = framing.numeric_solution_builder([(1, 0), (0, 1)])
-    assert cyclic
+    rep, dims, cyclic = framing.numeric_solution_builder([(1, 0), (0, 1)])
+    assert cyclic and dims == {"0": 2, "inf": 1}
     rels = framing.framed_relations(zero_framing("adhm3d"))
     from quiverdt.ncalg import numeric_relation_residual
 
-    residuals = numeric_relation_residual(
-        rels.quiver, rels.relations, rep, {"0": 2, "inf": 1}
-    )
+    residuals = numeric_relation_residual(rels.relations, rep, dims)
     assert all(r == 0 for r in residuals)
 
 
@@ -294,5 +290,5 @@ def test_numeric_solution_duplicate_points():
 
 
 def test_numeric_solution_noncyclic_would_need_distinctness():
-    rep, cyclic = framing.numeric_solution_builder([(2, 3)])
+    rep, _, cyclic = framing.numeric_solution_builder([(2, 3)])
     assert cyclic and rep["B1"][0][0] == 2

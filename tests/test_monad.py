@@ -153,7 +153,7 @@ def test_monad_case_uses_framed_relations_exactly_for_framed_templates(template_
     assert isinstance(rels, ncalg.RelationSet)
     if framed:
         fq = catalog.get_framed_example(template_id)
-        assert c.template.quiver == fq.quiver
+        assert c.quiver == fq.quiver
         expanded, _ = framing.expand(framing.specialize(fq, framing.FramingStructure.zero(fq)))
         assert rels.quiver == expanded
     else:
@@ -165,7 +165,7 @@ def test_monad_case_uses_framed_relations_exactly_for_framed_templates(template_
 
 def test_evaluate_one_point_origin():
     c, rels = c3_complex()
-    rep, _ = framing.numeric_solution_builder([(0, 0)])
+    rep, _, _ = framing.numeric_solution_builder([(0, 0)])
     rep = {k: rep[k] for k in ("B1", "B2", "B3")}
     res = monad.evaluate(c, rep, {"0": 1}, (0, 0, 0), relations=rels, resolution_certified=True)
     assert res.d_squared_zero
@@ -175,7 +175,7 @@ def test_evaluate_one_point_origin():
 
 def test_evaluate_away_from_support():
     c, rels = c3_complex()
-    rep, _ = framing.numeric_solution_builder([(0, 0)])
+    rep, _, _ = framing.numeric_solution_builder([(0, 0)])
     rep = {k: rep[k] for k in ("B1", "B2", "B3")}
     res = monad.evaluate(c, rep, {"0": 1}, (1, 1, 1), relations=rels)
     assert res.fiber_cohomology == [0, 0, 0, 0]
@@ -185,7 +185,7 @@ def test_evaluate_away_from_support():
 def test_evaluate_total_cohomology_counts_points():
     c, rels = c3_complex()
     pts = [(0, 0), (1, 0), (2, 5)]
-    rep, _ = framing.numeric_solution_builder(pts)
+    rep, _, _ = framing.numeric_solution_builder(pts)
     rep = {k: rep[k] for k in ("B1", "B2", "B3")}
     total = 0
     for p in pts:
@@ -209,19 +209,19 @@ def test_evaluate_rejects_bad_representation():
 
 def test_d_squared_numerically_zero_at_random_points():
     c, rels = c3_complex()
-    rep, _ = framing.numeric_solution_builder([(1, 2), (3, 4)])
+    rep, _, _ = framing.numeric_solution_builder([(1, 2), (3, 4)])
     rep = {k: rep[k] for k in ("B1", "B2", "B3")}
     rng = random.Random(11)
     for _ in range(20):
         pt = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
-        res = monad.evaluate(c, rep, {"0": 2}, pt)
+        res = monad.evaluate(c, rep, {"0": 2}, pt, relations=rels)
         assert res.d_squared_zero
 
 
 def test_adhm_evaluate_generic_point_exact():
     tpl = catalog.get_monad_template("adhm3d")
     rels = framed_relations("adhm3d")
-    rep, _ = framing.numeric_solution_builder([(2, 3)])
+    rep, _, _ = framing.numeric_solution_builder([(2, 3)])
     c = monad.assemble(tpl, marked_values={"Af": 0})
     res = monad.evaluate(
         c, rep, {"0": 1, "inf": 1}, (5, 7, 1), relations=rels
@@ -264,6 +264,25 @@ def test_conifold_monad_resolves_curve_module():
     for pt in ((1, 0, 0), (0, 1, 3), (2, 3, 4)):
         res = monad.evaluate(c, rep, dims, pt, relations=rels)
         assert res.fiber_cohomology == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "template, want",
+    [
+        ("adhm3d", {(0, 0, 0): [0, 1, 1, 0], (1, 2, 3): [0, 0, 0, 0]}),
+        ("pervsystem-c3", {(0, 0, 0): [0, 0, 1, 0], (1, 2, 3): [0, 0, 1, 0]}),
+    ],
+)
+def test_evaluate_with_empty_gauge_vertex(template, want):
+    """V = 0: a target slot at the framing vertex whose source slots all sit
+    at the gauge vertex keeps its rows, of width 0."""
+    c, rels = catalog.monad_case(template)
+    dims = {"0": 0, "inf": 1}
+    rep = {a.name: linalg.zeros(dims[a.tgt], dims[a.src]) for a in rels.quiver.arrows}
+    for pt, fiber in want.items():
+        res = monad.evaluate(c, rep, dims, pt, relations=rels)
+        assert res.d_squared_zero
+        assert res.fiber_cohomology == fiber
 
 
 def test_validate_rejects_ill_typed_entry():
