@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import framing, linalg, monad
 from .framing import FramedQuiverWithPotential
 from .monad import MonadTemplate, Slot
-from .ncalg import Arrow, Potential, Quiver, relations_from_potential
+from .ncalg import Arrow, Potential, Quiver
 
 
 class NotInCatalog(KeyError):
@@ -219,18 +219,21 @@ def framed_example_ids() -> tuple[str, ...]:
 
 
 def _framed_spec(example: str) -> tuple:
-    """The :data:`_FRAMED` row of a framed example."""
+    """The :data:`_FRAMED` row of a framed example; a geometry is its own
+    base, with no framing vertices, arrows, words or nilpotent arrows."""
     e = example.lower()
     if e.startswith("pervsystem-"):
         return (e.removeprefix("pervsystem-"), ("inf",), (Arrow("I", "inf", "0"),), (), ())
     if e in _FRAMED:
         return _FRAMED[e]
-    raise NotInCatalog(example)
+    _lookup(example)
+    return e, (), (), (), ()
 
 
 def get_framed_example(example: str) -> FramedQuiverWithPotential:
     """Framed quiver-with-potential templates; marked arrows carry fixed
-    matrices to be bound by a framing structure."""
+    matrices to be bound by a framing structure.  A geometry id names the
+    geometry's own quiver with potential, with no framing vertices."""
     return _frame(example, *get_quiver_with_potential(_framed_spec(example)[0]))
 
 
@@ -249,8 +252,8 @@ def _frame(example: str, base: Quiver, w: Potential) -> FramedQuiverWithPotentia
 # -- monad templates --------------------------------------------------------------
 
 
-# the monad templates: a geometry id names an unframed template, a framed
-# example id a framed one, whose geometry is its _FRAMED base
+# the monad templates: each is derived from get_framed_example(id), whose
+# geometry is its _FRAMED base (a geometry id frames itself with nothing)
 _MONAD_TEMPLATES = ("c3", "y20", "pervsystem-c3", "pervsystem-conifold", "adhm3d", "kn", "ny3d")
 
 
@@ -260,9 +263,9 @@ def monad_template_ids() -> tuple[str, ...]:
 
 def get_monad_template(template: str) -> MonadTemplate:
     """A catalog monad template, derived from the quiver with potential of
-    its framed example (or of its geometry when unframed) and the
-    geometry's chart: the vertex degrees deg and the point mu, which is
-    zero on framing and marked arrows.
+    its framed example (for a geometry id, the geometry's own, with no
+    framing vertices) and the geometry's chart: the vertex degrees deg and
+    the point mu, which is zero on framing and marked arrows.
 
     Terms 0 and 3 hold one slot ``Slot(deg v, v)`` per internal vertex v,
     term 1 one slot ``Slot(deg src a, tgt a)`` per unmarked arrow a with an
@@ -282,19 +285,18 @@ def get_monad_template(template: str) -> MonadTemplate:
     return _derive_template(template, *_monad_source(template))
 
 
-def _monad_source(template: str) -> tuple[CatalogEntry, CatalogEntry | FramedQuiverWithPotential]:
-    """A template's geometry entry and the quiver with potential it is
-    derived from: its framed example, or the entry itself when unframed."""
+def _monad_source(template: str) -> tuple[CatalogEntry, FramedQuiverWithPotential]:
+    """A template's geometry entry and the framed quiver with potential it
+    is derived from."""
     t = template.lower()
     if t not in _MONAD_TEMPLATES:
         raise NotInCatalog(template)
-    framed = t in framed_example_ids()
-    entry = get_entry(_framed_spec(t)[0] if framed else t)
-    return entry, _frame(t, entry.quiver, entry.potential) if framed else entry
+    entry = get_entry(_framed_spec(t)[0])
+    return entry, _frame(t, entry.quiver, entry.potential)
 
 
 def _derive_template(
-    template: str, entry: CatalogEntry, qp: CatalogEntry | FramedQuiverWithPotential
+    template: str, entry: CatalogEntry, qp: FramedQuiverWithPotential
 ) -> MonadTemplate:
     """The template of :func:`get_monad_template` from its
     :func:`_monad_source` pair."""
@@ -343,19 +345,13 @@ def _derive_template(
 
 def monad_case(template: str):
     """The assembled monad of a stored template, with its marked symbols at
-    zero, and the relation set its d^2 is certified against: the
-    potential's relations for an unframed template, the relations of the
-    framed quiver expanded at zero framing for a framed one."""
+    zero, and the relation set its d^2 is certified against: the relations
+    of its framed quiver expanded at zero framing."""
     entry, qp = _monad_source(template)
-    tpl = _derive_template(template, entry, qp)
-    if qp is entry:
-        rels = relations_from_potential(entry.quiver, entry.potential)
-    else:
-        rels = framing.framed_relations(
-            framing.specialize(qp, framing.FramingStructure.zero(qp))
-        ).relations
-    c = monad.assemble(tpl, {a.name: 0 for a in tpl.quiver.arrows if a.marked})
-    return c, rels
+    rels = framing.framed_relations(
+        framing.specialize(qp, framing.FramingStructure.zero(qp))
+    ).relations
+    return monad.assemble(_derive_template(template, entry, qp)), rels
 
 
 # -- shift matrices -----------------------------------------------------------------

@@ -155,13 +155,15 @@ def _monad_certification(_order):
     """d^2 = 0 modulo relations for every stored monad template: each case
     is the reason it is not certified, or None."""
     for tpl_id in catalog.monad_template_ids():
-        c, rels = catalog.monad_case(tpl_id)
-        try:
-            monad.certify_d_squared(c, rels, raise_on_failure=True)
-        except monad.NotInIdeal as exc:
-            yield tpl_id, str(exc), None
-        else:
-            yield tpl_id, None, None
+        report = monad.certify_d_squared(*catalog.monad_case(tpl_id))
+        detail = None
+        if report.failures:
+            f = report.failures[0]
+            detail = (
+                f"{report.label}: stage {f.stage} entry ({f.row},{f.col}) monomial {f.exps} "
+                f"has residual {f.membership.residual.render()}"
+            )
+        yield tpl_id, detail, None
 
 
 # target -> (default order, or None for a target without one; the cases

@@ -17,7 +17,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import catalog, characters, checks, framing, monad, ncalg, partitions
+from . import catalog, characters, checks, framing, monad, partitions
 from .qseries import coefficients_in_single_var, format_terms
 
 
@@ -138,7 +138,10 @@ def cmd_catalog(args) -> int:
 
 def cmd_quiver(args) -> int:
     if args.framed:
-        q = catalog.get_framed_example(args.id).quiver
+        fq = catalog.get_framed_example(args.id)
+        if not fq.framing_vertices:
+            raise catalog.NotInCatalog(args.id)
+        q = fq.quiver
     else:
         q, _ = catalog.get_quiver_with_potential(args.id)
     if args.dot:
@@ -149,18 +152,13 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    try:
-        fq = catalog.get_framed_example(args.id)
-        structure = _load_framing(fq, args.framing)
-        rels = framing.framed_relations(framing.specialize(fq, structure))
-        quiver, relation_list = rels.quiver, list(rels.relations)
-    except catalog.NotInCatalog:
-        quiver, w = catalog.get_quiver_with_potential(args.id)
-        if args.framing is not None:
-            msg = f"usage: --framing needs a framed example; {args.id!r} is an unframed geometry"
-            print(msg, file=sys.stderr)
-            return 2
-        relation_list = list(ncalg.relations_from_potential(quiver, w))
+    fq = catalog.get_framed_example(args.id)
+    if args.framing is not None and not fq.framing_vertices:
+        msg = f"usage: --framing needs a framed example; {args.id!r} is an unframed geometry"
+        print(msg, file=sys.stderr)
+        return 2
+    structure = _load_framing(fq, args.framing)
+    rels = framing.framed_relations(framing.specialize(fq, structure)).relations
     if args.json:
         _emit_json(
             [
@@ -171,16 +169,16 @@ def cmd_relations(args) -> int:
                     "terms": [
                         {"word": list(p.arrows), "coeff": str(c)}
                         for p, c in sorted(
-                            r.poly.terms.items(), key=lambda pc: pc[0].sort_key(quiver)
+                            r.poly.terms.items(), key=lambda pc: pc[0].sort_key(rels.quiver)
                         )
                     ],
                 }
-                for r in relation_list
+                for r in rels
             ]
         )
     else:
-        for r in relation_list:
-            print(f"d/d{r.arrow}: {r.poly.render(quiver)} = 0    ({r.src} -> {r.tgt})")
+        for r in rels:
+            print(f"d/d{r.arrow}: {r.poly.render(rels.quiver)} = 0    ({r.src} -> {r.tgt})")
     return 0
 
 
@@ -271,7 +269,7 @@ def cmd_count(args) -> int:
     if args.json:
         _emit_json(series.to_json())
     else:
-        print(format_terms(series, half_vars=("qh",)))
+        print(format_terms(series))
     return 0
 
 

@@ -198,8 +198,8 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
 @dataclass
 class FramedRelationSet:
     """Relations of the expanded framed quiver, one per unmarked arrow copy;
-    :mod:`quiverdt.monad` certifies a framed template against its
-    ``.relations``, whose ``.quiver`` is the same expanded quiver."""
+    :mod:`quiverdt.monad` certifies a template against its ``.relations``,
+    whose ``.quiver`` is the same expanded quiver."""
 
     quiver: Quiver
     relations: RelationSet

@@ -35,10 +35,6 @@ class MonadError(ValueError):
     pass
 
 
-class NotInIdeal(MonadError):
-    pass
-
-
 class RelationsViolated(MonadError):
     pass
 
@@ -58,7 +54,7 @@ class Slot:
 class MonadTemplate:
     """Shapes of the graded free modules and the differentials between
     them, each a rows x cols matrix of entries.  :func:`assemble` returns
-    the same type with its marked symbols bound and every entry validated."""
+    the same type with its marked symbols at 0 and every entry validated."""
 
     label: str
     coords: tuple[str, ...]
@@ -68,33 +64,22 @@ class MonadTemplate:
     quiver: Quiver  # arrows the words may use (marked symbols included)
 
 
-def assemble(template: MonadTemplate,
-             marked_values: Mapping[str, Fraction] | None = None) -> MonadTemplate:
-    """Bind marked symbols to scalars (rank-one framing slots) and validate
-    the result; a marked symbol left out of ``marked_values`` stays in its
-    words."""
-    values = {name: linalg.exact(v) for name, v in (marked_values or {}).items()}
-    for name in values:
-        if not any(a.name == name and a.marked for a in template.quiver.arrows):
-            raise MonadError(f"{name!r} is not a marked arrow of {template.label}")
+def assemble(template: MonadTemplate) -> MonadTemplate:
+    """Fix every marked symbol at 0, dropping each term whose word uses one,
+    and validate the result.  A marked arrow of a catalog template is a
+    nilpotent loop at a rank-one framing vertex, whose only matrix is 0;
+    ``quiver`` keeps the marked arrows."""
+    marked = {a.name for a in template.quiver.arrows if a.marked}
     diffs = tuple(
-        tuple(tuple(_bind(e, values) for e in row) for row in mat) for mat in template.diffs
+        tuple(
+            tuple({k: c for k, c in e.items() if marked.isdisjoint(k[1])} for e in row)
+            for row in mat
+        )
+        for mat in template.diffs
     )
     c = replace(template, diffs=diffs)
     _validate_complex(c)
     return c
-
-
-def _bind(e: Entry, values: Mapping[str, int | Fraction]) -> Entry:
-    out: Entry = {}
-    for (exps, word), c in e.items():
-        for name in word:
-            if name in values:
-                c *= values[name]
-        if c != 0:
-            key = (exps, tuple(name for name in word if name not in values))
-            out[key] = out.get(key, 0) + c
-    return {k: c for k, c in out.items() if c != 0}
 
 
 def _validate_complex(c: MonadTemplate) -> None:
@@ -192,9 +177,7 @@ class CertificationReport:
     phases: dict[str, float]  # perf_counter seconds of "compose" and "membership"
 
 
-def certify_d_squared(
-    c: MonadTemplate, relations: RelationSet, raise_on_failure: bool = False
-) -> CertificationReport:
+def certify_d_squared(c: MonadTemplate, relations: RelationSet) -> CertificationReport:
     """Expand every composite d o d entry and certify membership of each
     coordinate-monomial component in the two-sided relation ideal.
 
@@ -205,11 +188,9 @@ def certify_d_squared(
     :class:`MembershipSystem`, with path coefficients of length at most 1
     on each side of a relation, decides every component, so components with
     the same endpoints share one echelon form.  A failed component
-    signals a transcription error in the template or the relations; with
-    ``raise_on_failure`` it raises :class:`NotInIdeal` carrying the first
-    offending entry and residual, otherwise failures are collected in the
-    report.  The report also carries the system's sizes and the seconds
-    spent composing and deciding.
+    signals a transcription error in the template or the relations; the
+    report lists every failed component, each with its residual, the
+    system's sizes and the seconds spent composing and deciding.
     """
     system = MembershipSystem(relations.quiver, relations, 1)
     phases = {"compose": 0.0, "membership": 0.0}
@@ -229,11 +210,6 @@ def certify_d_squared(
                     cert = EntryCertificate(stage, i, j, exps, result)
                     entries.append(cert)
                     if not result.success:
-                        if raise_on_failure:
-                            raise NotInIdeal(
-                                f"{c.label}: stage {stage} entry ({i},{j}) "
-                                f"monomial {exps} has residual {result.residual.render()}"
-                            )
                         failures.append(cert)
     return CertificationReport(
         label=c.label,

@@ -8,7 +8,8 @@ as the grade stays non-negative, which is what makes truncated products
 well defined.
 
 Half-integer exponents are handled by the caller through a doubled
-variable (``q = qh**2``); :func:`format_terms` knows how to print it back.
+variable (``q = qh**2``); :func:`format_terms` prints ``qh`` at half its
+stored exponent.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class QSeriesError(ValueError):
@@ -412,24 +413,18 @@ def compare(a: QSeries, b: QSeries):
     return None
 
 
-def format_terms(a: QSeries, half_vars: Iterable[str] = ()) -> str:
+def format_terms(a: QSeries) -> str:
     """Aligned text table of coefficients, sorted by grade then lex.
 
-    Variables named in ``half_vars`` are printed at half their stored
-    exponent (the doubled-variable encoding of half-integer powers).
+    The doubled variable ``qh`` is printed at half its stored exponent.
     """
-    half = set(half_vars)
     lines = []
     for e in sorted(a.coeffs, key=lambda e: (a.grade(e), e)):
         parts = []
         for v, k in zip(a.vars, e):
-            if k == 0:
-                continue
-            if v in half:
-                shown = Fraction(k, 2)
+            shown = Fraction(k, 2) if v == "qh" else k
+            if shown:
                 parts.append(f"{v}^{shown}" if shown != 1 else v)
-            else:
-                parts.append(f"{v}^{k}" if k != 1 else v)
         mono = "*".join(parts) if parts else "1"
         lines.append(f"{mono:>24}  {a.coeffs[e]}")
     return "\n".join(lines) if lines else "(zero series)"

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from quiverdt import catalog, monad
+from quiverdt import catalog, framing, monad
 from quiverdt.ncalg import relations_from_potential
+from test_golden import GEOMETRIES
 
 
 def test_c3_entry():
@@ -309,10 +310,38 @@ def test_monad_case_builds_its_geometry_once(template, monkeypatch):
         catalog, "get_quiver_with_potential", lambda g: calls.append(g) or real(g)
     )
     c, _ = catalog.monad_case(template)
-    framed = template in catalog.framed_example_ids()
-    assert calls == [catalog._framed_spec(template)[0] if framed else template]
+    assert calls == [catalog._framed_spec(template)[0]]
+    assert c == monad.assemble(catalog.get_monad_template(template))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_a_geometry_is_its_own_framed_example_with_no_framing(geometry):
+    """Expanded at zero framing, a geometry's framed example has the
+    geometry's own quiver and relations, in order: the identity that lets
+    every id take the framed route to its relations and its monad."""
+    fq = catalog.get_framed_example(geometry)
+    assert not fq.framing_vertices and not fq.nilpotent_marked
+    got = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq)))
+    q, w = catalog.get_quiver_with_potential(geometry)
+    assert got.quiver == q
+    assert [(r.arrow, r.src, r.tgt, r.poly) for r in got.relations] == [
+        (r.arrow, r.src, r.tgt, r.poly) for r in relations_from_potential(q, w)
+    ]
+
+
+@pytest.mark.parametrize("template", ["adhm3d", "kn"])
+def test_monad_case_keeps_no_word_with_a_marked_arrow(template):
+    """The stored template has words through its marked arrow; the monad
+    that ``monad_case`` assembles keeps none of them."""
     tpl = catalog.get_monad_template(template)
-    assert c == monad.assemble(tpl, {a.name: 0 for a in tpl.quiver.arrows if a.marked})
+    marked = {a.name for a in tpl.quiver.arrows if a.marked}
+    c, _ = catalog.monad_case(template)
+
+    def words(t):
+        return [w for mat in t.diffs for row in mat for e in row for _, w in e]
+
+    assert any(not marked.isdisjoint(w) for w in words(tpl))
+    assert words(c) and all(marked.isdisjoint(w) for w in words(c))
 
 
 # -- shift matrices --------------------------------------------------------------

@@ -49,6 +49,12 @@ def test_quiver_dot_marks_fixed_arrows(capsys):
     assert "dashed" in out and '"inf" -> "0"' in out
 
 
+@pytest.mark.parametrize("geometry", ["c3", "y10", "conifold", "nonsense"])
+def test_framed_quiver_of_a_geometry_is_not_in_catalog(capsys, geometry):
+    code, out, err = run_capture(capsys, ["quiver", geometry, "--framed"])
+    assert (code, out, err) == (2, "", f"not in catalog: {geometry!r}\n")
+
+
 def test_quiver_json_deterministic(capsys):
     code1, out1, _ = run_capture(capsys, ["quiver", "c3"])
     code2, out2, _ = run_capture(capsys, ["quiver", "c3"])

@@ -17,7 +17,10 @@ written before one-variable factor products dropped exponent packing and
 before ``characters._pochhammer_factors`` became a prefix sum; the
 ``monad verify`` cases were written while ``monad.assemble`` still
 returned a ``MonadComplex`` beside its ``MonadTemplate`` and ``evaluate``
-still assembled each stage matrix from blocks.  The ``--json`` form of
+still assembled each stage matrix from blocks; the ``relations`` cases
+of the geometries and the ``monad verify`` cases of c3 and y20 were
+written before a geometry became a framed quiver with potential with no
+framing vertices.  The ``--json`` form of
 ``monad verify`` drops ``phases`` (wall-clock seconds) before comparing.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -14,12 +14,6 @@ def c3_complex():
     return monad.assemble(tpl), rels
 
 
-def framed_relations(example):
-    fq = catalog.get_framed_example(example)
-    bound = framing.specialize(fq, framing.FramingStructure.zero(fq))
-    return framing.framed_relations(bound).relations
-
-
 # -- assembly ------------------------------------------------------------------
 
 
@@ -30,7 +24,7 @@ def test_c3_assembled_entries():
 
 
 def test_adhm_assembled_shape():
-    c = monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"Af": 0})
+    c = monad.assemble(catalog.get_monad_template("adhm3d"))
     assert len(c.diffs[0]) == 4 and len(c.diffs[1]) == 4 and len(c.diffs[2]) == 1
     # fourth row of the middle differential carries the framing block z
     corner = c.diffs[1][3][3]
@@ -57,22 +51,6 @@ def test_assemble_names_stage_and_entry_of_unknown_arrow():
     bad = _with_entry(catalog.get_monad_template("c3"), 1, 2, 0, {((0, 0, 0), ("ZZ",)): Fraction(1)})
     with pytest.raises(monad.MonadError, match=r"stage 1 entry \(2,0\): word \('ZZ',\) uses unknown arrow ZZ"):
         monad.assemble(bad)
-
-
-def test_assemble_rejects_binding_an_unmarked_arrow():
-    with pytest.raises(monad.MonadError, match="not a marked arrow"):
-        monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"B1": 0})
-
-
-def test_marked_symbol_left_unbound_stays_in_entries():
-    c = monad.assemble(catalog.get_monad_template("adhm3d"))
-    corner = c.diffs[1][3][3]
-    assert ((0, 0, 0), ("Af",)) in corner
-
-
-def test_marked_symbol_bound_to_a_scalar_scales_its_term():
-    c = monad.assemble(catalog.get_monad_template("adhm3d"), marked_values={"Af": 3})
-    assert c.diffs[1][3][3] == {((0, 0, 0), ()): -3, ((0, 0, 1), ()): 1}
 
 
 # -- certification ---------------------------------------------------------------
@@ -102,14 +80,6 @@ def test_certify_fails_with_empty_relations():
     assert not report.certified
     residual = report.failures[0].membership.residual
     assert residual is not None and not residual.is_zero()
-
-
-def test_certify_can_raise_not_in_ideal():
-    c, _ = c3_complex()
-    q, _ = catalog.get_quiver_with_potential("c3")
-    empty = ncalg.RelationSet(q, [])
-    with pytest.raises(monad.NotInIdeal):
-        monad.certify_d_squared(c, empty, raise_on_failure=True)
 
 
 # template -> number of nonzero d^2 components certified
@@ -149,15 +119,12 @@ def test_integral_coefficients_stay_int_through_composition():
 @pytest.mark.parametrize("template_id", catalog.monad_template_ids())
 def test_monad_case_uses_framed_relations_exactly_for_framed_templates(template_id):
     c, rels = catalog.monad_case(template_id)
-    framed = template_id in catalog.framed_example_ids()
+    fq = catalog.get_framed_example(template_id)
     assert isinstance(rels, ncalg.RelationSet)
-    if framed:
-        fq = catalog.get_framed_example(template_id)
-        assert c.quiver == fq.quiver
-        expanded, _ = framing.expand(framing.specialize(fq, framing.FramingStructure.zero(fq)))
-        assert rels.quiver == expanded
-    else:
-        assert rels.quiver == catalog.get_quiver_with_potential(template_id)[0]
+    assert c.quiver == fq.quiver
+    expanded, w = framing.expand(framing.specialize(fq, framing.FramingStructure.zero(fq)))
+    assert rels.quiver == expanded
+    assert list(rels) == list(ncalg.relations_from_potential(expanded, w))
 
 
 # -- numeric evaluation ------------------------------------------------------------
@@ -219,10 +186,8 @@ def test_d_squared_numerically_zero_at_random_points():
 
 
 def test_adhm_evaluate_generic_point_exact():
-    tpl = catalog.get_monad_template("adhm3d")
-    rels = framed_relations("adhm3d")
+    c, rels = catalog.monad_case("adhm3d")
     rep, _, _ = framing.numeric_solution_builder([(2, 3)])
-    c = monad.assemble(tpl, marked_values={"Af": 0})
     res = monad.evaluate(
         c, rep, {"0": 1, "inf": 1}, (5, 7, 1), relations=rels
     )
@@ -253,9 +218,7 @@ def test_y20_monad_resolves_curve_module():
 def test_conifold_monad_resolves_curve_module():
     """Same support check for the small-resolution chart: the rank-(1,0)
     simple sits along {x = 0, y = 0} with the third coordinate free."""
-    tpl = catalog.get_monad_template("pervsystem-conifold")
-    rels = framed_relations("pervsystem-conifold")
-    c = monad.assemble(tpl)
+    c, rels = catalog.monad_case("pervsystem-conifold")
     dims = {"0": 1, "1": 0, "inf": 0}
     rep = {a.name: linalg.zeros(dims[a.tgt], dims[a.src]) for a in rels.quiver.arrows}
     for z in (0, 7):

@@ -270,12 +270,10 @@ def test_membership_certificate_indexes_all_relations():
 
 def _membership_systems():
     out = {}
-    for g in ("c3", "conifold"):
-        q, w = catalog.get_quiver_with_potential(g)
-        out[g] = (q, relations_from_potential(q, w))
-    fq = catalog.get_framed_example("pervsystem-c3")
-    framed = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq)))
-    out["pervsystem-c3"] = (framed.quiver, framed.relations)
+    for name in ("c3", "conifold", "pervsystem-c3"):
+        fq = catalog.get_framed_example(name)
+        rels = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq)))
+        out[name] = (rels.quiver, rels.relations)
     return out
 
 

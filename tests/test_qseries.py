@@ -93,7 +93,7 @@ def test_compare_reports_first_mismatch():
 
 def test_format_terms_half_variable():
     s = QSeries(("qh",), 4, {(0,): 1, (1,): 2, (2,): 3})
-    text = format_terms(s, half_vars=("qh",))
+    text = format_terms(s)
     assert "qh^1/2" in text and "qh" in text
 
 
