@@ -20,6 +20,7 @@ see :func:`get_monad_template`.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 
 from . import framing, linalg, monad
@@ -223,6 +224,10 @@ def _framed_spec(example: str) -> tuple:
     base, with no framing vertices, arrows, words or nilpotent arrows."""
     e = example.lower()
     if e.startswith("pervsystem-"):
+        try:
+            _lookup(e.removeprefix("pervsystem-"))
+        except NotInCatalog:
+            raise NotInCatalog(example) from None
         return (e.removeprefix("pervsystem-"), ("inf",), (Arrow("I", "inf", "0"),), (), ())
     if e in _FRAMED:
         return _FRAMED[e]
@@ -282,22 +287,24 @@ def get_monad_template(template: str) -> MonadTemplate:
     cyclic derivatives of W; their coordinate-only parts vanish because mu
     kills every abelianised cyclic derivative.
     """
-    return _derive_template(template, *_monad_source(template))
+    return _derive_template(*_monad_source(template))
 
 
 def _monad_source(template: str) -> tuple[CatalogEntry, FramedQuiverWithPotential]:
     """A template's geometry entry and the framed quiver with potential it
-    is derived from."""
+    is derived from, labelled by the template's id: the id folded to lower
+    case, with a geometry alias, also after ``pervsystem-``, resolved."""
     t = template.lower()
+    prefix = "pervsystem-" if t.startswith("pervsystem-") else ""
+    with suppress(NotInCatalog):
+        t = prefix + _lookup(t.removeprefix(prefix))[0]
     if t not in _MONAD_TEMPLATES:
         raise NotInCatalog(template)
     entry = get_entry(_framed_spec(t)[0])
     return entry, _frame(t, entry.quiver, entry.potential)
 
 
-def _derive_template(
-    template: str, entry: CatalogEntry, qp: FramedQuiverWithPotential
-) -> MonadTemplate:
+def _derive_template(entry: CatalogEntry, qp: FramedQuiverWithPotential) -> MonadTemplate:
     """The template of :func:`get_monad_template` from its
     :func:`_monad_source` pair."""
     quiver, deg, mu = qp.quiver, entry.degrees, entry.point
@@ -334,7 +341,7 @@ def _derive_template(
                     cell = diffs[1][row[rot[k]]][col[rot[0]]]
                     cell[exps, rot[1:k]] = cell.get((exps, rot[1:k]), 0) + linalg.exact(c)
     return MonadTemplate(
-        template.lower(), entry.coords, entry.twists, terms,
+        qp.label, entry.coords, entry.twists, terms,
         tuple(
             tuple(tuple({k: c for k, c in cell.items() if c} for cell in cells) for cells in mat)
             for mat in diffs
@@ -351,7 +358,7 @@ def monad_case(template: str):
     rels = framing.framed_relations(
         framing.specialize(qp, framing.FramingStructure.zero(qp))
     ).relations
-    return monad.assemble(_derive_template(template, entry, qp)), rels
+    return monad.assemble(_derive_template(entry, qp)), rels
 
 
 # -- shift matrices -----------------------------------------------------------------

@@ -32,6 +32,7 @@ from .ncalg import (
     Quiver,
     RelationSet,
     ShapeMismatch,
+    check_matrix,
     cyclic_derivative,
     relations_from_potential,
 )
@@ -124,13 +125,7 @@ def specialize(
         if a.name not in f.matrices:
             raise ShapeMismatch(f"no matrix bound for marked arrow {a.name}")
         m = f.matrices[a.name]
-        rows, cols = f.ranks[a.tgt], f.ranks[a.src]
-        lengths = [len(row) for row in m]
-        if lengths != [cols] * rows:
-            raise ShapeMismatch(
-                f"marked arrow {a.name}: matrix has rows of lengths {lengths}, "
-                f"expected {rows} rows of length {cols}"
-            )
+        check_matrix(f"marked arrow {a.name}", m, f.ranks[a.tgt], f.ranks[a.src])
         if a.name in template.nilpotent_marked and not linalg.is_nilpotent(m):
             raise NilpotencyViolated(f"marked arrow {a.name} must be nilpotent")
     return replace(template, structure=f)

@@ -26,23 +26,8 @@ def zeros(r: int, c: int) -> Matrix:
     return tuple((Fraction(0),) * c for _ in range(r))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(a: Matrix, k) -> Matrix:
-    k = Fraction(k)
-    return tuple(tuple(k * x for x in row) for row in a)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -26,8 +26,8 @@ from .ncalg import (
     UnknownArrow,
     ideal_membership,  # noqa: F401  (kept importable as monad.ideal_membership)
     numeric_relation_residual,
-    path_sum_matrix,
     trivial_path,
+    word_sum_matrix,
 )
 
 
@@ -273,20 +273,14 @@ def evaluate(
         rows: list[tuple[Fraction, ...]] = []
         for i, row in enumerate(mat):
             tgt = dims.get(c.terms[stage + 1][i].vertex, 0)
-            if tgt == 0:
-                continue
             blocks = []
             for j, e in enumerate(row):
-                sv = c.terms[stage][j].vertex
-                src = dims.get(sv, 0)
-                if src == 0:
-                    continue
                 terms = (
-                    (Path(word) if word else trivial_path(sv),
-                     coeff * prod(x ** k for x, k in zip(point, exps)))
+                    (word, coeff * prod(x ** k for x, k in zip(point, exps)))
                     for (exps, word), coeff in e.items()
                 )
-                blocks.append(path_sum_matrix(c.quiver, terms, rep, dims, tgt, src))
+                src = dims.get(c.terms[stage][j].vertex, 0)
+                blocks.append(word_sum_matrix(c.quiver, terms, rep, dims, tgt, src))
             rows += (tuple(x for b in blocks for x in b[r]) for r in range(tgt))
         mats.append(tuple(rows))
     # a stage with no rows maps into the zero space: its composite is zero

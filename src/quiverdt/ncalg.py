@@ -565,44 +565,39 @@ def chi_form(q: Quiver, a: DimVector, b: DimVector) -> int:
 # -- numeric evaluation -------------------------------------------------------
 
 
-def path_matrix(p: Path, rep: Mapping[str, linalg.Matrix], dims: DimVector) -> linalg.Matrix:
-    """Evaluate a word on a representation: the word ``(a, b)`` becomes
-    ``M(b) @ M(a)``; a trivial path is the identity at its vertex."""
-    if p.base is not None:
-        return linalg.identity(dims.get(p.base, 0))
-    m = rep[p.arrows[0]]
-    for name in p.arrows[1:]:
-        m = linalg.matmul(rep[name], m)
-    return m
-
-
-def path_sum_matrix(
-    q: Quiver, terms: Iterable[tuple[Path, Fraction]], rep: Mapping[str, linalg.Matrix],
+def word_sum_matrix(
+    q: Quiver, terms: Iterable[tuple[tuple[str, ...], Fraction]], rep: Mapping[str, linalg.Matrix],
     dims: DimVector, rows: int, cols: int,
 ) -> linalg.Matrix:
-    """``sum(coeff * path_matrix(p))`` over the ``(p, coeff)`` terms, as a
-    rows x cols matrix; a path through a zero space contributes nothing."""
-    total = linalg.zeros(rows, cols)
-    for p, c in terms:
-        if c == 0 or any(dims.get(q.arrow(name).src, 0) == 0 for name in p.arrows):
+    """``sum(coeff * M(word))`` over the ``(word, coeff)`` terms, as a rows x
+    cols matrix: the word ``(a, b)`` is ``M(b) @ M(a)`` and the empty word
+    the identity (rows = cols).  A word adds nothing when rows is 0 or one
+    of its arrows leaves a zero-dimensional vertex."""
+    total = [[Fraction(0)] * cols for _ in range(rows)]
+    for word, c in terms:
+        if c == 0 or rows == 0 or any(dims.get(q.arrow(name).src, 0) == 0 for name in word):
             continue
-        total = linalg.add(total, linalg.scale(path_matrix(p, rep, dims), c))
-    return total
+        if not word:
+            for i in range(rows):
+                total[i][i] += c
+            continue
+        m = rep[word[0]]
+        for name in word[1:]:
+            m = linalg.matmul(rep[name], m)
+        for row, mrow in zip(total, m):
+            for j, x in enumerate(mrow):
+                row[j] += c * x
+    return tuple(map(tuple, total))
 
 
-def _check_rep_shapes(q: Quiver, rep: Mapping[str, linalg.Matrix], dims: DimVector) -> None:
-    for name, m in rep.items():
-        a = q.arrow(name)
-        rows, cols = linalg.shape(m)
-        want = (dims.get(a.tgt, 0), dims.get(a.src, 0))
-        if 0 in want:
-            # empty matrices cannot carry their free dimension; any entryless
-            # matrix represents a map to or from the zero space
-            if not any(row for row in m):
-                continue
-            raise ShapeMismatch(f"arrow {name}: expected an empty matrix")
-        if (rows, cols) != want:
-            raise ShapeMismatch(f"arrow {name}: matrix is {rows}x{cols}, expected {want[0]}x{want[1]}")
+def check_matrix(what: str, m: linalg.Matrix, rows: int, cols: int) -> None:
+    """Raise :class:`ShapeMismatch` unless ``m`` is ``rows`` rows of length
+    ``cols``; ``linalg.zeros(rows, cols)`` passes for every shape."""
+    lengths = [len(row) for row in m]
+    if lengths != [cols] * rows:
+        raise ShapeMismatch(
+            f"{what}: matrix has rows of lengths {lengths}, expected {rows} rows of length {cols}"
+        )
 
 
 def numeric_relation_residual(
@@ -611,12 +606,13 @@ def numeric_relation_residual(
     """Largest absolute matrix entry of each relation evaluated on ``rep``,
     a representation of ``relations.quiver``."""
     q = relations.quiver
-    _check_rep_shapes(q, rep, dims)
-    out = []
-    for r in relations:
-        rows, cols = dims.get(r.tgt, 0), dims.get(r.src, 0)
-        if rows == 0 or cols == 0:
-            out.append(Fraction(0))
-            continue
-        out.append(linalg.max_abs(path_sum_matrix(q, r.poly.terms.items(), rep, dims, rows, cols)))
-    return out
+    for name, m in rep.items():
+        a = q.arrow(name)
+        check_matrix(f"arrow {name}", m, dims.get(a.tgt, 0), dims.get(a.src, 0))
+    return [
+        linalg.max_abs(word_sum_matrix(
+            q, ((p.arrows, c) for p, c in r.poly.terms.items()), rep, dims,
+            dims.get(r.tgt, 0), dims.get(r.src, 0),
+        ))
+        for r in relations
+    ]

@@ -129,6 +129,37 @@ def test_monad_verify(capsys):
     assert code == 0 and "certified" in out
 
 
+@pytest.mark.parametrize(
+    "alias, template",
+    [("y10", "c3"), ("Y10", "c3"), ("pervsystem-y10", "pervsystem-c3"),
+     ("pervsystem-y11", "pervsystem-conifold")],
+)
+def test_monad_verify_resolves_geometry_aliases(capsys, alias, template):
+    for flags in ([], ["--json"]):
+        outputs = [run_capture(capsys, ["monad", "verify", t, *flags]) for t in (alias, template)]
+        if flags:
+            for i, (code, out, err) in enumerate(outputs):
+                data = json.loads(out)
+                del data["phases"]
+                outputs[i] = (code, data, err)
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_monad_verify_of_an_alias_without_a_template_is_not_in_catalog(capsys):
+    code, out, err = run_capture(capsys, ["monad", "verify", "y11"])
+    assert (code, out, err) == (2, "", "not in catalog: 'y11'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["relations", "pervsystem-nonsense"], ["quiver", "pervsystem-nonsense", "--framed"],
+     ["monad", "verify", "pervsystem-nonsense"]],
+)
+def test_unknown_geometry_after_pervsystem_is_named_as_typed(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, err) == (2, "", "not in catalog: 'pervsystem-nonsense'\n")
+
+
 # template: (components, (systems, rows, nonzeros, pivots)); the sizes pin
 # the rows each endpoint system takes in, however the rows are built
 MONAD_MEMBERSHIP_SIZES = {

@@ -58,11 +58,10 @@ def test_assemble_names_stage_and_entry_of_unknown_arrow():
 
 def assert_certificates_expand(c, rels, report):
     """Every certificate re-expands to the composite component it certifies."""
-    rel_set = rels if isinstance(rels, ncalg.RelationSet) else rels.relations
     for cert in report.entries:
         entry = monad.compose_stage(c, cert.stage)[cert.row][cert.col]
         component = monad.entry_to_ncpolys(entry, c.terms[cert.stage][cert.col].vertex)[cert.exps]
-        assert cert.membership.certificate.expand(rels.quiver, rel_set) == component
+        assert cert.membership.certificate.expand(rels.quiver, rels) == component
 
 
 def test_certify_c3():
@@ -171,6 +170,13 @@ def test_evaluate_rejects_bad_representation():
         "B3": linalg.zeros(2, 2),
     }
     with pytest.raises(monad.RelationsViolated):
+        monad.evaluate(c, rep, {"0": 2}, (0, 0, 0), relations=rels)
+
+
+def test_evaluate_refuses_a_ragged_matrix():
+    c, rels = c3_complex()
+    rep = {"B1": ((0, 1), (0,)), "B2": linalg.zeros(2, 2), "B3": linalg.zeros(2, 2)}
+    with pytest.raises(ncalg.ShapeMismatch, match="arrow B1"):
         monad.evaluate(c, rep, {"0": 2}, (0, 0, 0), relations=rels)
 
 

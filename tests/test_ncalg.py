@@ -20,6 +20,7 @@ from quiverdt.ncalg import (
     Quiver,
     Relation,
     RelationSet,
+    ShapeMismatch,
     UnknownArrow,
     _paths_up_to,
     chi_form,
@@ -30,6 +31,7 @@ from quiverdt.ncalg import (
     relations_from_potential,
     trivial_path,
     word,
+    word_sum_matrix,
 )
 
 
@@ -628,13 +630,72 @@ def test_numeric_residual_shape_mismatch():
         numeric_relation_residual(rels, {"B1": linalg.zeros(1, 2)}, {"0": 2})
 
 
+def test_numeric_residual_refuses_a_ragged_matrix():
+    rels = relations_from_potential(c3(), commutator_potential(c3()))
+    rep = {"B1": ((0, 1), (0,)), "B2": linalg.zeros(2, 2), "B3": linalg.zeros(2, 2)}
+    with pytest.raises(ShapeMismatch, match=r"arrow B1: matrix has rows of lengths \[2, 1\]"):
+        numeric_relation_residual(rels, rep, {"0": 2})
+
+
+def test_numeric_residual_refuses_rowless_matrix_for_a_map_out_of_zero():
+    """J of adhm3d at V = 0 is one row of length 0, not the empty tuple."""
+    fq = catalog.get_framed_example("adhm3d")
+    rels = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq))).relations
+    dims = {"0": 0, "inf": 1}
+    rep = {a.name: linalg.zeros(dims[a.tgt], dims[a.src]) for a in rels.quiver.arrows}
+    assert numeric_relation_residual(rels, rep, dims) == [0] * len(rels)
+    with pytest.raises(ShapeMismatch, match="arrow J: matrix has rows of lengths"):
+        numeric_relation_residual(rels, {**rep, "J": ()}, dims)
+
+
+def word_sum_by_loops(q, terms, rep, dims, rows, cols):
+    """``sum(coeff * M(word))`` by nested loops: each word is multiplied out
+    from the identity at its source, one arrow at a time."""
+    total = [[0] * cols for _ in range(rows)]
+    for p, c in terms:
+        m = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        for name in p.arrows:
+            a = q.arrow(name)
+            m = [
+                [sum(rep[name][i][k] * m[k][j] for k in range(dims[a.src])) for j in range(cols)]
+                for i in range(dims[a.tgt])
+            ]
+        for i in range(rows):
+            for j in range(cols):
+                total[i][j] += c * m[i][j]
+    return tuple(map(tuple, total))
+
+
+@pytest.mark.parametrize("example", ["conifold", "pervsystem-conifold", "ny3d"])
+def test_word_sum_matrix_matches_loops_with_zero_dimensions(example):
+    """ny3d's d/dC = J*I leaves vertices 1 and inf and ends at vertex 0, so
+    a zero dimension there leaves a target with no rows after nonzero ones."""
+    fq = catalog.get_framed_example(example)
+    rels = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq))).relations
+    q = rels.quiver
+    rng = random.Random(22)
+    for _ in range(60):
+        dims = {v: rng.randint(0, 2) for v in q.vertices}
+        rep = {
+            a.name: linalg.mat(
+                [[rng.randint(-2, 2) for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+            )
+            for a in q.arrows
+        }
+        for r in rels:
+            rows, cols = dims[r.tgt], dims[r.src]
+            terms = r.poly.terms.items()
+            got = word_sum_matrix(q, ((p.arrows, c) for p, c in terms), rep, dims, rows, cols)
+            assert got == word_sum_by_loops(q, terms, rep, dims, rows, cols), (dims, r.arrow)
+
+
 # -- the shared eliminator ---------------------------------------------------------
 
 
 def test_rank_small_cases():
     assert linalg.rank(()) == 0
     assert linalg.rank(linalg.zeros(3, 2)) == 0
-    assert linalg.rank(linalg.identity(3)) == 3
+    assert linalg.rank(linalg.mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
     assert linalg.rank(linalg.mat([[1, 2], [2, 4], [0, 0]])) == 1
 
 
