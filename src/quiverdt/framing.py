@@ -279,7 +279,7 @@ def numeric_solution_builder(points: Sequence[tuple]):
 
 def _is_cyclic(b1, b2, i_col, n: int) -> bool:
     """Krylov span of the framing column under words in B1, B2 fills V."""
-    span = linalg.Echelon(int)
+    span = linalg.Echelon()
     frontier = [[i_col[r][0] for r in range(n)]]
     while frontier and len(span) < n:
         nxt = []

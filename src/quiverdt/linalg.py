@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping
+from typing import Mapping
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -66,14 +66,13 @@ def exact(c) -> int | Fraction:
 class Echelon:
     """Incremental row echelon form over sparse vectors ``key -> coefficient``.
 
-    ``order`` maps a key to a sortable value; the pivot of a stored row is
-    its least key in that order, scaled to 1.  Each stored row carries the
-    combination ``tag -> coefficient`` of inserted vectors that it equals.
-    Coefficients enter through :func:`exact`, so integral ones stay ``int``.
+    Keys are mutually comparable; the pivot of a stored row is its least
+    key, scaled to 1.  Each stored row carries the combination
+    ``tag -> coefficient`` of inserted vectors that it equals.  Coefficients
+    enter through :func:`exact`, so integral ones stay ``int``.
     """
 
-    def __init__(self, order: Callable[[Hashable], object]):
-        self._order = order
+    def __init__(self):
         self._rows: dict = {}  # pivot key -> (row, combination)
 
     def __len__(self) -> int:
@@ -86,10 +85,10 @@ class Echelon:
         # the int test inline spares a call per entry: rows are mostly int
         rem = {k: c if type(c) is int else exact(c) for k, c in vec.items() if c != 0}
         comb: dict = {}
-        heap = [(self._order(k), k) for k in rem if k in self._rows]
+        heap = [k for k in rem if k in self._rows]
         heapq.heapify(heap)
         while heap:
-            _, k = heapq.heappop(heap)
+            k = heapq.heappop(heap)
             f = rem.get(k)
             if f is None:
                 continue
@@ -99,7 +98,7 @@ class Echelon:
                 if key not in rem:
                     rem[key] = -f * x
                     if key in self._rows:
-                        heapq.heappush(heap, (self._order(key), key))
+                        heapq.heappush(heap, key)
                 elif (new := rem[key] - f * x) != 0:
                     rem[key] = new
                 else:
@@ -108,13 +107,13 @@ class Echelon:
                 comb[tag] = comb.get(tag, 0) + f * x
         return rem, {t: c for t, c in comb.items() if c != 0}
 
-    def add(self, vec: Mapping, tag: Hashable) -> bool:
+    def add(self, vec: Mapping, tag) -> bool:
         """Insert ``vec`` under ``tag``; True when it was independent of the
         rows already stored."""
         rem, comb = self.reduce(vec)
         if not rem:
             return False
-        pivot = min(rem, key=self._order)
+        pivot = min(rem)
         x = rem[pivot]
         # a unit is its own inverse; else the exact reciprocal, never 1 / x
         # (a float for an int x); exact() makes each stored value int if integral
@@ -126,7 +125,7 @@ class Echelon:
 
 
 def rank(a: Matrix) -> int:
-    span = Echelon(int)
+    span = Echelon()
     for i, row in enumerate(a):
         span.add(dict(enumerate(row)), i)
     return len(span)

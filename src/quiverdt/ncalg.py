@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import inf
 from typing import Iterable, Mapping, Sequence
 
@@ -127,6 +127,10 @@ class Quiver:
 # -- paths and noncommutative polynomials -----------------------------------
 
 
+def _indices(q: Quiver, arrows: tuple[str, ...]) -> tuple[int, ...]:
+    return tuple(map(q.arrow_index, arrows))
+
+
 @dataclass(frozen=True)
 class Path:
     """A word of arrows in traversal order, or a trivial path at a vertex."""
@@ -163,7 +167,7 @@ class Path:
     def sort_key(self, q: Quiver):
         if self.base is not None:
             return (0, (q.vertex_index(self.base),))
-        return (len(self.arrows), tuple(q.arrow_index(a) for a in self.arrows))
+        return (len(self.arrows), _indices(q, self.arrows))
 
     def __str__(self) -> str:
         if self.base is not None:
@@ -454,13 +458,15 @@ class MembershipSystem:
     path coefficients ``u, v`` of length at most the bound.  The ideal is
     the sum of its parts ``e_t I e_s``, and ``u*r*v`` lies in the part of
     ``(source(u), target(v))``; so each pair gets its own sparse echelon
-    form (pivots at the least word in :meth:`Path.sort_key` order), built
-    on first use from that pair's products and kept for later queries.  The
-    forms are keyed by arrow tuples, the empty one standing for the trivial
-    path at the source, so no :class:`Path` is built or hashed per entry.
-    Residuals, and certificates up to the order of their parts, equal those
-    of one form over every product.  Raises :class:`BoundTooSmall` for a
-    negative bound.
+    form, built on first use from that pair's products and kept for later
+    queries.  A form is keyed by each word's :meth:`Path.sort_key`,
+    ``(length, arrow indices)``, joined from the index tuples of ``u``, the
+    relation term and ``v``, so no :class:`Path` is built per entry and the
+    pivot is the least word; ``(0, ())`` stands for the trivial path at the
+    source.  A row is tagged by its position in one list of ``(u, ridx,
+    v)``.  Residuals, and certificates up to the order of their parts,
+    equal those of one form over every product.  Raises
+    :class:`BoundTooSmall` for a negative bound.
     """
 
     def __init__(self, q: Quiver, relations: RelationSet, word_length_bound: int):
@@ -468,47 +474,53 @@ class MembershipSystem:
             raise BoundTooSmall("negative word length bound")
         self.quiver = q
         self.bound = word_length_bound
-        # (index, relation, its terms as (arrows, exact coefficient))
+        # (index, relation, its terms as (length, arrow indices, exact coefficient))
         self._rels = [
-            (ridx, r, [(p.arrows, linalg.exact(c)) for p, c in r.poly.terms.items()])
+            (ridx, r, [(len(p), _indices(q, p.arrows), linalg.exact(c)) for p, c in r.poly.terms.items()])
             for ridx, r in enumerate(relations.relations)
             if not r.poly.is_zero()
         ]
         # the longest word a product u*r*v under the bound can reach
         self._reach = 2 * self.bound + max((r.poly.max_length() for _, r, _ in self._rels), default=inf)
-        # each word's Path.sort_key, computed once; the empty tuple, the one
-        # trivial path of an endpoint system, precedes every word as its own key does
-        self._order = cache(lambda arrows: Path(arrows).sort_key(q) if arrows else (0, ()))
         self._echelons: dict[tuple[str, str], linalg.Echelon] = {}
-        self._rows = self._nonzeros = 0
+        self._tags: list[tuple[Path, int, Path]] = []  # row tag -> (u, ridx, v)
+        self._nonzeros = 0
 
     @cached_property
-    def _words_by_ends(self) -> dict[tuple[str, str], list[Path]]:
-        out: dict[tuple[str, str], list[Path]] = {}
-        for w in _paths_up_to(self.quiver, self.bound):
-            out.setdefault((w.source(self.quiver), w.target(self.quiver)), []).append(w)
+    def _words_by_ends(self) -> dict[tuple[str, str], list[tuple[Path, int, tuple[int, ...]]]]:
+        """Each word under the bound with its length and arrow indices."""
+        q = self.quiver
+        out: dict[tuple[str, str], list[tuple[Path, int, tuple[int, ...]]]] = {}
+        for w in _paths_up_to(q, self.bound):
+            out.setdefault((w.source(q), w.target(q)), []).append((w, len(w), _indices(q, w.arrows)))
         return out
 
     def _echelon(self, s: str, t: str) -> linalg.Echelon:
         span = self._echelons.get((s, t))
         if span is None:
             words = self._words_by_ends
-            span = self._echelons[(s, t)] = linalg.Echelon(self._order)
+            tags = self._tags
+            span = self._echelons[(s, t)] = linalg.Echelon()
             for ridx, r, terms in self._rels:
-                for u in words.get((s, r.src), ()):
-                    for v in words.get((r.tgt, t), ()):
+                for u, nu, ui in words.get((s, r.src), ()):
+                    for v, nv, vi in words.get((r.tgt, t), ()):
                         # u*r*v by joining words: the endpoints match, and
                         # distinct terms give distinct words, so it is nonzero
-                        row = {u.arrows + arrows + v.arrows: c for arrows, c in terms}
-                        span.add(row, (u, ridx, v))
-                        self._rows += 1
+                        row = {(nu + n + nv, ui + idx + vi): c for n, idx, c in terms}
+                        span.add(row, len(tags))
+                        tags.append((u, ridx, v))
                         self._nonzeros += len(row)
         return span
 
     def stats(self) -> dict[str, int]:
         """Endpoint systems built; over them, products inserted, their terms, pivots."""
         pivots = sum(len(span) for span in self._echelons.values())
-        return {"systems": len(self._echelons), "rows": self._rows, "nonzeros": self._nonzeros, "pivots": pivots}
+        return {
+            "systems": len(self._echelons),
+            "rows": len(self._tags),
+            "nonzeros": self._nonzeros,
+            "pivots": pivots,
+        }
 
     def decide(self, p: NCPoly) -> MembershipResult:
         """A certificate, or the residual of ``p``, which vanishes at every
@@ -521,19 +533,24 @@ class MembershipSystem:
         if p.max_length() > self._reach:
             raise BoundTooSmall(f"bound {self.bound} cannot reach words of length {p.max_length()}")
         q = self.quiver
-        by_ends: dict[tuple[str, str], dict[tuple[str, ...], Fraction]] = {}
+        by_ends: dict[tuple[str, str], dict[tuple[int, tuple[int, ...]], Fraction]] = {}
         for w, c in p.terms.items():
-            by_ends.setdefault((w.source(q), w.target(q)), {})[w.arrows] = c
-        residual, combination = {}, {}
+            by_ends.setdefault((w.source(q), w.target(q)), {})[(len(w), _indices(q, w.arrows))] = c
+        residual: list[tuple[Path, Fraction]] = []
+        combination: dict[int, Fraction] = {}
         for (s, t), part in by_ends.items():
             rem, comb = self._echelon(s, t).reduce(part)
-            residual.update((Path(k) if k else trivial_path(s), c) for k, c in rem.items())
+            # every part keys its trivial path (0, ()), so keys map back per part
+            residual += (
+                (Path(tuple(q.arrows[i].name for i in idx)) if n else trivial_path(s), c)
+                for (n, idx), c in rem.items()
+            )
             combination.update(comb)
         if residual:
             # in word order, so render() without a quiver lists it the same way
-            words = sorted(residual, key=lambda w: w.sort_key(q))
-            return MembershipResult(False, None, NCPoly({w: residual[w] for w in words}))
-        parts = [(Fraction(coeff), u, ridx, v) for (u, ridx, v), coeff in combination.items()]
+            residual.sort(key=lambda wc: wc[0].sort_key(q))
+            return MembershipResult(False, None, NCPoly(dict(residual)))
+        parts = [(Fraction(coeff), *self._tags[tag]) for tag, coeff in combination.items()]
         return MembershipResult(True, MembershipCertificate(parts), None)
 
 
@@ -572,7 +589,8 @@ def word_sum_matrix(
     """``sum(coeff * M(word))`` over the ``(word, coeff)`` terms, as a rows x
     cols matrix: the word ``(a, b)`` is ``M(b) @ M(a)`` and the empty word
     the identity (rows = cols).  A word adds nothing when rows is 0 or one
-    of its arrows leaves a zero-dimensional vertex."""
+    of its arrows leaves a zero-dimensional vertex; any other word whose
+    arrow has no matrix in ``rep`` raises :class:`ShapeMismatch`."""
     total = [[Fraction(0)] * cols for _ in range(rows)]
     for word, c in terms:
         if c == 0 or rows == 0 or any(dims.get(q.arrow(name).src, 0) == 0 for name in word):
@@ -581,6 +599,9 @@ def word_sum_matrix(
             for i in range(rows):
                 total[i][i] += c
             continue
+        for name in word:
+            if name not in rep:
+                raise ShapeMismatch(f"arrow {name}: no matrix")
         m = rep[word[0]]
         for name in word[1:]:
             m = linalg.matmul(rep[name], m)

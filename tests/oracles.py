@@ -497,9 +497,10 @@ def ideal_membership_dense(q, p, relations, word_length_bound):
 
 def ideal_membership_all_endpoints(q, p, relations, word_length_bound):
     """Bounded ideal membership with every nonzero ``u*r*v``, whatever its
-    endpoints, in one sparse echelon form built for this query alone.
-    Returns an ``ncalg.MembershipResult`` and raises ``BoundTooSmall`` as
-    the package does."""
+    endpoints, in one sparse echelon form built for this query alone and
+    keyed by each word's ``Path.sort_key``.  Returns an
+    ``ncalg.MembershipResult`` and raises ``BoundTooSmall`` as the package
+    does."""
     from quiverdt import linalg, ncalg
 
     if word_length_bound < 0:
@@ -514,8 +515,17 @@ def ideal_membership_all_endpoints(q, p, relations, word_length_bound):
                 f"bound {word_length_bound} cannot reach words of length {p.max_length()}"
             )
     words = ncalg._paths_up_to(q, word_length_bound)
-    order = lambda w: w.sort_key(q)
-    span = linalg.Echelon(order)
+    paths = {}  # sort key -> path, for every word the form sees
+
+    def keyed(terms):
+        out = {}
+        for w, c in terms.items():
+            k = w.sort_key(q)
+            paths[k] = w
+            out[k] = c
+        return out
+
+    span = linalg.Echelon()
     for ridx, r in rels:
         for u in words:
             if u.target(q) != r.src:
@@ -526,11 +536,11 @@ def ideal_membership_all_endpoints(q, p, relations, word_length_bound):
                     continue
                 urv = ncalg.nc_mul(q, ur, ncalg.NCPoly.from_path(v))
                 if not urv.is_zero():
-                    span.add(urv.terms, (u, ridx, v))
-    residual, combination = span.reduce(p.terms)
+                    span.add(keyed(urv.terms), (u, ridx, v))
+    residual, combination = span.reduce(keyed(p.terms))
     if residual:
         return ncalg.MembershipResult(
-            False, None, ncalg.NCPoly({w: residual[w] for w in sorted(residual, key=order)})
+            False, None, ncalg.NCPoly({paths[k]: residual[k] for k in sorted(residual)})
         )
     parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
     return ncalg.MembershipResult(True, ncalg.MembershipCertificate(parts), None)

@@ -180,6 +180,16 @@ def test_evaluate_refuses_a_ragged_matrix():
         monad.evaluate(c, rep, {"0": 2}, (0, 0, 0), relations=rels)
 
 
+def test_evaluate_names_an_arrow_without_a_matrix():
+    c, rels = c3_complex()
+    rep, dims = {"B1": linalg.zeros(2, 2)}, {"0": 2}
+    with pytest.raises(ncalg.ShapeMismatch, match="^arrow B3: no matrix$"):
+        monad.evaluate(c, rep, dims, (0, 0, 0), relations=rels)
+    # with no relations to check first, the differentials' own words ask
+    with pytest.raises(ncalg.ShapeMismatch, match="^arrow B2: no matrix$"):
+        monad.evaluate(c, rep, dims, (0, 0, 0), relations=ncalg.RelationSet(rels.quiver, []))
+
+
 def test_d_squared_numerically_zero_at_random_points():
     c, rels = c3_complex()
     rep, _, _ = framing.numeric_solution_builder([(1, 2), (3, 4)])

@@ -409,6 +409,29 @@ def test_bound_too_small_messages():
             ask(long_word)
 
 
+def test_membership_query_with_an_unknown_arrow_is_refused():
+    q = c3()
+    rels = relations_from_potential(q, commutator_potential(q))
+    with pytest.raises(UnknownArrow, match="^Z$"):
+        ideal_membership(q, NCPoly.from_path(word("Z")), rels, 1)
+    with pytest.raises(UnknownArrow, match="^Z$"):  # known endpoints, unknown middle
+        ideal_membership(q, NCPoly.from_path(word("B1", "Z", "B1")), rels, 1)
+
+
+def test_residual_keeps_the_trivial_path_of_every_endpoint_pair():
+    """Each endpoint pair keys its trivial path alike, so the residual must
+    map keys back to paths part by part; e_0 sorts before e_1."""
+    q, rels = MEMBERSHIP_SYSTEMS["conifold"]
+    e0, e1 = trivial_path("0"), trivial_path("1")
+    member = next(r.poly for r in rels if r.src != r.tgt)
+    p = NCPoly.from_path(e1, -3) + member + NCPoly.from_path(e0, Fraction(2, 3))
+    assert list(p.terms)[0] == e1
+    result = ideal_membership(q, p, rels, 1)
+    assert not result.success
+    assert list(result.residual.terms.items()) == [(e0, Fraction(2, 3)), (e1, Fraction(-3))]
+    assert _answer(result) == _answer(oracles.ideal_membership_all_endpoints(q, p, rels, 1))
+
+
 def test_membership_system_builds_only_the_endpoint_pairs_asked():
     q, rels = MEMBERSHIP_SYSTEMS["conifold"]
     system = MembershipSystem(q, rels, 1)
@@ -648,6 +671,21 @@ def test_numeric_residual_refuses_rowless_matrix_for_a_map_out_of_zero():
         numeric_relation_residual(rels, {**rep, "J": ()}, dims)
 
 
+def test_numeric_residual_names_an_arrow_without_a_matrix():
+    q, w = catalog.get_quiver_with_potential("c3")
+    rels = relations_from_potential(q, w)
+    with pytest.raises(ShapeMismatch, match="^arrow B3: no matrix$"):
+        numeric_relation_residual(rels, {"B1": linalg.zeros(2, 2)}, {"0": 2})
+
+
+def test_numeric_residual_needs_no_matrix_out_of_a_zero_dimensional_vertex():
+    fq = catalog.get_framed_example("adhm3d")
+    rels = framing.framed_relations(framing.specialize(fq, framing.FramingStructure.zero(fq))).relations
+    dims = {"0": 0, "inf": 1}
+    rep = {"I": linalg.zeros(0, 1)}  # B1, B2, B3 and J all leave the empty vertex
+    assert numeric_relation_residual(rels, rep, dims) == [0] * len(rels)
+
+
 def word_sum_by_loops(q, terms, rep, dims, rows, cols):
     """``sum(coeff * M(word))`` by nested loops: each word is multiplied out
     from the identity at its source, one arrow at a time."""
@@ -723,7 +761,7 @@ def test_rank_matches_dense_oracle(rows, data):
     assert linalg.rank(m) == oracles.rank_dense(m)
     # a reduced vector is its remainder plus the reported combination of rows,
     # and the remainder is empty exactly when the vector lies in the row span
-    span = linalg.Echelon(int)
+    span = linalg.Echelon()
     for i, row in enumerate(rows):
         span.add(dict(enumerate(row)), i)
     target = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows[0]), max_size=len(rows[0])))
@@ -734,7 +772,7 @@ def test_rank_matches_dense_oracle(rows, data):
 
 
 def test_echelon_keeps_int_input_exact_through_a_pivot_of_two():
-    span = linalg.Echelon(str)
+    span = linalg.Echelon()
     assert span.add({"a": 2, "b": 1}, "r0")  # pivot 2: stored scaled by 1/2
     assert span.add({"a": 2, "b": 3}, "r1")  # remainder 2*b: pivot 2 again
     rows = span._rows
@@ -750,8 +788,18 @@ def test_echelon_keeps_int_input_exact_through_a_pivot_of_two():
         span.add({"c": 0.5}, "r2")
 
 
+def test_echelon_pivots_at_the_least_key():
+    """Keys of membership forms are (length, arrow indices): the shorter
+    word pivots first, whatever its indices."""
+    span = linalg.Echelon()
+    assert span.add({(2, (0, 0)): 1, (1, (5,)): 1}, 0)
+    assert list(span._rows) == [(1, (5,))]
+    assert span.add({(2, (0, 0)): 1}, 1)
+    assert span.reduce({(1, (5,)): 1}) == ({}, {0: 1, 1: -1})
+
+
 def test_echelon_tracks_combinations():
-    span = linalg.Echelon(str)
+    span = linalg.Echelon()
     assert span.add({"a": 1, "b": 1}, "r0")
     assert span.add({"a": 1, "c": 1}, "r1")  # stored as r0 - r1, pivot b
     assert not span.add({"a": 2, "b": 1, "c": 1}, "r2")
