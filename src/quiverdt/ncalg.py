@@ -128,7 +128,10 @@ class Quiver:
 
 
 def _indices(q: Quiver, arrows: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(map(q.arrow_index, arrows))
+    try:
+        return tuple(map(q._arrow_indices.__getitem__, arrows))
+    except KeyError as exc:
+        raise UnknownArrow(exc.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -440,17 +443,27 @@ class MembershipResult:
     residual: NCPoly | None
 
 
-def _paths_up_to(q: Quiver, bound: int) -> list[Path]:
-    out: list[Path] = [trivial_path(v) for v in q.vertices]
-    frontier = list(out)
+def _words_up_to(q: Quiver, bound: int) -> list[tuple[str, str, Path, tuple[int, ...]]]:
+    """Every path of length at most ``bound`` as ``(source, target, path,
+    arrow indices)``: shortest first, and within a length by prefix, then
+    by the arrow added in ``q.arrows`` order."""
+    out_of: dict[str, list[tuple[int, Arrow]]] = {v: [] for v in q.vertices}
+    for i, a in enumerate(q.arrows):
+        out_of[a.src].append((i, a))
+    level = [(v, v, trivial_path(v), ()) for v in q.vertices]
+    out = list(level)
     for _ in range(bound):
-        nxt = []
-        for p in frontier:
-            for a in q.arrows_from(p.target(q)):
-                nxt.append(Path(p.arrows + (a.name,)) if p.arrows else Path((a.name,)))
-        out.extend(nxt)
-        frontier = nxt
+        level = [
+            (s, a.tgt, Path(w.arrows + (a.name,)), idx + (i,))
+            for s, t, w, idx in level
+            for i, a in out_of[t]
+        ]
+        out += level
     return out
+
+
+def _paths_up_to(q: Quiver, bound: int) -> list[Path]:
+    return [w for _, _, w, _ in _words_up_to(q, bound)]
 
 
 class MembershipSystem:
@@ -481,7 +494,7 @@ class MembershipSystem:
             if not r.poly.is_zero()
         ]
         # the longest word a product u*r*v under the bound can reach
-        self._reach = 2 * self.bound + max((r.poly.max_length() for _, r, _ in self._rels), default=inf)
+        self._reach = 2 * self.bound + max((n for *_, terms in self._rels for n, _, _ in terms), default=inf)
         self._echelons: dict[tuple[str, str], linalg.Echelon] = {}
         self._tags: list[tuple[Path, int, Path]] = []  # row tag -> (u, ridx, v)
         self._nonzeros = 0
@@ -491,8 +504,8 @@ class MembershipSystem:
         """Each word under the bound with its length and arrow indices."""
         q = self.quiver
         out: dict[tuple[str, str], list[tuple[Path, int, tuple[int, ...]]]] = {}
-        for w in _paths_up_to(q, self.bound):
-            out.setdefault((w.source(q), w.target(q)), []).append((w, len(w), _indices(q, w.arrows)))
+        for s, t, w, idx in _words_up_to(q, self.bound):
+            out.setdefault((s, t), []).append((w, len(idx), idx))
         return out
 
     def _echelon(self, s: str, t: str) -> linalg.Echelon:
