@@ -92,6 +92,12 @@ class Quiver:
         except KeyError:
             raise UnknownArrow(name) from None
 
+    def arrow_indices(self, names: Sequence[str]) -> tuple[int, ...]:
+        try:
+            return tuple(map(self._arrow_indices.__getitem__, names))
+        except KeyError as exc:
+            raise UnknownArrow(exc.args[0]) from None
+
     def vertex_index(self, v: str) -> int:
         try:
             return self.vertices.index(v)
@@ -125,13 +131,6 @@ class Quiver:
 
 
 # -- paths and noncommutative polynomials -----------------------------------
-
-
-def _indices(q: Quiver, arrows: tuple[str, ...]) -> tuple[int, ...]:
-    try:
-        return tuple(map(q._arrow_indices.__getitem__, arrows))
-    except KeyError as exc:
-        raise UnknownArrow(exc.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ class Path:
     def sort_key(self, q: Quiver):
         if self.base is not None:
             return (0, (q.vertex_index(self.base),))
-        return (len(self.arrows), _indices(q, self.arrows))
+        return (len(self.arrows), q.arrow_indices(self.arrows))
 
     def __str__(self) -> str:
         if self.base is not None:
@@ -489,7 +488,9 @@ class MembershipSystem:
         self.bound = word_length_bound
         # (index, relation, its terms as (length, arrow indices, exact coefficient))
         self._rels = [
-            (ridx, r, [(len(p), _indices(q, p.arrows), linalg.exact(c)) for p, c in r.poly.terms.items()])
+            (ridx, r, [
+                (len(p), q.arrow_indices(p.arrows), linalg.exact(c)) for p, c in r.poly.terms.items()
+            ])
             for ridx, r in enumerate(relations.relations)
             if not r.poly.is_zero()
         ]
@@ -548,7 +549,7 @@ class MembershipSystem:
         q = self.quiver
         by_ends: dict[tuple[str, str], dict[tuple[int, tuple[int, ...]], Fraction]] = {}
         for w, c in p.terms.items():
-            by_ends.setdefault((w.source(q), w.target(q)), {})[(len(w), _indices(q, w.arrows))] = c
+            by_ends.setdefault((w.source(q), w.target(q)), {})[(len(w), q.arrow_indices(w.arrows))] = c
         residual: list[tuple[Path, Fraction]] = []
         combination: dict[int, Fraction] = {}
         for (s, t), part in by_ends.items():

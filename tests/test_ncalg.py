@@ -77,8 +77,9 @@ def test_arrow_lookup_by_name():
     q = conifold()
     assert q.arrow("B") == Arrow("B", "1", "0")
     assert [q.arrow_index(a.name) for a in q.arrows] == [0, 1, 2, 3]
+    assert q.arrow_indices(("B", "A", "B")) == (2, 0, 2) and q.arrow_indices(()) == ()
     assert q.has_arrow("D") and not q.has_arrow("ZZ")
-    for lookup in (q.arrow, q.arrow_index):
+    for lookup in (q.arrow, q.arrow_index, lambda name: q.arrow_indices(("A", name))):
         with pytest.raises(UnknownArrow) as info:
             lookup("ZZ")
         assert info.value.args == ("ZZ",)
