@@ -442,43 +442,27 @@ class MembershipResult:
     residual: NCPoly | None
 
 
-def _words_up_to(q: Quiver, bound: int) -> list[tuple[str, str, Path, tuple[int, ...]]]:
-    """Every path of length at most ``bound`` as ``(source, target, path,
-    arrow indices)``: shortest first, and within a length by prefix, then
-    by the arrow added in ``q.arrows`` order."""
-    out_of: dict[str, list[tuple[int, Arrow]]] = {v: [] for v in q.vertices}
-    for i, a in enumerate(q.arrows):
-        out_of[a.src].append((i, a))
-    level = [(v, v, trivial_path(v), ()) for v in q.vertices]
-    out = list(level)
-    for _ in range(bound):
-        level = [
-            (s, a.tgt, Path(w.arrows + (a.name,)), idx + (i,))
-            for s, t, w, idx in level
-            for i, a in out_of[t]
-        ]
-        out += level
-    return out
-
-
-def _paths_up_to(q: Quiver, bound: int) -> list[Path]:
-    return [w for _, _, w, _ in _words_up_to(q, bound)]
-
-
 class MembershipSystem:
     """Membership in the two-sided ideal generated by the relations, with
     path coefficients ``u, v`` of length at most the bound.  The ideal is
     the sum of its parts ``e_t I e_s``, and ``u*r*v`` lies in the part of
     ``(source(u), target(v))``; so each pair gets its own sparse echelon
-    form, built on first use from that pair's products and kept for later
-    queries.  A form is keyed by each word's :meth:`Path.sort_key`,
-    ``(length, arrow indices)``, joined from the index tuples of ``u``, the
-    relation term and ``v``, so no :class:`Path` is built per entry and the
-    pivot is the least word; ``(0, ())`` stands for the trivial path at the
-    source.  A row is tagged by its position in one list of ``(u, ridx,
-    v)``.  Residuals, and certificates up to the order of their parts,
-    equal those of one form over every product.  Raises
-    :class:`BoundTooSmall` for a negative bound.
+    form, kept for later queries.  A form takes in only the products a
+    query reaches: those that hold one of its words, then those that share
+    a word with a product taken in, until no new word turns up.  Products
+    in different such components share no word, so a component's rows, put
+    in in the order of the pair's full product list, ``(relation, |u|, u,
+    |v|, v)``, reduce a query as the whole list would: residuals, and
+    certificates up to the order of their parts, equal those of one form
+    over every product.  The products holding a word are found by splitting
+    it as ``u + m + v`` around each relation term ``m``, looked up in one
+    index of the terms, so no word under the bound is enumerated.  A form
+    is keyed by each word's :meth:`Path.sort_key`, ``(length, arrow
+    indices)``, so the pivot is the least word; ``(0, ())`` stands for the
+    trivial path at the source.  A row is tagged by its position in one
+    list of ``(source, u, relation index, relation target, v)``, with ``u``
+    and ``v`` as arrow indices.  Raises :class:`BoundTooSmall` for a
+    negative bound.
     """
 
     def __init__(self, q: Quiver, relations: RelationSet, word_length_bound: int):
@@ -486,44 +470,71 @@ class MembershipSystem:
             raise BoundTooSmall("negative word length bound")
         self.quiver = q
         self.bound = word_length_bound
-        # (index, relation, its terms as (length, arrow indices, exact coefficient))
-        self._rels = [
-            (ridx, r, [
-                (len(p), q.arrow_indices(p.arrows), linalg.exact(c)) for p, c in r.poly.terms.items()
-            ])
-            for ridx, r in enumerate(relations.relations)
-            if not r.poly.is_zero()
-        ]
+        # (index, relation target, its terms as (length, arrow indices, exact coefficient))
+        self._rels = []
+        # a term's arrow indices, or the vertex of a trivial term -> positions in _rels
+        self._term_index: dict[tuple[int, ...] | str, list[int]] = {}
+        lengths = set()
+        for ridx, r in enumerate(relations.relations):
+            if r.poly.is_zero():
+                continue
+            terms = []
+            for p, c in r.poly.terms.items():
+                idx = q.arrow_indices(p.arrows)
+                terms.append((len(idx), idx, linalg.exact(c)))
+                self._term_index.setdefault(idx or p.base, []).append(len(self._rels))
+                lengths.add(len(idx))
+            self._rels.append((ridx, r.tgt, terms))
+        self._term_lengths = sorted(lengths)
         # the longest word a product u*r*v under the bound can reach
-        self._reach = 2 * self.bound + max((n for *_, terms in self._rels for n, _, _ in terms), default=inf)
+        self._reach = 2 * self.bound + (self._term_lengths[-1] if self._rels else inf)
+        self._targets = [a.tgt for a in q.arrows]
         self._echelons: dict[tuple[str, str], linalg.Echelon] = {}
-        self._tags: list[tuple[Path, int, Path]] = []  # row tag -> (u, ridx, v)
+        self._seen: dict[tuple[str, str], set] = {}  # the words each form has met
+        self._tags: list[tuple[str, tuple[int, ...], int, str, tuple[int, ...]]] = []
         self._nonzeros = 0
 
-    @cached_property
-    def _words_by_ends(self) -> dict[tuple[str, str], list[tuple[Path, int, tuple[int, ...]]]]:
-        """Each word under the bound with its length and arrow indices."""
-        q = self.quiver
-        out: dict[tuple[str, str], list[tuple[Path, int, tuple[int, ...]]]] = {}
-        for s, t, w, idx in _words_up_to(q, self.bound):
-            out.setdefault((s, t), []).append((w, len(idx), idx))
-        return out
-
-    def _echelon(self, s: str, t: str) -> linalg.Echelon:
+    def _echelon(self, s: str, t: str, words: Iterable[tuple[int, tuple[int, ...]]]) -> linalg.Echelon:
+        """The form of ``(s, t)``, grown by the components of products that
+        hold any of ``words``, the keys of paths from s to t."""
         span = self._echelons.get((s, t))
         if span is None:
-            words = self._words_by_ends
-            tags = self._tags
             span = self._echelons[(s, t)] = linalg.Echelon()
-            for ridx, r, terms in self._rels:
-                for u, nu, ui in words.get((s, r.src), ()):
-                    for v, nv, vi in words.get((r.tgt, t), ()):
-                        # u*r*v by joining words: the endpoints match, and
-                        # distinct terms give distinct words, so it is nonzero
-                        row = {(nu + n + nv, ui + idx + vi): c for n, idx, c in terms}
-                        span.add(row, len(tags))
-                        tags.append((u, ridx, v))
-                        self._nonzeros += len(row)
+            self._seen[(s, t)] = set()
+        seen = self._seen[(s, t)]
+        frontier = [w for w in words if w not in seen]
+        if not frontier:
+            return span
+        seen.update(frontier)
+        bound, rels, index, targets = self.bound, self._rels, self._term_index, self._targets
+        found: dict[tuple[int, tuple[int, ...], tuple[int, ...]], dict] = {}
+        while frontier:
+            n, idx = frontier.pop()
+            for length in self._term_lengths:
+                # u = idx[:i] and v = idx[i + length:], each at most the bound
+                for i in range(max(0, n - length - bound), min(bound, n - length) + 1):
+                    j = i + length
+                    # a trivial term is indexed by its vertex: the one the word passes at i
+                    m = idx[i:j] if length else (targets[idx[i - 1]] if i else s)
+                    for pos in index.get(m, ()):
+                        u, v = idx[:i], idx[j:]
+                        if (pos, u, v) in found:
+                            continue
+                        # the word is a path from s to t, so u runs s -> r.src and v r.tgt -> t
+                        row = found[(pos, u, v)] = {
+                            (i + k + n - j, u + mid + v): c for k, mid, c in rels[pos][2]
+                        }
+                        for w in row:
+                            if w not in seen:
+                                seen.add(w)
+                                frontier.append(w)
+        tags = self._tags
+        for pos, u, v in sorted(found, key=lambda f: (f[0], len(f[1]), f[1], len(f[2]), f[2])):
+            row = found[(pos, u, v)]
+            ridx, rtgt, _ = rels[pos]
+            span.add(row, len(tags))
+            tags.append((s, u, ridx, rtgt, v))
+            self._nonzeros += len(row)
         return span
 
     def stats(self) -> dict[str, int]:
@@ -536,11 +547,16 @@ class MembershipSystem:
             "pivots": pivots,
         }
 
+    def _path(self, idx: tuple[int, ...], base: str) -> Path:
+        return Path(tuple(self.quiver.arrows[i].name for i in idx)) if idx else trivial_path(base)
+
     def decide(self, p: NCPoly) -> MembershipResult:
         """A certificate, or the residual of ``p``, which vanishes at every
         pivot word.  Raises :class:`BoundTooSmall` when no ``u*r*v`` under
         the bound reaches the longest word of ``p`` (a larger bound may
-        still succeed); non-membership at an adequate bound is not raised.
+        still succeed), and :class:`NCAlgError` for a word of ``p`` that
+        is not a path (:class:`UnknownArrow` for an unknown arrow name);
+        non-membership at an adequate bound is not raised.
         """
         if p.is_zero():
             return MembershipResult(True, MembershipCertificate([]), None)
@@ -549,22 +565,23 @@ class MembershipSystem:
         q = self.quiver
         by_ends: dict[tuple[str, str], dict[tuple[int, tuple[int, ...]], Fraction]] = {}
         for w, c in p.terms.items():
+            w.validate(q)
             by_ends.setdefault((w.source(q), w.target(q)), {})[(len(w), q.arrow_indices(w.arrows))] = c
         residual: list[tuple[Path, Fraction]] = []
         combination: dict[int, Fraction] = {}
         for (s, t), part in by_ends.items():
-            rem, comb = self._echelon(s, t).reduce(part)
+            rem, comb = self._echelon(s, t, part).reduce(part)
             # every part keys its trivial path (0, ()), so keys map back per part
-            residual += (
-                (Path(tuple(q.arrows[i].name for i in idx)) if n else trivial_path(s), c)
-                for (n, idx), c in rem.items()
-            )
+            residual += ((self._path(idx, s), c) for (_, idx), c in rem.items())
             combination.update(comb)
         if residual:
             # in word order, so render() without a quiver lists it the same way
             residual.sort(key=lambda wc: wc[0].sort_key(q))
             return MembershipResult(False, None, NCPoly(dict(residual)))
-        parts = [(Fraction(coeff), *self._tags[tag]) for tag, coeff in combination.items()]
+        parts = []
+        for tag, coeff in combination.items():
+            s, u, ridx, rtgt, v = self._tags[tag]
+            parts.append((Fraction(coeff), self._path(u, s), ridx, self._path(v, rtgt)))
         return MembershipResult(True, MembershipCertificate(parts), None)
 
 

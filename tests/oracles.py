@@ -462,6 +462,20 @@ def _residual_dense(p, basis, column_vecs):
     return {w: c for w, c in zip(basis, target) if c != 0}
 
 
+def paths_up_to(q, bound):
+    """Every path of length at most ``bound``: shortest first, and within a
+    length by prefix, then by the arrow added in ``q.arrows`` order (so by
+    arrow indices among the paths from one vertex)."""
+    from quiverdt import ncalg
+
+    level = [ncalg.trivial_path(v) for v in q.vertices]
+    out = list(level)
+    for _ in range(bound):
+        level = [ncalg.Path(w.arrows + (a.name,)) for w in level for a in q.arrows_from(w.target(q))]
+        out += level
+    return out
+
+
 def ideal_membership_dense(q, p, relations, word_length_bound):
     """Bounded ideal membership by one dense solve over the word basis and,
     for non-members, a second dense elimination for the residual.  Returns
@@ -469,7 +483,7 @@ def ideal_membership_dense(q, p, relations, word_length_bound):
     ``(coeff, u, relation index, v)`` as in the package."""
     from quiverdt import ncalg
 
-    words = ncalg._paths_up_to(q, word_length_bound)
+    words = paths_up_to(q, word_length_bound)
     columns, column_vecs = [], []
     for ridx, r in enumerate(relations.relations):
         for u in words:
@@ -514,7 +528,7 @@ def ideal_membership_all_endpoints(q, p, relations, word_length_bound):
             raise ncalg.BoundTooSmall(
                 f"bound {word_length_bound} cannot reach words of length {p.max_length()}"
             )
-    words = ncalg._paths_up_to(q, word_length_bound)
+    words = paths_up_to(q, word_length_bound)
     paths = {}  # sort key -> path, for every word the form sees
 
     def keyed(terms):
@@ -544,6 +558,108 @@ def ideal_membership_all_endpoints(q, p, relations, word_length_bound):
         )
     parts = [(coeff, u, ridx, v) for (u, ridx, v), coeff in combination.items()]
     return ncalg.MembershipResult(True, ncalg.MembershipCertificate(parts), None)
+
+
+class EagerMembershipSystem:
+    """``ncalg.MembershipSystem`` as it was before it sought out the rows a
+    query reaches: the first query on an endpoint pair ``(s, t)`` builds
+    every nonzero ``u*r*v`` of that pair by ``nc_mul``, relation by
+    relation, then ``u``, then ``v`` in ``paths_up_to`` order, and
+    eliminates all of them in that order.  Rows are keyed by
+    ``Path.sort_key`` and tagged ``(u, relation index, v)``.  Same
+    constructor, ``decide`` and ``stats`` as the package's system (without
+    its bound and path checks on a query); ``products`` keeps each pair's
+    rows as ``(tag, {sort key: coeff})``."""
+
+    def __init__(self, q, relations, word_length_bound):
+        from quiverdt import ncalg
+
+        if word_length_bound < 0:
+            raise ncalg.BoundTooSmall("negative word length bound")
+        self.quiver = q
+        self.relations = relations
+        self.words = paths_up_to(q, word_length_bound)
+        self.products = {}
+        self._echelons = {}
+        self._paths = {}  # (s, t) -> {sort key: path}
+
+    def _keyed(self, s, t, terms):
+        paths = self._paths.setdefault((s, t), {})
+        out = {}
+        for w, c in terms.items():
+            k = w.sort_key(self.quiver)
+            paths[k] = w
+            out[k] = c
+        return out
+
+    def _echelon(self, s, t):
+        from quiverdt import linalg, ncalg
+
+        span = self._echelons.get((s, t))
+        if span is None:
+            q = self.quiver
+            rows = self.products[(s, t)] = []
+            for ridx, r in enumerate(self.relations.relations):
+                for u in self.words:
+                    if u.source(q) != s or u.target(q) != r.src:
+                        continue
+                    ur = ncalg.nc_mul(q, ncalg.NCPoly.from_path(u), r.poly)
+                    for v in self.words:
+                        if v.source(q) != r.tgt or v.target(q) != t:
+                            continue
+                        urv = ncalg.nc_mul(q, ur, ncalg.NCPoly.from_path(v))
+                        if not urv.is_zero():
+                            rows.append(((u, ridx, v), self._keyed(s, t, urv.terms)))
+            span = self._echelons[(s, t)] = linalg.Echelon()
+            for tag, row in rows:
+                span.add(row, tag)
+        return span
+
+    def stats(self):
+        rows = [row for products in self.products.values() for _, row in products]
+        return {
+            "systems": len(self._echelons),
+            "rows": len(rows),
+            "nonzeros": sum(map(len, rows)),
+            "pivots": sum(map(len, self._echelons.values())),
+        }
+
+    def decide(self, p):
+        from quiverdt import ncalg
+
+        q = self.quiver
+        if p.is_zero():
+            return ncalg.MembershipResult(True, ncalg.MembershipCertificate([]), None)
+        by_ends = {}
+        for w, c in p.terms.items():
+            by_ends.setdefault((w.source(q), w.target(q)), {})[w] = c
+        residual, combination = {}, {}
+        for (s, t), part in by_ends.items():
+            rem, comb = self._echelon(s, t).reduce(self._keyed(s, t, part))
+            residual.update((self._paths[(s, t)][k], c) for k, c in rem.items())
+            combination.update(comb)
+        if residual:
+            terms = sorted(residual.items(), key=lambda wc: wc[0].sort_key(q))
+            return ncalg.MembershipResult(False, None, ncalg.NCPoly(dict(terms)))
+        parts = [(Fraction(c), u, ridx, v) for (u, ridx, v), c in combination.items()]
+        return ncalg.MembershipResult(True, ncalg.MembershipCertificate(parts), None)
+
+
+def reached_rows(rows, words):
+    """The rows, of a list of ``(tag, {key: coeff})``, in the components
+    that hold any of ``words``: a row is reached when it shares a key with
+    a word given or with a row reached.  Found by sweeping the whole list
+    until a sweep reaches nothing new; in list order."""
+    keys, reached = set(words), set()
+    grew = True
+    while grew:
+        grew = False
+        for i, (_, row) in enumerate(rows):
+            if i not in reached and not keys.isdisjoint(row):
+                reached.add(i)
+                keys.update(row)
+                grew = True
+    return [rows[i] for i in sorted(reached)]
 
 
 # -- factor-by-factor q-series products -----------------------------------------

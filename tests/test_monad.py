@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from quiverdt import catalog, framing, linalg, monad, ncalg
 
 
@@ -100,6 +101,20 @@ def test_certify_all_templates(template_id):
     assert report.certified
     assert len(report.entries) == COMPONENTS[template_id]
     assert_certificates_expand(c, rels, report)
+
+
+@pytest.mark.parametrize("template_id", catalog.monad_template_ids())
+def test_certificates_equal_those_of_eliminating_every_product(template_id, monkeypatch):
+    """The rows a component reaches reduce it as every product of its
+    endpoint pair does: the same parts, in the same order."""
+    c, rels = catalog.monad_case(template_id)
+    report = monad.certify_d_squared(c, rels)
+    monkeypatch.setattr(monad, "MembershipSystem", oracles.EagerMembershipSystem)
+    eager = monad.certify_d_squared(c, rels)
+    assert report.membership["rows"] < eager.membership["rows"]
+    assert [(e.stage, e.row, e.col, e.exps, e.membership) for e in report.entries] == [
+        (e.stage, e.row, e.col, e.exps, e.membership) for e in eager.entries
+    ]
 
 
 def test_integral_coefficients_stay_int_through_composition():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import block_dims
+from oracles import block_dims, paths_up_to
 from quiverdt import catalog, framing, linalg
 from quiverdt.ncalg import (
     Arrow,
@@ -22,7 +22,6 @@ from quiverdt.ncalg import (
     RelationSet,
     ShapeMismatch,
     UnknownArrow,
-    _paths_up_to,
     chi_form,
     cyclic_derivative,
     ideal_membership,
@@ -287,7 +286,7 @@ MEMBERSHIP_SYSTEMS = _membership_systems()
 def _membership_pieces(name, bound):
     """Every nonzero u*r*v under the bound, and the words a query may add."""
     q, rels = MEMBERSHIP_SYSTEMS[name]
-    words = _paths_up_to(q, bound)
+    words = paths_up_to(q, bound)
     products = []
     for r in rels:
         for u in words:
@@ -295,7 +294,7 @@ def _membership_pieces(name, bound):
                 urv = nc_mul(q, nc_mul(q, NCPoly.from_path(u), r.poly), NCPoly.from_path(v))
                 if not urv.is_zero():
                     products.append(urv)
-    return products, _paths_up_to(q, bound + 1)
+    return products, paths_up_to(q, bound + 1)
 
 
 COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -445,6 +444,85 @@ def test_membership_system_builds_only_the_endpoint_pairs_asked():
     assert system.stats() == first  # a repeated endpoint pair builds nothing
 
 
+def test_membership_query_word_that_is_not_a_path_is_refused():
+    q = conifold()
+    rels = relations_from_potential(
+        q, Potential.from_words(q, [(1, ("A", "D", "C", "B")), (-1, ("A", "B", "C", "D"))])
+    )
+    not_a_path = NCPoly.from_path(word("A", "A"))
+    for ask in (lambda p: ideal_membership(q, p, rels, 1), MembershipSystem(q, rels, 1).decide):
+        with pytest.raises(NCAlgError, match=r"^word \('A', 'A'\) is not composable at A->A$"):
+            ask(not_a_path)
+        with pytest.raises(NCAlgError, match=r"^word \('A', 'A'\) is not composable at A->A$"):
+            ask(rels.relations[0].poly + not_a_path)  # beside a member
+
+
+def _c3_product(left, ridx, right):
+    q = c3()
+    rels = relations_from_potential(q, commutator_potential(q))
+    return nc_mul(q, nc_mul(q, NCPoly.from_path(left), rels.relations[ridx].poly), NCPoly.from_path(right))
+
+
+def test_queries_in_disjoint_components_answer_alike_in_either_order():
+    """On c3 a word's arrow content is fixed along a component, so these
+    two members (content B1 B2 B3, and B1 B1 B2) share no row: each is
+    answered as by one form over every product, whichever comes first."""
+    q = c3()
+    rels = relations_from_potential(q, commutator_potential(q))
+    e0 = trivial_path("0")
+    first = _c3_product(word("B1"), 0, e0) - _c3_product(e0, 2, word("B3")).scale(Fraction(2, 3))
+    second = _c3_product(word("B1"), 2, e0) + _c3_product(e0, 2, word("B1")).scale(3)
+    alone = {}
+    for p in (first, second):
+        system = MembershipSystem(q, rels, 1)
+        assert system.decide(p).success
+        alone[id(p)] = system.stats()["rows"]
+    for order in ((first, second), (second, first)):
+        system = MembershipSystem(q, rels, 1)
+        for p in order:
+            result = system.decide(p)
+            assert _answer(result) == _answer(oracles.ideal_membership_all_endpoints(q, p, rels, 1))
+            assert len(result.certificate.parts) > 1
+        assert system.stats()["rows"] == alone[id(first)] + alone[id(second)]
+
+
+def test_a_long_bound_inserts_only_the_component_of_the_query():
+    """At bound 4 the pair of c3 has 43,923 products; relation 0 times B1
+    reaches 6 of them."""
+    q, w = catalog.get_quiver_with_potential("c3")
+    rels = relations_from_potential(q, w)
+    system = MembershipSystem(q, rels, 4)
+    p = nc_mul(q, rels.relations[0].poly, NCPoly.from_path(word("B1")))
+    result = system.decide(p)
+    assert result.certificate.parts == [(Fraction(1), trivial_path("0"), 0, word("B1"))]
+    assert system.stats() == {"systems": 1, "rows": 6, "nonzeros": 12, "pivots": 5}
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_mixed_term_lengths_and_a_term_met_twice_match_the_eager_oracle(bound):
+    """ny3d's relations have terms of lengths 2 and 3, and C*J*I*C*J holds
+    the term C*J at 0 and at 3: every split of it finds its row once."""
+    _, rels = catalog.monad_case("ny3d")
+    q = rels.quiver
+    cjicj = NCPoly.from_path(word("C", "J", "I", "C", "J"))
+    member = cjicj + nc_mul(
+        q, nc_mul(q, NCPoly.from_path(word("C")), rels.relations[1].poly), NCPoly.from_path(word("C", "J"))
+    ).scale(Fraction(2, 3))
+    nonmember = member + NCPoly.from_path(word("A", "J"), -2)
+    system = MembershipSystem(q, rels, bound)
+    eager = oracles.EagerMembershipSystem(q, rels, bound)
+    asked = set()
+    for p in (member, nonmember, cjicj):
+        result = system.decide(p)
+        assert _answer(result) == _answer(eager.decide(p))
+        assert _answer(result) == _answer(oracles.ideal_membership_all_endpoints(q, p, rels, bound))
+        assert result.success == (p is not nonmember)
+        asked |= {w.sort_key(q) for w in p.terms}
+    reached = oracles.reached_rows(eager.products[("0", "inf")], asked)
+    assert system.stats()["rows"] == len(reached) < len(eager.products[("0", "inf")])
+    assert system.stats()["nonzeros"] == sum(len(row) for _, row in reached)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["A", "B", "C", "D"]), st.sampled_from(["A", "B", "C", "D"]))
 def test_membership_roundtrip_on_padded_relations(left, right):
@@ -490,7 +568,7 @@ def _scaled_queries(name, bound):
     and non-members (a member plus words one past the bound), drawn with a
     fixed seed."""
     q, rels = SCALED_RELATION_SETS[name]
-    words = _paths_up_to(q, bound)
+    words = paths_up_to(q, bound)
     groups = {}
     for r in rels:
         for u in words:
@@ -509,7 +587,7 @@ def _scaled_queries(name, bound):
             p = p + urv.scale(rng.choice(coeffs))
         return p
 
-    extra = [w for w in _paths_up_to(q, bound + 1) if len(w) == bound + 1]
+    extra = [w for w in paths_up_to(q, bound + 1) if len(w) == bound + 1]
     queries = []
     for _ in range(2):
         queries.append(member(groups[rng.choice(ends)]))
