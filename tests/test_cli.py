@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from quiverdt import catalog, framing, linalg
+import oracles
+from quiverdt import catalog, framing, linalg, monad
 from quiverdt.cli import build_parser, run
 
 
@@ -161,17 +162,30 @@ def test_unknown_geometry_after_pervsystem_is_named_as_typed(capsys, argv):
 
 
 # template: (components, (systems, rows, nonzeros, pivots)); the sizes pin
-# the rows each endpoint system takes in, however the rows are built
+# the rows each endpoint system takes in: those of the components of
+# products that hold a word of a certified component
 MONAD_MEMBERSHIP_SIZES = {
-    # one vertex, so one endpoint system: 3 commutators times 4 words on
-    # each side at bound 1, two terms each, and one dependency in degree 3
-    "c3": (6, (1, 48, 96, 47)),
-    "y20": (12, (4, 96, 192, 94)),
-    "pervsystem-c3": (6, (1, 48, 96, 47)),
-    "pervsystem-conifold": (8, (2, 20, 40, 20)),
-    "adhm3d": (8, (3, 90, 186, 89)),
-    "kn": (14, (6, 122, 250, 120)),
-    "ny3d": (10, (4, 30, 59, 30)),
+    # one vertex, so one endpoint system: the 6 components are reduced by
+    # 3 products u*r*v, two terms each
+    "c3": (6, (1, 3, 6, 3)),
+    "y20": (12, (4, 6, 12, 6)),
+    "pervsystem-c3": (6, (1, 3, 6, 3)),
+    "pervsystem-conifold": (8, (2, 4, 8, 4)),
+    "adhm3d": (8, (3, 5, 9, 5)),
+    "kn": (14, (6, 8, 15, 8)),
+    "ny3d": (10, (4, 6, 11, 6)),
+}
+# the same sizes when every product of each endpoint pair is eliminated
+# (oracles.EagerMembershipSystem): c3 has 3 commutators times 4 words on
+# each side at bound 1, two terms each, and one dependency in degree 3
+EAGER_MEMBERSHIP_SIZES = {
+    "c3": (1, 48, 96, 47),
+    "y20": (4, 96, 192, 94),
+    "pervsystem-c3": (1, 48, 96, 47),
+    "pervsystem-conifold": (2, 20, 40, 20),
+    "adhm3d": (3, 90, 186, 89),
+    "kn": (6, 122, 250, 120),
+    "ny3d": (4, 30, 59, 30),
 }
 
 
@@ -185,6 +199,44 @@ def test_monad_verify_json_reports_membership_sizes_and_phases(capsys):
         assert (template, m["systems"], m["rows"], m["nonzeros"], m["pivots"]) == (template, *sizes)
         assert sorted(data["phases"]) == ["compose", "membership"]
         assert all(isinstance(s, float) and s >= 0 for s in data["phases"].values())
+
+
+def test_membership_sizes_count_the_components_the_queries_reach(monkeypatch, capsys):
+    """Under the eager oracle every template keeps its full-system sizes;
+    a search of the oracle's product lists from the words of the certified
+    components finds the rows, terms and rank that the package reports."""
+    for template, (components, sizes) in MONAD_MEMBERSHIP_SIZES.items():
+        systems = []
+
+        class Recording(oracles.EagerMembershipSystem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.asked = {}
+                systems.append(self)
+
+            def decide(self, p):
+                q = self.quiver
+                for w in p.terms:
+                    self.asked.setdefault((w.source(q), w.target(q)), set()).add(w.sort_key(q))
+                return super().decide(p)
+
+        monkeypatch.setattr(monad, "MembershipSystem", Recording)
+        code, out, _ = run_capture(capsys, ["monad", "verify", template, "--json"])
+        data = json.loads(out)
+        assert (code, data["certified"], data["components"]) == (0, True, components)
+        m = data["membership"]
+        assert (template, m["systems"], m["rows"], m["nonzeros"], m["pivots"]) == (
+            template, *EAGER_MEMBERSHIP_SIZES[template]
+        )
+        [eager] = systems
+        rows = pivots = nonzeros = 0
+        for ends, products in eager.products.items():
+            reached = [row for _, row in oracles.reached_rows(products, eager.asked[ends])]
+            keys = sorted({k for row in reached for k in row})
+            rows += len(reached)
+            nonzeros += sum(map(len, reached))
+            pivots += oracles.rank_dense([[row.get(k, 0) for k in keys] for row in reached])
+        assert (template, len(eager.products), rows, nonzeros, pivots) == (template, *sizes)
 
 
 def test_monad_verify_numeric(tmp_path, capsys):

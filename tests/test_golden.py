@@ -20,7 +20,10 @@ returned a ``MonadComplex`` beside its ``MonadTemplate`` and ``evaluate``
 still assembled each stage matrix from blocks; the ``relations`` cases
 of the geometries and the ``monad verify`` cases of c3 and y20 were
 written before a geometry became a framed quiver with potential with no
-framing vertices.  The ``--json`` form of
+framing vertices.  The ``membership`` sizes (``rows``, ``nonzeros`` and
+``pivots``) of the ``monad verify --json`` cases were re-captured when a
+membership system started to take in only the products its queries
+reach; every other byte of those cases is as before.  The ``--json`` form of
 ``monad verify`` drops ``phases`` (wall-clock seconds) before comparing.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
