@@ -16,7 +16,12 @@ from the package.  Ideal membership and rank have dense Gaussian-elimination
 references here, independent of the package's sparse echelon form; the
 earlier sparse membership, one echelon form over the products of every
 endpoint pair rebuilt per query (``ideal_membership_all_endpoints``), is
-kept as the reference for ``ncalg.MembershipSystem``.
+kept as the reference for ``ncalg.MembershipSystem``.  So is that system as
+it was before it took in only the products a query reaches
+(``EagerMembershipSystem``, over the word enumeration it used,
+``paths_up_to``), which pins its certificates and full-system sizes; the
+rows a set of words reaches are found by sweeping a product list
+(``reached_rows``), not by factorising words as the package does.
 Products of ``(1 - sign*m)**power`` factors are expanded one factor at a
 time by ring arithmetic, independent of the package's
 logarithmic-derivative recurrence, and the factor multiset of a list of
@@ -568,7 +573,7 @@ class EagerMembershipSystem:
     eliminates all of them in that order.  Rows are keyed by
     ``Path.sort_key`` and tagged ``(u, relation index, v)``.  Same
     constructor, ``decide`` and ``stats`` as the package's system (without
-    its bound and path checks on a query); ``products`` keeps each pair's
+    its reach and path checks on a query); ``products`` keeps each pair's
     rows as ``(tag, {sort key: coeff})``."""
 
     def __init__(self, q, relations, word_length_bound):
