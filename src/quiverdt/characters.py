@@ -4,7 +4,7 @@ A shift matrix with non-negative subdiagonal entries determines, for each
 family index t, a right-aligned pyramid: m even rows then n odd rows whose
 lengths are t plus the cumulative shifts.  Every ordered pair of rows
 contributes strong generators whose conformal weights are read off from
-column positions (weight = half the column-difference grading plus one),
+column positions (weight = half the column difference plus one),
 and the character is the usual product over generators: a geometric factor
 per even generator, a (1 + q^w)-type factor per odd one.
 """

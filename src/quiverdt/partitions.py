@@ -21,7 +21,7 @@ substitutions (see quiverdt.checks).
 
 from __future__ import annotations
 
-from .qseries import QSeries
+from .qseries import QSeries, _unpack
 
 
 class OrderTooLarge(ValueError):
@@ -142,11 +142,6 @@ def _merged(counts: list[dict[int, int]]) -> dict[int, int]:
         for k, c in part.items():
             out[k] = out.get(k, 0) + c
     return out
-
-
-def _unpack(weight: int, order: int, m: int) -> tuple[int, ...]:
-    base = order + 1
-    return tuple(weight // base**c % base for c in range(m))
 
 
 def nested_series_by_rank(r: int, order: int) -> list[QSeries]:

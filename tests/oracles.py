@@ -28,10 +28,12 @@ logarithmic-derivative recurrence, and the factor multiset of a list of
 pochhammers is added up one k at a time (``pochhammer_factors_by_k``),
 independent of the package's running sum.  The catalog's quivers and potentials
 as they were written out by hand before the parity-sequence generator
-(``literal_quiver_with_potential``), and the NCDT products built MacMahon
-by MacMahon (``xq_ncdt_product``, ``ym0_ncdt_product``) or in Laurent
-variables under a substitution (``ymn_ncdt_product_by_substitution``), pin
-the generator and ``checks.ymn_ncdt_product``; the NCDT sign twist as it was
+(``literal_quiver_with_potential``), and the NCDT products whose factors
+map each Laurent monomial x q^k through the images q -> -q0...q_(N-1),
+x_i -> q_i, multiplied MacMahon by MacMahon and factor by factor
+(``xq_ncdt_product``, ``ym0_ncdt_product``) or in one product
+(``ymn_ncdt_product_by_substitution``), pin the generator and
+``checks.ymn_ncdt_product``; the NCDT sign twist as it was
 read off the parity sequence (``ymn_sign_flips``) pins the twist that
 ``checks`` derives from the Euler form, and the arrow and gauge dimensions
 of a pair of dimension vectors (``block_dims``) cross-check the Euler form
@@ -670,38 +672,35 @@ def reached_rows(rows, words):
 # -- factor-by-factor q-series products -----------------------------------------
 
 
-def binomial_factor_by_powers(vars, order, exps, sign=1, power=1, grading=None):
+def binomial_factor_by_powers(vars, order, exps, sign=1, power=1):
     """``(1 - sign*m)**power`` for a single monomial ``m``: repeated squaring
     for a non-negative power, else the geometric series of ``m`` raised to
     ``-power``."""
     from quiverdt.qseries import ConeViolation, QSeries
 
-    one = QSeries.one(vars, order, grading)
-    weights = one.grading
-    g = sum(w * e for w, e in zip(weights, exps))
-    if g < 0:
-        raise ConeViolation(f"monomial {exps} has negative grade")
+    one = QSeries.one(vars, order)
+    g = sum(exps)
+    if g < 1 or min(exps) < 0:
+        raise ConeViolation(f"monomial {exps} needs non-negative exponents and degree >= 1")
     if power >= 0:
-        return (one - QSeries.monomial(vars, order, exps, sign, weights)) ** power
-    if g == 0:
-        raise ConeViolation(f"cannot invert (1 - m) for grade-0 monomial {exps}")
+        return (one - QSeries.monomial(vars, order, exps, sign)) ** power
     coeffs: dict[tuple[int, ...], int] = {}
     j = 0
     while j * g <= order:
         coeffs[tuple(j * e for e in exps)] = sign ** j
         j += 1
-    geo = QSeries(vars, order, coeffs, weights)
+    geo = QSeries(vars, order, coeffs)
     return geo ** (-power)
 
 
-def factor_product_by_factors(vars, order, factors, grading=None):
+def factor_product_by_factors(vars, order, factors):
     """The product of a factor multiset ``{(exps, sign): power}``, multiplied
     in one factor at a time."""
     from quiverdt.qseries import QSeries
 
-    out = QSeries.one(vars, order, grading)
+    out = QSeries.one(vars, order)
     for (exps, sign), power in factors.items():
-        out = out * binomial_factor_by_powers(vars, order, exps, sign, power, grading)
+        out = out * binomial_factor_by_powers(vars, order, exps, sign, power)
     return out
 
 
@@ -788,84 +787,85 @@ def ymn_sign_flips(sigma: str) -> tuple[bool, ...]:
 # -- NCDT products, MacMahon by MacMahon --------------------------------------------
 
 
-def _laurent_macmahon_factors(x, grading, order: int, power: int = 1) -> dict:
-    """The factors ``(1 - x q^k)^(-k power)``, k >= 1, of ``M(x, q)^power``
-    whose grade under ``grading`` is at most order: x is an exponent vector
-    on every variable but the last, which is q."""
-    gx = sum(w * e for w, e in zip(grading, x))
-    return {(tuple(x) + (k,), 1): -k * power for k in range(1, (order - gx) // grading[-1] + 1)}
+def _ncdt_images(n: int) -> dict:
+    """q -> -q0...q_(N-1) and x_i -> q_i, from the Laurent variables x_1,
+    ..., x_(N-1), q of the NCDT products into q0..q_(N-1)."""
+    from quiverdt.qseries import Mono
+
+    images = {f"x{i}": Mono(1, tuple(int(c == i) for c in range(n))) for i in range(1, n)}
+    images["q"] = Mono(-1, (1,) * n)
+    return images
 
 
-def _laurent_macmahon(vars_, grading, x, order: int, power: int = 1):
-    from quiverdt.qseries import factor_product
+def _macmahon_image_factors(x, images, order: int, power: int = 1) -> dict:
+    """The factors ``(1 - x q^k)^(-k power)``, k >= 1, of ``M(x, q)^power``,
+    each Laurent monomial x q^k (x an exponent vector on x_1, x_2, ...)
+    mapped through ``images`` to the signed monomial its variables' images
+    multiply to; the factors of image degree <= order are kept."""
+    names = tuple(f"x{i}" for i in range(1, len(x) + 1)) + ("q",)
+    n = len(images["q"].exps)
+    factors = {}
+    k = 1
+    while True:
+        sign, exps = 1, (0,) * n
+        for e, v in zip(tuple(x) + (k,), names):
+            sign *= images[v].sign ** (e % 2)
+            exps = tuple(a + e * b for a, b in zip(exps, images[v].exps))
+        if sum(exps) > order:
+            return factors
+        factors[(exps, sign)] = -k * power
+        k += 1
 
-    factors = _laurent_macmahon_factors(x, grading, order, power)
-    return factor_product(vars_, order, factors, grading)
+
+def _macmahon_image(x, images, order: int, power: int = 1):
+    """``M(x, q)^power`` in the image variables, multiplied in factor by factor."""
+    targets = tuple(f"q{c}" for c in range(len(images["q"].exps)))
+    return factor_product_by_factors(targets, order, _macmahon_image_factors(x, images, order, power))
 
 
 def xq_ncdt_product(order: int, inverse_outer: bool):
-    """M(1,q)^2 M(x^-1,q)^e M(x,q)^e in (x, q) with grading (1, 2), for e =
-    -1 (conifold) or +1 (y20), under q -> -q0 q1, x -> q1."""
-    from quiverdt.qseries import Mono, Substitution, substitute
-
-    vars_xq = ("x", "q")
-    grading = (1, 2)
+    """M(1,q)^2 M(x^-1,q)^e M(x,q)^e for e = -1 (conifold) or +1 (y20),
+    under q -> -q0 q1, x -> q1, MacMahon by MacMahon."""
+    images = _ncdt_images(2)
     e = -1 if inverse_outer else 1
-    prod = (
-        _laurent_macmahon(vars_xq, grading, (0,), order) ** 2
-        * _laurent_macmahon(vars_xq, grading, (-1,), order, power=e)
-        * _laurent_macmahon(vars_xq, grading, (1,), order, power=e)
+    return (
+        _macmahon_image((0,), images, order) ** 2
+        * _macmahon_image((-1,), images, order, power=e)
+        * _macmahon_image((1,), images, order, power=e)
     )
-    to_q01 = Substitution(
-        ("x", "q"), ("q0", "q1"), {"q": Mono(-1, (1, 1)), "x": Mono(1, (0, 1))}
-    )
-    return substitute(to_q01, prod)
 
 
 def ym0_ncdt_product(m: int, order: int):
     """M(1,q)^m times paired interval factors M(x_[a,b]^{+-1}, q) under
-    q -> -q0...q_(m-1), x_i -> q_i."""
-    from quiverdt.qseries import Mono, Substitution, substitute
-
-    xs = tuple(f"x{i}" for i in range(1, m))
-    vars_ = xs + ("q",)
-    grading = (1,) * (m - 1) + (m,)
-    prod = _laurent_macmahon(vars_, grading, (0,) * (m - 1), order) ** m
+    q -> -q0...q_(m-1), x_i -> q_i, MacMahon by MacMahon."""
+    images = _ncdt_images(m)
+    prod = _macmahon_image((0,) * (m - 1), images, order) ** m
     for a in range(1, m):
         for b in range(a, m):
             exps = tuple(1 if a <= i <= b else 0 for i in range(1, m))
-            inv = tuple(-e for e in exps)
-            prod = prod * _laurent_macmahon(vars_, grading, exps, order)
-            prod = prod * _laurent_macmahon(vars_, grading, inv, order)
-    targets = tuple(f"q{c}" for c in range(m))
-    images = {"q": Mono(-1, (1,) * m)}
-    for i in range(1, m):
-        images[f"x{i}"] = Mono(1, tuple(1 if c == i else 0 for c in range(m)))
-    return substitute(Substitution(vars_, targets, images), prod)
+            prod = prod * _macmahon_image(exps, images, order)
+            prod = prod * _macmahon_image(tuple(-e for e in exps), images, order)
+    return prod
 
 
 def ymn_ncdt_product_by_substitution(sigma: str, order: int):
     """The NCDT product of the parity sequence sigma of length N as it was
     built before ``checks.ymn_ncdt_product`` wrote its factors straight in
-    q0..q_(N-1): one product over the MacMahon factors in Laurent variables
-    (x_1, ..., x_(N-1), q) graded (1, ..., 1, N), then q -> -q0...q_(N-1)
-    and x_i -> q_i."""
-    from quiverdt.qseries import Mono, Substitution, factor_product, substitute
+    q0..q_(N-1): every MacMahon factor's Laurent monomial x q^k in (x_1,
+    ..., x_(N-1), q) is mapped under q -> -q0...q_(N-1) and x_i -> q_i,
+    and all the factors make one product."""
+    from quiverdt.qseries import factor_product
 
     n = len(sigma)
-    grading = (1,) * (n - 1) + (n,)
-    factors = _laurent_macmahon_factors((0,) * (n - 1), grading, order, n)
+    images = _ncdt_images(n)
+    factors = _macmahon_image_factors((0,) * (n - 1), images, order, n)
     for a in range(1, n):
         for b in range(a, n):
             e = 1 if sigma[a] == sigma[(b + 1) % n] else -1
             x = tuple(1 if a <= i <= b else 0 for i in range(1, n))
-            factors.update(_laurent_macmahon_factors(x, grading, order, e))
-            factors.update(_laurent_macmahon_factors(tuple(-v for v in x), grading, order, e))
-    vars_ = tuple(f"x{i}" for i in range(1, n)) + ("q",)
-    images = {f"x{i}": Mono(1, tuple(int(c == i) for c in range(n))) for i in range(1, n)}
-    images["q"] = Mono(-1, (1,) * n)
-    prod = factor_product(vars_, order, factors, grading)
-    return substitute(Substitution(vars_, tuple(f"q{c}" for c in range(n)), images), prod)
+            factors.update(_macmahon_image_factors(x, images, order, e))
+            factors.update(_macmahon_image_factors(tuple(-v for v in x), images, order, e))
+    return factor_product(tuple(f"q{c}" for c in range(n)), order, factors)
 
 
 # -- hand-typed monad templates ---------------------------------------------------
