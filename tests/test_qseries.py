@@ -251,9 +251,12 @@ def test_one_variable_recurrence_edges():
         assert got == QSeries.one(vars, order)
 
 
-def test_one_variable_dense_log_derivative_matches_the_oracle():
+@pytest.mark.parametrize("grading", [None, (1,)])
+def test_one_variable_dense_log_derivative_matches_the_oracle(grading):
     # the empty multiset, sign -1 factors whose multiples k * g alternate in
-    # sign at odd and even k, and mixed signs and powers
+    # sign at odd and even k, and mixed signs and powers; under grading (1,),
+    # the weight total degree is in one variable, the product at each order
+    # is also read off the order-20 product as its terms of weight <= order
     vars = ("q",)
     for factors in [
         {},
@@ -264,9 +267,14 @@ def test_one_variable_dense_log_derivative_matches_the_oracle():
         {((1,), -1): -1, ((2,), 1): 1},
     ]:
         inverse = {key: -power for key, power in factors.items()}
+        top = factor_product(vars, 20, factors)
         for order in (0, 1, 2, 5, 9, 20):
             got = factor_product(vars, order, factors)
             assert got == oracles.factor_product_by_factors(vars, order, factors)
+            if grading is not None:
+                weight = lambda exps: sum(w * e for w, e in zip(grading, exps))  # noqa: E731
+                kept = {e: c for e, c in top.coeffs.items() if weight(e) <= order}
+                assert got.coeffs == kept
             want = oracles.factor_product_by_factors(vars, order, inverse)
             assert got.inverse() == want and (-got).inverse() == -want
 
