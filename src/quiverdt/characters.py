@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import ShiftMatrix
-from .qseries import QSeries, factor_product
+from .qseries import QSeries, QSeriesError, factor_product
 
 EVEN, ODD = 0, 1
+VARS = ("q",)  # every character is a series in q
 
 
 class CharacterError(ValueError):
@@ -118,7 +119,10 @@ Factors = dict[tuple[tuple[int, ...], int], int]  # ((exponent,), sign) -> power
 def _pochhammer_factors(order: int, pochhammers) -> Factors:
     """Factor multiset of a product of pochhammers ``(w, power[, sign])``,
     each standing for prod_{k>=w} (1 - sign*q^k)**power (sign 1 if omitted):
-    per sign, a running sum over k from the least w of the powers starting at k."""
+    per sign, a running sum over k from the least w of the powers starting at k.
+    A negative order is refused first, as :func:`factor_product` refuses it."""
+    if order < 0:
+        raise QSeriesError("order must be non-negative")
     starts: dict[int, dict[int, int]] = {}  # sign -> {w: summed power}
     for w, power, *sign in pochhammers:
         at = starts.setdefault(sign[0] if sign else 1, {})
@@ -144,7 +148,7 @@ def character_factors(ws: WeightMultiset, order: int) -> Factors:
 
 def character(ws: WeightMultiset, order: int) -> QSeries:
     """Vacuum character of a strong-generator weight multiset."""
-    return factor_product(("q",), order, character_factors(ws, order))
+    return factor_product(VARS, order, character_factors(ws, order))
 
 
 def character_from_shift(shift, t: int, order: int) -> QSeries:
@@ -186,7 +190,7 @@ def figure_factors(kind: str, r: int, order: int) -> Factors:
 
 def figure_series(kind: str, r: int, order: int) -> QSeries:
     """The displayed vacuum-character product formula of a figure kind."""
-    return factor_product(("q",), order, figure_factors(kind, r, order))
+    return factor_product(VARS, order, figure_factors(kind, r, order))
 
 
 # -- stable large-rank limits -------------------------------------------------
@@ -205,10 +209,16 @@ LIMITS = {
 }
 
 
+def limit_factors(m: int, n: int, sub: tuple[int, ...], order: int) -> Factors:
+    """Factor multiset of the closed-form large-rank limit of the vacuum
+    characters of the shift data (m, n, sub), from :data:`LIMITS`."""
+    if (m, n, sub) not in LIMITS:
+        raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
+    return _pochhammer_factors(order, LIMITS[m, n, sub](order))
+
+
 def limit_series(m: int, n: int, sub: tuple[int, ...], order: int) -> QSeries:
     """Closed-form large-rank limit of the vacuum characters of the shift
     data (m, n, sub), from :data:`LIMITS`."""
-    if (m, n, sub) not in LIMITS:
-        raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
-    return factor_product(("q",), order, _pochhammer_factors(order, LIMITS[m, n, sub](order)))
+    return factor_product(VARS, order, limit_factors(m, n, sub, order))
 

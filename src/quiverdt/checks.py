@@ -3,6 +3,14 @@ figures, limits, and monad certification.  These are the identities behind
 the ``compare`` CLI command; each is one :data:`COMPARE_TARGETS` row that
 yields its cases, and :func:`run_check` times and compares them.
 
+A case's two sides are q-series, or two factor multisets in q (the
+character targets: the pyramid character and the displayed product or the
+stored limit), or a detail string and None (monad certification).  Two
+factor multisets are compared as multisets, and expanded and compared
+coefficient by coefficient only when they differ: two expansions of one
+multiset cannot disagree, but two different multisets can still give one
+series.
+
 Fixed-point signs.  The enumerators count unsigned objects.  For the
 Y_{m,n} geometry, the signed series that the closed-form product computes
 weighs the dimension vector d by (-1)^(d_0 + chi(d, d)), with chi the Euler
@@ -29,6 +37,7 @@ from .qseries import (
     QSeries,
     Substitution,
     compare,
+    compare_factor_products,
     euler_factor,
     factor_product,
     macmahon,
@@ -135,19 +144,29 @@ def _blowup(order):
     yield None, got, QSeries(qh, 2 * order, theta) * eta2
 
 
+def _shift_factors(shift, t: int, order: int):
+    """Factor multiset of the character of a shift matrix at family index t."""
+    ws = characters.generator_weights(characters.pyramid_from_shift(shift, t))
+    return characters.character_factors(ws, order)
+
+
 def _character_figures(order):
+    """Each figure's pyramid character against its displayed product, both
+    as factor multisets in q."""
     for kind, (shift, t, _) in characters.FIGURES.items():
         for r in range(1, 6):
-            got = characters.character_from_shift(shift, t(r), order)
-            yield f"{kind}, r={r}", got, characters.figure_series(kind, r, order)
+            got = _shift_factors(shift, t(r), order)
+            yield f"{kind}, r={r}", got, characters.figure_factors(kind, r, order)
 
 
 def _character_limits(order):
     """Each stored limit against the character at family index order +
-    sum(sub), past which the coefficients through q^order are stable."""
+    sum(sub), past which the coefficients through q^order are stable, both
+    as factor multisets in q.  The limit is built first, so a negative
+    order is refused before it becomes a family index."""
     for m, n, sub in characters.LIMITS:
-        want = characters.limit_series(m, n, sub, order)
-        got = characters.character_from_shift(ShiftMatrix(m, n, sub), order + sum(sub), order)
+        want = characters.limit_factors(m, n, sub, order)
+        got = _shift_factors(ShiftMatrix(m, n, sub), order + sum(sub), order)
         yield f"m={m}, n={n}, sub={sub}", got, want
 
 
@@ -192,7 +211,9 @@ def run_check(name: str, order: int | None = None) -> CheckResult:
     that differs names the result ``<name> (<label>)`` with its first
     mismatching coefficient, or with its detail when it is not a series,
     and no later case is built, except what a target computes for all its
-    cases at once (``nested-gl`` counts every rank in one call)."""
+    cases at once (``nested-gl`` counts every rank in one call).  A case of
+    two factor multisets in q is decided by :func:`compare_factor_products`,
+    which expands the two products only when the multisets differ."""
     default, cases = COMPARE_TARGETS[name]
     if default is None:
         order = 0
@@ -202,6 +223,8 @@ def run_check(name: str, order: int | None = None) -> CheckResult:
     for label, got, want in cases(order):
         if isinstance(got, QSeries):
             mismatch, detail = compare(got, want), None
+        elif isinstance(got, dict):
+            mismatch, detail = compare_factor_products(characters.VARS, order, got, want), None
         else:
             mismatch, detail = None, None if got == want else str(got)
         if mismatch is not None or detail is not None:

@@ -248,6 +248,22 @@ def _grade_recurrence(n, order, c0, rhs, finish) -> dict[tuple[int, ...], int]:
     return {_unpack(p, order, n): c for level in levels for p, c in level}
 
 
+def _check_factors(n: int, factors: Mapping) -> None:
+    """Refuses, at the first bad factor of a multiset ``{(exps, sign): power}``
+    in n variables and at any power, 0 included, an exponent vector of the
+    wrong length (:class:`QSeriesError`) or a monomial outside the truncation
+    cone (:class:`ConeViolation`)."""
+    for (exps, _), power in factors.items():
+        if len(exps) != n:
+            raise QSeriesError("exponent vector length mismatch")
+        g = sum(exps)
+        if g < 1 or min(exps) < 0:
+            raise ConeViolation(
+                f"(1 - m)**{power} for m = {exps} leaves the truncation cone; "
+                "m needs non-negative exponents and degree >= 1"
+            )
+
+
 def factor_product(vars, order, factors: Mapping) -> QSeries:
     """``prod (1 - sign*m)**power`` over a multiset ``{(exps, sign): power}``
     of monomials ``m`` of degree >= 1, expanded in one pass.
@@ -264,16 +280,9 @@ def factor_product(vars, order, factors: Mapping) -> QSeries:
     one = QSeries.one(vars, order)  # refuses a negative order before it is a base
     n = len(one.vars)
     log_deriv = [0] * (order + 1) if n == 1 else {}  # degree -> b, or {packed exps: b}
+    _check_factors(n, factors)
     for (exps, sign), power in factors.items():
-        exps = tuple(exps)
-        if len(exps) != n:
-            raise QSeriesError("exponent vector length mismatch")
         g = sum(exps)
-        if g < 1 or min(exps) < 0:
-            raise ConeViolation(
-                f"(1 - m)**{power} for m = {exps} leaves the truncation cone; "
-                "m needs non-negative exponents and degree >= 1"
-            )
         b = -power * g
         if n == 1:  # degree k * g gains b * sign**k
             at = log_deriv[g::g]
@@ -310,9 +319,9 @@ def euler_factor(order: int, power: int = 1) -> QSeries:
 class Substitution:
     """Variable -> signed monomial map between series rings.
 
-    Each image must have non-negative exponents and degree at least 1, so
-    the image of a monomial has at least its degree and truncation at the
-    source order stays sound.
+    Each image must have one exponent per target variable, non-negative
+    exponents and degree at least 1, so the image of a monomial has at
+    least its degree and truncation at the source order stays sound.
     """
 
     def __init__(self, source_vars, target_vars, images: Mapping[str, Mono]):
@@ -323,6 +332,11 @@ class Substitution:
             if v not in self.images:
                 raise QSeriesError(f"no image for variable {v!r}")
             exps = self.images[v].exps
+            if len(exps) != len(self.target_vars):
+                raise QSeriesError(
+                    f"image {exps} of {v!r} needs one exponent for each of the "
+                    f"{len(self.target_vars)} target variables"
+                )
             if sum(exps) < 1 or min(exps, default=0) < 0:
                 raise ConeViolation(
                     f"image {exps} of {v!r} needs non-negative exponents and degree >= 1"
@@ -367,6 +381,22 @@ def compare(a: QSeries, b: QSeries):
         if ca != cb:
             return (e, ca, cb)
     return None
+
+
+def compare_factor_products(vars, order, a: Mapping, b: Mapping):
+    """``compare(factor_product(vars, order, a), factor_product(vars, order,
+    b))``, with the same errors, side a checked before side b.  Two
+    multisets that are equal once their power-0 factors are dropped give
+    the same product, so they return None unexpanded; any others, even
+    ones whose products agree, are expanded and compared."""
+    n = len(QSeries.one(vars, order).vars)  # refuses a negative order first
+    _check_factors(n, a)
+    if a == b:  # b passes the checks a passed
+        return None
+    _check_factors(n, b)
+    if {key: p for key, p in a.items() if p} == {key: p for key, p in b.items() if p}:
+        return None
+    return compare(factor_product(vars, order, a), factor_product(vars, order, b))
 
 
 def format_terms(a: QSeries) -> str:

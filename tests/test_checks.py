@@ -8,7 +8,8 @@ from math import prod
 import pytest
 
 import oracles
-from quiverdt import catalog, checks, ncalg, partitions
+from quiverdt import catalog, characters, checks, ncalg, partitions, qseries
+from quiverdt.catalog import ShiftMatrix
 from quiverdt.cli import run
 from quiverdt.qseries import QSeries, compare
 
@@ -129,6 +130,61 @@ def test_failed_monad_certification_exits_one_naming_the_entry(monkeypatch, caps
 def test_character_limits_run_at_every_order(order, capsys):
     assert run(["compare", "character-limits", "--order", str(order)]) == 0
     assert f"character-limits: equal through total degree {order}" in capsys.readouterr().out
+
+
+# a figure whose product has one (1 - q^k)^-4 pochhammer too many, and a
+# limit whose odd part stops one k short; the names, mismatches and exit
+# codes are those of the coefficientwise compare of the two expansions
+OFF_BY_ONE = {
+    "character-figures": (
+        lambda mp: mp.setitem(
+            characters.FIGURES, "gl2-s0",
+            (ShiftMatrix(2, 0, (0,)), lambda r: r, lambda r: characters._upto(r + 1, -4)),
+        ),
+        "character-figures (gl2-s0, r=1)", {None: ((2,), 14, 18), 7: ((2,), 14, 18)},
+    ),
+    "character-limits": (
+        lambda mp: mp.setitem(
+            characters.LIMITS, (1, 1, (0,)),
+            lambda order: characters._upto(order, -2) + characters._upto(order - 1, 2, -1),
+        ),
+        "character-limits (m=1, n=1, sub=(0,))",
+        {None: ((12,), 334752, 334750), 7: ((7,), 3896, 3894)},
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(OFF_BY_ONE))
+def test_character_targets_name_the_first_mismatch_of_an_off_by_one_row(
+    target, monkeypatch, capsys
+):
+    patch, name, mismatches = OFF_BY_ONE[target]
+    patch(monkeypatch)
+    for order, mismatch in mismatches.items():
+        result = checks.run_check(target, order)
+        want_order = checks.COMPARE_TARGETS[target][0] if order is None else order
+        assert (result.name, result.equal, result.order) == (name, False, want_order)
+        assert result.mismatch == mismatch and result.detail is None
+
+    assert run(["compare", target, "--json"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)
+    exps, a, b = mismatches[None]
+    assert entry == {
+        "name": name,
+        "equal": False,
+        "order": checks.COMPARE_TARGETS[target][0],
+        "mismatch": {"exp": list(exps), "a": a, "b": b},
+    }
+
+
+@pytest.mark.parametrize("target, order", [("character-figures", 40), ("character-limits", 30)])
+def test_character_targets_expand_no_product_when_the_multisets_agree(target, order, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factor_product was called")
+
+    for module in (qseries, characters, checks):
+        monkeypatch.setattr(module, "factor_product", refuse)
+    assert checks.run_check(target, order).equal
 
 
 def test_runner_names_the_first_differing_case_and_builds_no_later_one(monkeypatch, capsys):

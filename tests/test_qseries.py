@@ -13,6 +13,7 @@ from quiverdt.qseries import (
     Substitution,
     binomial_factor,
     compare,
+    compare_factor_products,
     coefficients_in_single_var,
     euler_factor,
     factor_product,
@@ -70,6 +71,19 @@ def test_substitute_cone_violation():
     with pytest.raises(ConeViolation):
         # image of q has grade 0
         substitute(Substitution(("q",), ("q0",), {"q": Mono(1, (0,))}), s)
+
+
+@pytest.mark.parametrize(
+    "sources, targets, images, name",
+    [
+        (("q",), ("q0",), {"q": Mono(1, (1, 1))}, "'q'"),  # a longer image
+        (("q",), ("q0", "q1"), {"q": Mono(1, (1,))}, "'q'"),  # a shorter one
+        (("x", "y"), ("q0", "q1"), {"x": Mono(1, (1, 0)), "y": Mono(-1, (1,))}, "'y'"),
+    ],
+)
+def test_substitution_refuses_an_image_of_the_wrong_length(sources, targets, images, name):
+    with pytest.raises(QSeriesError, match=f"{name}.*{len(targets)} target variables"):
+        Substitution(sources, targets, images)
 
 
 def test_compare_reports_first_mismatch():
@@ -288,3 +302,114 @@ def test_inverse_of_multivariate_series(order):
     inverse = {key: -power for key, power in factors.items()}
     assert series.inverse() == oracles.factor_product_by_factors(vars, order, inverse)
     assert (-series).inverse() == -series.inverse()
+
+
+# -- deciding two factor products from their multisets ------------------------
+
+
+def _outcome_with_message(build, *args):
+    """``("ok", value)`` or ``("raises", exception class, message)``."""
+    try:
+        return ("ok", build(*args))
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def _expanded_compare(vars, order, a, b):
+    return compare(factor_product(vars, order, a), factor_product(vars, order, b))
+
+
+def _add_power(factors, key, power):
+    factors[key] = factors.get(key, 0) + power
+
+
+def _random_factor_pair(seed):
+    """A drawn (vars, order, a, b) in q or in (x, q).  b is a with power-0
+    entries added and dropped, or a with one factor (1 + m)^p rewritten as
+    (1 - m^2)^p (1 - m)^-p, or an unrelated multiset.  Now and then a
+    degree-0 factor or an exponent vector of the wrong length goes into a
+    or b, or the order is negative."""
+    rng = random.Random(seed)
+    n = rng.choice((1, 2))
+    vars = ("q",) if n == 1 else ("x", "q")
+
+    def monomial():
+        exps = (0,) * n
+        while not sum(exps):
+            exps = tuple(rng.randint(0, 3) for _ in range(n))
+        return exps
+
+    def multiset():
+        return {
+            (monomial(), rng.choice((1, -1))): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))
+        }
+
+    a = multiset()
+    kind = rng.choice(("zeros", "sign rewrite", "unrelated"))
+    if kind == "zeros":
+        b = {key: p for key, p in reversed(a.items()) if p or rng.random() < 0.5}
+        for _ in range(rng.randint(1, 3)):
+            b.setdefault((monomial(), rng.choice((1, -1))), 0)
+    elif kind == "sign rewrite":
+        b = dict(a)
+        m, p = monomial(), rng.choice((-2, -1, 1, 2, 3))
+        _add_power(a, (m, -1), p)
+        _add_power(b, (tuple(2 * e for e in m), 1), p)
+        _add_power(b, (m, 1), -p)
+    else:
+        b = multiset()
+    fault = rng.choice((None, None, None, "degree 0", "length", "negative order"))
+    side = rng.choice((a, b))
+    if fault == "degree 0":
+        side[(0,) * n, rng.choice((1, -1))] = rng.randint(-2, 2)
+    elif fault == "length":
+        side[(1,) * (n + 1), 1] = rng.randint(-2, 2)
+    order = -1 if fault == "negative order" else rng.randint(0, 12)
+    return vars, order, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compare_factor_products_matches_the_expanded_compare(seed):
+    vars, order, a, b = _random_factor_pair(seed)
+    assert _outcome_with_message(compare_factor_products, vars, order, a, b) == (
+        _outcome_with_message(_expanded_compare, vars, order, a, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "vars, order, a, b",
+    [
+        (("q",), 5, {((1,), 1): 2, ((3,), -1): -1}, {((3,), -1): -1, ((1,), 1): 2}),  # equal
+        (("x", "q"), 5, {((0, 0), 1): 0}, {((0, 0), 1): 0}),  # equal, and both of degree 0
+        # equal once power-0 entries are dropped, one of them of degree 0
+        (("q",), 8, {((1,), 1): -2, ((3,), -1): 0}, {((2,), 1): 0, ((1,), 1): -2}),
+        # (1 + q^2)^3 = (1 - q^4)^3 (1 - q^2)^-3: equal series, different multisets
+        (("q",), 12, {((2,), -1): 3}, {((4,), 1): 3, ((2,), 1): -3}),
+        (("x", "q"), 9, {((1, 1), -1): -2}, {((2, 2), 1): -2, ((1, 1), 1): 2}),
+        # unrelated: the first mismatch as the expansion finds it
+        (("x", "q"), 5, {((1, 0), 1): -1}, {((0, 1), 1): -1}),
+        (("q",), 6, {((1,), 1): -1}, {((1,), 1): -1, ((0,), 1): 0}),  # degree 0 in b, power 0
+        (("q",), 6, {((1, 1), 1): 1}, {((0,), 1): 2}),  # wrong length in a before degree 0 in b
+        (("x", "q"), 6, {((1, 0), 1): 1}, {((-1, 1), -1): 1}),  # a negative exponent in b
+        (("q",), -1, {((0,), 1): 1}, {((1, 1), 1): 1}),  # the order before either side
+    ],
+)
+def test_compare_factor_products_edges(vars, order, a, b):
+    assert _outcome_with_message(compare_factor_products, vars, order, a, b) == (
+        _outcome_with_message(_expanded_compare, vars, order, a, b)
+    )
+
+
+def test_equal_multisets_are_never_expanded(monkeypatch):
+    import quiverdt.qseries as qseries_module
+
+    def refuse(*args):
+        raise AssertionError("factor_product was called")
+
+    monkeypatch.setattr(qseries_module, "factor_product", refuse)
+    a = {((1,), 1): -4, ((2,), -1): 3, ((5,), 1): 0}
+    b = {((6,), -1): 0, ((2,), -1): 3, ((1,), 1): -4}
+    assert compare_factor_products(("q",), 40, a, b) is None
+    with pytest.raises(AssertionError, match="factor_product was called"):
+        compare_factor_products(("q",), 40, a, {((1,), 1): -4})
