@@ -25,6 +25,11 @@ framing vertices.  The ``membership`` sizes (``rows``, ``nonzeros`` and
 membership system started to take in only the products its queries
 reach; every other byte of those cases is as before.  The ``--json`` form of
 ``monad verify`` drops ``phases`` (wall-clock seconds) before comparing.
+
+The usage cases (files ``usage*.out``) store the exit code, stdout and
+stderr of help requests and usage errors, with ``COLUMNS=80`` so that
+argparse wraps its help and usage lines the same on every terminal; they
+were written before ``cli.run`` built only the invoked subcommand's parser.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -32,9 +37,11 @@ To rewrite them after a deliberate change of output, run
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -103,6 +110,23 @@ def _cases() -> list[list[str]]:
     return cases
 
 
+def _usage_cases() -> list[list[str]]:
+    commands = ("catalog", "quiver", "relations", "monad", "count", "series", "character", "compare")
+    cases = [[], ["bogus"], ["--help"], ["-h", "compare"]]
+    cases += [[c, "--help"] for c in commands]
+    cases += [
+        ["compare", "c3-dt", "--bogus"],
+        ["compare", "c3-dt", "--order", "3", "extra"],
+        ["monad", "verify", "c3", "x"],
+        ["compare"],
+        ["compare", "nope"],
+        ["catalog", "show"],
+        ["count", "plane", "--order", "3", "--pit", "1,2,3"],
+        ["series", "eta", "--order", "3", "--power", "1"],
+    ]
+    return cases
+
+
 def _file(argv: list[str]) -> Path:
     return GOLDEN / (re.sub(r"[^a-z0-9]+", "_", " ".join(argv).lower()).strip("_") + ".out")
 
@@ -124,18 +148,38 @@ def _replay(argv: list[str]) -> str:
     return f"exit {code}\n{text}"
 
 
+def _usage_file(argv: list[str]) -> Path:
+    return _file(["usage", *argv])
+
+
+def _replay_usage(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
 def test_output_is_byte_identical(argv):
     assert _replay(argv) == _file(argv).read_text()
 
 
+@pytest.mark.parametrize("argv", _usage_cases(), ids=lambda argv: " ".join(argv) or "(none)")
+def test_usage_output_is_byte_identical(argv):
+    assert _replay_usage(argv) == _usage_file(argv).read_text()
+
+
 def test_every_case_has_its_own_file():
     # the file name drops signs and punctuation: --power -1 and 1 would share one
-    assert len({_file(argv) for argv in _cases()}) == len(_cases())
+    files = {_file(argv) for argv in _cases()} | {_usage_file(argv) for argv in _usage_cases()}
+    assert len(files) == len(_cases()) + len(_usage_cases())
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for argv in _cases():
         _file(argv).write_text(_replay(argv))
+    for argv in _usage_cases():
+        _usage_file(argv).write_text(_replay_usage(argv))
     sys.exit(0)
