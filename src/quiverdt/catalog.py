@@ -374,7 +374,10 @@ class ShiftMatrix:
     sub: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
+        for name, size in (("m", self.m), ("n", self.n)):
+            if size < 0:
+                raise ValueError(f"need {name} >= 0, got {name} = {size}")
+        if self.m + self.n < 1:
             raise ValueError("need m + n >= 1")
         if len(self.sub) != self.m + self.n - 1:
             raise ValueError("subdiagonal must have length m + n - 1")

@@ -382,42 +382,31 @@ def cmd_compare(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``quiverdt`` argument parser, built on the first call and the
-    same object on every later one (``parse_args`` returns a fresh
-    namespace each time, so nothing carries over between parses).
-
-    Two things are read once, at that first build: each subcommand's
-    handler, bound by ``set_defaults(fn=cmd_*)``, and the ``compare``
-    target choices, taken from ``checks.COMPARE_TARGETS``.  A test that
-    patches a ``cmd_*`` handler or adds a ``COMPARE_TARGETS`` key must call
-    ``build_parser.cache_clear()`` before and after.
-    """
-    parser = argparse.ArgumentParser(
-        prog="quiverdt",
-        description="Quivers with potential, fixed-point counts, and vacuum characters",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_catalog(sub) -> None:
     p = sub.add_parser("catalog", help="list or show catalog entries")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("id", nargs="?", help="geometry id for 'show'")
     p.add_argument("--json", action="store_true", default=None, help="'show' only")
     p.set_defaults(fn=cmd_catalog)
 
+
+def _add_quiver(sub) -> None:
     p = sub.add_parser("quiver", help="emit a quiver as JSON or DOT")
     p.add_argument("id")
     p.add_argument("--framed", action="store_true", help="treat id as a framed example")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(fn=cmd_quiver)
 
+
+def _add_relations(sub) -> None:
     p = sub.add_parser("relations", help="print the relation set of an entry")
     p.add_argument("id", help="geometry or framed example id")
     p.add_argument("--framing", help="framing-structure JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_relations)
 
+
+def _add_monad(sub) -> None:
     p = sub.add_parser("monad", help="verify a monad template")
     p.add_argument("action", choices=["verify"])
     p.add_argument("id")
@@ -425,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_monad)
 
+
+def _add_count(sub) -> None:
     p = sub.add_parser("count", help="fixed-point enumerators")
     p.add_argument("family", choices=["partitions", "tuples", "nested", "plane", "pyramid", "blowup"])
     p.add_argument("--order", type=int, required=True)
@@ -434,6 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
 
+
+def _add_series(sub) -> None:
     p = sub.add_parser("series", help="closed-form series expansions")
     p.add_argument("formula", choices=["macmahon", "macmahon-power", "eta", "eta-inverse"])
     p.add_argument("--order", type=int, required=True)
@@ -441,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_series)
 
+
+def _add_character(sub) -> None:
     p = sub.add_parser("character", help="vacuum character from a shift matrix")
     source = p.add_mutually_exclusive_group()
     source.add_argument(
@@ -454,12 +449,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_character)
 
+
+def _add_compare(sub) -> None:
     p = sub.add_parser("compare", help="run a named enumerator-vs-formula check")
     p.add_argument("target", choices=sorted(checks.COMPARE_TARGETS) + ["all"])
     p.add_argument("--order", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compare)
 
+
+# each subcommand's parser adder, in the order the top-level help lists them
+SUBCOMMANDS = {
+    "catalog": _add_catalog,
+    "quiver": _add_quiver,
+    "relations": _add_relations,
+    "monad": _add_monad,
+    "count": _add_count,
+    "series": _add_series,
+    "character": _add_character,
+    "compare": _add_compare,
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``quiverdt`` argument parser with every subcommand (``command``
+    None) or with ``command`` alone, built on the first call with that
+    argument and the same object on every later one (``parse_args``
+    returns a fresh namespace each time, so nothing carries over between
+    parses).  The cache is keyed on the call's arguments as written:
+    ``build_parser()`` and ``build_parser(None)`` are two entries.
+
+    Two things are read when a subcommand's parser is first built: its
+    handler, bound by ``set_defaults(fn=cmd_*)``, and, for ``compare``,
+    the target choices, taken from ``checks.COMPARE_TARGETS``.  A test that
+    patches a ``cmd_*`` handler or adds a ``COMPARE_TARGETS`` key must call
+    ``build_parser.cache_clear()`` before and after.
+    """
+    parser = argparse.ArgumentParser(
+        prog="quiverdt",
+        description="Quivers with potential, fixed-point counts, and vacuum characters",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
@@ -471,11 +505,25 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def run(argv=None) -> int:
     """Run one ``quiverdt`` command line (``sys.argv[1:]`` when ``argv`` is
-    None) and return its exit code.  The parser is built by the first call
-    in the process and reused by every later one; see :func:`build_parser`.
+    None) and return its exit code.
+
+    When the first word names a subcommand, only that subcommand's parser
+    is built (:func:`build_parser` with its name), by the first such call
+    in the process, and reused by every later one.  Anything that parser
+    leaves over, and any other command line (empty, ``-h``, an unknown
+    word), goes to the full parser, so help and every top-level error
+    print the usage line that lists all the subcommands.  A subcommand's
+    handler and, for ``compare``, the ``checks.COMPARE_TARGETS`` choices
+    are read when that subcommand's parser is first built.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in SUBCOMMANDS:
+            args, extra = build_parser(argv[0]).parse_known_args(argv)
+            if extra:
+                args = build_parser().parse_args(argv)
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -380,6 +380,17 @@ def test_shift_matrix_positivity_violations():
         catalog.ShiftMatrix(2, 0, (-1,))
 
 
+@pytest.mark.parametrize(
+    "m, n, says",
+    [(-1, 2, "need m >= 0, got m = -1"), (2, -1, "need n >= 0, got n = -1"), (-1, -1, "need m >= 0, got m = -1")],
+)
+def test_shift_matrix_names_a_negative_m_or_n(m, n, says):
+    # m + n = 1 in the first two cases: the sum check alone would pass them
+    with pytest.raises(ValueError) as exc:
+        catalog.ShiftMatrix(m, n, (0,) * max(m + n - 1, 0))
+    assert str(exc.value) == says
+
+
 def test_shift_matrix_m2_book_cases():
     # aligned, offset one, offset two family data
     assert catalog.divisor_to_shift_matrix(2, 0, (5, 5)).sub == (0,)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -516,6 +517,11 @@ def test_character_malformed_integer_names_option(capsys, option, value, says):
     assert f"argument {option}: {says}" in err
 
 
+def test_character_negative_m_is_named(capsys):
+    argv = ["character", "--m", "-1", "--n", "2", "--t", "1", "--order", "3"]
+    assert run_capture(capsys, argv) == (2, "", "error: need m >= 0, got m = -1\n")
+
+
 def test_character_empty_divisor_is_not_ignored(capsys):
     argv = ["character", "--divisor", "", "--m", "2", "--n", "0", "--t", "1", "--order", "3"]
     code, out, err = run_capture(capsys, argv)
@@ -583,6 +589,7 @@ SHARED_PARSER_SEQUENCE = [
     ["count", "plane", "--order", "6"],
     ["character", "--shift", "5", "--divisor", "mu=3,1", "--m", "2", "--n", "0", "--t", "1", "--order", "3"],
     ["compare", "nope"],
+    ["compare", "c3-dt", "--bogus"],
     ["compare", "monad-certification", "--order", "3"],
     ["--help"],
     ["--help"],
@@ -590,6 +597,7 @@ SHARED_PARSER_SEQUENCE = [
     ["character", "--divisor", "mu=3,1", "--m", "2", "--n", "0", "--t", "2", "--order", "3", "--json"],
     ["character", "--m", "2", "--n", "0", "--t", "1", "--order", "3"],
     ["compare", "blowup", "--json", "--order", "6"],
+    ["compare", "c3-dt", "--order", "3", "extra"],
     ["compare", "monad-certification", "--json"],
     MIXED_PYRAMID + ["--order", "4"],
 ]
@@ -606,3 +614,32 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
         )
         assert run_capture(capsys, argv) == (alone.returncode, alone.stdout, alone.stderr), argv
     assert build_parser() is parser
+
+
+def _subparsers_built(monkeypatch, capsys, argv) -> list[str]:
+    """The subcommand parsers that ``run(argv)`` builds from an empty cache."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    build_parser.cache_clear()
+    try:
+        run(argv)
+    finally:
+        build_parser.cache_clear()
+    capsys.readouterr()
+    return built
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    every = ["catalog", "quiver", "relations", "monad", "count", "series", "character", "compare"]
+    argv = ["compare", "blowup", "--order", "0", "--json"]
+    assert _subparsers_built(monkeypatch, capsys, argv) == ["compare"]
+    assert _subparsers_built(monkeypatch, capsys, ["--help"]) == every
+    # a leftover word is refused by the full parser, whose usage lists every command
+    argv = ["compare", "c3-dt", "--bogus"]
+    assert _subparsers_built(monkeypatch, capsys, argv) == ["compare", *every]
