@@ -491,9 +491,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Quivers with potential, fixed-point counts, and vacuum characters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add in SUBCOMMANDS.items():
-        if command is None or name == command:
-            add(sub)
+    for name in SUBCOMMANDS if command is None else (command,):
+        SUBCOMMANDS[name](sub)
     return parser
 
 
