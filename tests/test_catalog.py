@@ -382,7 +382,11 @@ def test_shift_matrix_positivity_violations():
 
 @pytest.mark.parametrize(
     "m, n, says",
-    [(-1, 2, "need m >= 0, got m = -1"), (2, -1, "need n >= 0, got n = -1"), (-1, -1, "need m >= 0, got m = -1")],
+    [
+        (-1, 2, "need m >= 0, got m = -1"),
+        (2, -1, "need n >= 0, got n = -1"),
+        (-1, -1, "need m >= 0, got m = -1"),
+    ],
 )
 def test_shift_matrix_names_a_negative_m_or_n(m, n, says):
     # m + n = 1 in the first two cases: the sum check alone would pass them

@@ -154,9 +154,9 @@ def _usage_file(argv: list[str]) -> Path:
 
 def _replay_usage(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
+    columns = mock.patch.dict(os.environ, {"COLUMNS": "80"})
+    with columns, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
