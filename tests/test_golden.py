@@ -20,7 +20,9 @@ returned a ``MonadComplex`` beside its ``MonadTemplate`` and ``evaluate``
 still assembled each stage matrix from blocks; the ``relations`` cases
 of the geometries and the ``monad verify`` cases of c3 and y20 were
 written before a geometry became a framed quiver with potential with no
-framing vertices.  The ``membership`` sizes (``rows``, ``nonzeros`` and
+framing vertices; the ``monad verify --numeric points_12.json`` cases
+were written while every numeric product multiplied dense ``Fraction``
+matrices.  The ``membership`` sizes (``rows``, ``nonzeros`` and
 ``pivots``) of the ``monad verify --json`` cases were re-captured when a
 membership system started to take in only the products its queries
 reach; every other byte of those cases is as before.  The ``--json`` form of
@@ -65,8 +67,10 @@ BENCH_ORDERS = {
 # framed examples replayed with the rank > 1 framing stored as
 # tests/golden/framing_<example>.json
 RANKED_FRAMINGS = ("adhm3d", "spiked", "chainsaw2")
-# monad templates replayed with --numeric tests/golden/points_3.json
+# monad templates replayed with --numeric on each of these point files
 NUMERIC_TEMPLATES = ("c3", "pervsystem-c3")
+# 12 points, some negative or non-integral: a size the numeric path must afford
+POINT_FILES = ("points_3.json", "points_12.json")
 
 
 def _cases() -> list[list[str]]:
@@ -102,9 +106,10 @@ def _cases() -> list[list[str]]:
     )
     for t in catalog.monad_template_ids():
         cases += [["monad", "verify", t], ["monad", "verify", t, "--json"]]
-    for t in NUMERIC_TEMPLATES:
-        shape = ["monad", "verify", t, "--numeric", "points_3.json"]
-        cases += [shape, shape + ["--json"]]
+    for points in POINT_FILES:
+        for t in NUMERIC_TEMPLATES:
+            shape = ["monad", "verify", t, "--numeric", points]
+            cases += [shape, shape + ["--json"]]
     # no numeric witness binds adhm3d's arrows: exit 2
     cases.append(["monad", "verify", "adhm3d", "--numeric", "points_3.json"])
     return cases
