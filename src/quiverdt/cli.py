@@ -216,6 +216,10 @@ def cmd_monad(args) -> int:
             except monad.RelationsViolated as exc:
                 print(f"numeric witness of {c.label}: {exc}", file=sys.stderr)
                 return 1
+            if not res.d_squared_zero:
+                msg = f"numeric witness of {c.label}: d^2 != 0 at ({p[0]}, {p[1]}, 0)"
+                print(msg, file=sys.stderr)
+                return 1
             tables.append(
                 {
                     "point": [str(x) for x in (p[0], p[1], 0)],

@@ -325,6 +325,19 @@ def test_numeric_witness_violating_a_relation_exits_1(tmp_path, capsys, monkeypa
     assert f"numeric witness of {template}: relation d/dB3" in err
 
 
+@pytest.mark.parametrize("template", ["c3", "pervsystem-c3"])
+def test_numeric_d_squared_nonzero_exits_1(tmp_path, capsys, monkeypatch, template):
+    def nonzero_d_squared(*args, **kwargs):
+        return monad.EvaluationResult(False, [0, 0, 0, 1], [0, 0, 0, 1])
+
+    monkeypatch.setattr(monad, "evaluate", nonzero_d_squared)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [["1/2", "-3"]]}))
+    code, out, err = run_capture(capsys, ["monad", "verify", template, "--numeric", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"numeric witness of {template}: d^2 != 0 at (1/2, -3, 0)\n"
+
+
 def test_missing_numeric_file_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     code, _, err = run_capture(capsys, ["monad", "verify", "c3", "--numeric", str(missing)])
