@@ -124,8 +124,7 @@ def specialize(
             continue
         if a.name not in f.matrices:
             raise ShapeMismatch(f"no matrix bound for marked arrow {a.name}")
-        m = f.matrices[a.name]
-        check_matrix(f"marked arrow {a.name}", m, f.ranks[a.tgt], f.ranks[a.src])
+        m = check_matrix(f"marked arrow {a.name}", f.matrices[a.name], f.ranks[a.tgt], f.ranks[a.src])
         if a.name in template.nilpotent_marked and not linalg.is_nilpotent(m):
             raise NilpotencyViolated(f"marked arrow {a.name} must be nilpotent")
     return replace(template, structure=f)
@@ -144,7 +143,7 @@ def expand(fq: FramedQuiverWithPotential) -> tuple[Quiver, Potential]:
         raise UnboundFraming("framing structure not bound; call specialize() first")
     for a in (a for a in fq.quiver.arrows if a.marked):
         m = fq.structure.matrices[a.name]
-        if linalg.max_abs(m) != 0 and (linalg.shape(m) != (1, 1) or a.src != a.tgt):
+        if any(any(row) for row in m) and (len(m) != 1 or a.src != a.tgt):
             # a nonzero fixed matrix that moves between framing copies (or
             # between two framing vertices) cannot be eliminated into cyclic
             # words of the split-vertex path algebra
@@ -279,14 +278,14 @@ def numeric_solution_builder(points: Sequence[tuple]):
 
 def _is_cyclic(b1, b2, i_col, n: int) -> bool:
     """Krylov span of the framing column under words in B1, B2 fills V."""
+    mats = (linalg.sparse(b1), linalg.sparse(b2))
     span = linalg.Echelon()
-    frontier = [[i_col[r][0] for r in range(n)]]
+    frontier = [linalg.sparse(i_col)]
     while frontier and len(span) < n:
         nxt = []
-        for vec in frontier:
-            if not span.add(dict(enumerate(vec)), len(span)):
+        for col in frontier:
+            if not span.add({r: row[0] for r, row in enumerate(col) if row}, len(span)):
                 continue
-            for mat in (b1, b2):
-                nxt.append([sum(mat[r][k] * vec[k] for k in range(n)) for r in range(n)])
+            nxt += (linalg.matmul(m, col) for m in mats)
         frontier = nxt
     return len(span) == n

@@ -1,12 +1,12 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of :class:`fractions.Fraction`; the matrix
-helpers are dense and meant for the small numeric representations of monad
-and relation checks.  :class:`Echelon` is the one row reduction: sparse, over
-dict vectors, and shared by ideal membership (one per endpoint pair of an
-``ncalg.MembershipSystem``, which ``reduce`` leaves unchanged), rank and the
-cyclicity check.  Its entries stay exact: ``int`` where integral, else
-``Fraction``, never ``float``.
+Every product and elimination runs on one sparse form, :data:`Rows`: row
+dicts ``column -> nonzero entry``, exact through :func:`exact` (``int`` where
+integral, else ``Fraction``, never ``float``).  A dense :data:`Matrix` is
+only an input, checked and converted once by ``ncalg.check_matrix``.
+:class:`Echelon` is the one row reduction, shared by ideal membership (one
+per endpoint pair of an ``ncalg.MembershipSystem``, which ``reduce`` leaves
+unchanged), rank and the cyclicity check.
 """
 
 from __future__ import annotations
@@ -16,39 +16,29 @@ from fractions import Fraction
 from typing import Mapping
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+Rows = tuple[dict[int, int | Fraction], ...]
 
 
 def zeros(r: int, c: int) -> Matrix:
     return tuple((Fraction(0),) * c for _ in range(r))
 
 
-def shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
+def sparse(m: Matrix) -> Rows:
+    """The dense ``m`` as :data:`Rows`: its zero entries dropped, the rest
+    through :func:`exact`."""
+    return tuple({j: exact(x) for j, x in enumerate(row) if x != 0} for row in m)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"shape mismatch in matmul: {shape(a)} x {shape(b)}")
-    bt = list(zip(*b)) if rb else [()] * cb
-    return tuple(
-        tuple(sum((a[i][k] * bt[j][k] for k in range(ca)), Fraction(0)) for j in range(cb))
-        for i in range(ra)
-    )
-
-
-def max_abs(a: Matrix) -> Fraction:
-    best = Fraction(0)
+def matmul(a: Rows, b: Rows) -> Rows:
+    """The product ``a @ b``: the columns of ``a`` index the rows of ``b``."""
+    out = []
     for row in a:
-        for x in row:
-            if abs(x) > best:
-                best = abs(x)
-    return best
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: exact(c) for j, c in acc.items() if c != 0})
+    return tuple(out)
 
 
 def exact(c) -> int | Fraction:
@@ -124,20 +114,16 @@ class Echelon:
         return True
 
 
-def rank(a: Matrix) -> int:
+def rank(a: Rows) -> int:
     span = Echelon()
     for i, row in enumerate(a):
-        span.add(dict(enumerate(row)), i)
+        span.add(row, i)
     return len(span)
 
 
-def is_nilpotent(a: Matrix) -> bool:
-    n, m = shape(a)
-    if n != m:
-        return False
+def is_nilpotent(a: Rows) -> bool:
+    """Whether ``a ** n`` vanishes, for ``a`` square of size n."""
     power = a
-    for _ in range(n):
-        if max_abs(power) == 0:
-            return True
+    for _ in range(len(a) - 1):
         power = matmul(power, a)
-    return max_abs(power) == 0
+    return not any(power)

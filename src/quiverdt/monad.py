@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -25,7 +26,8 @@ from .ncalg import (
     RelationSet,
     UnknownArrow,
     ideal_membership,  # noqa: F401  (kept importable as monad.ideal_membership)
-    numeric_relation_residual,
+    relation_residuals,
+    representation_rows,
     trivial_path,
     word_sum_matrix,
 )
@@ -260,34 +262,31 @@ def evaluate(
     point = tuple(Fraction(x) for x in point)
     if len(point) != len(c.coords):
         raise MonadError("point has wrong number of coordinates")
-    residuals = numeric_relation_residual(relations, dict(rep), dims)
-    for r, res in zip(relations, residuals):
+    sparse_rep = representation_rows(relations.quiver, rep, dims)
+    for r, res in zip(relations, relation_residuals(relations, sparse_rep, dims)):
         if res != 0:
             raise RelationsViolated(
                 f"relation d/d{r.arrow}: {r.poly.render(relations.quiver)} = 0 ({r.src} -> {r.tgt}) "
                 f"fails on the representation by {res}"
             )
     sizes = [sum(dims.get(s.vertex, 0) for s in term) for term in c.terms]
-    mats: list[linalg.Matrix] = []
+    mats: list[linalg.Rows] = []
     for stage, mat in enumerate(c.diffs):
-        rows: list[tuple[Fraction, ...]] = []
+        offsets = list(accumulate((dims.get(s.vertex, 0) for s in c.terms[stage]), initial=0))
+        rows: list[dict] = []
         for i, row in enumerate(mat):
-            tgt = dims.get(c.terms[stage + 1][i].vertex, 0)
-            blocks = []
+            block: list[dict] = [{} for _ in range(dims.get(c.terms[stage + 1][i].vertex, 0))]
             for j, e in enumerate(row):
                 terms = (
                     (word, coeff * prod(x ** k for x, k in zip(point, exps)))
                     for (exps, word), coeff in e.items()
                 )
-                src = dims.get(c.terms[stage][j].vertex, 0)
-                blocks.append(word_sum_matrix(c.quiver, terms, rep, dims, tgt, src))
-            rows += (tuple(x for b in blocks for x in b[r]) for r in range(tgt))
+                summed = word_sum_matrix(c.quiver, terms, sparse_rep, dims, len(block))
+                for out, srow in zip(block, summed):
+                    out.update((offsets[j] + k, x) for k, x in srow.items())
+            rows += block
         mats.append(tuple(rows))
-    # a stage with no rows maps into the zero space: its composite is zero
-    d2_zero = all(
-        not then or linalg.max_abs(linalg.matmul(then, first)) == 0
-        for first, then in zip(mats, mats[1:])
-    )
+    d2_zero = all(not any(linalg.matmul(then, first)) for first, then in zip(mats, mats[1:]))
     ranks = [linalg.rank(m) for m in mats]
     fiber = []
     for i, size in enumerate(sizes):

@@ -614,57 +614,67 @@ def chi_form(q: Quiver, a: DimVector, b: DimVector) -> int:
 
 
 def word_sum_matrix(
-    q: Quiver, terms: Iterable[tuple[tuple[str, ...], Fraction]], rep: Mapping[str, linalg.Matrix],
-    dims: DimVector, rows: int, cols: int,
-) -> linalg.Matrix:
-    """``sum(coeff * M(word))`` over the ``(word, coeff)`` terms, as a rows x
-    cols matrix: the word ``(a, b)`` is ``M(b) @ M(a)`` and the empty word
+    q: Quiver, terms: Iterable[tuple[tuple[str, ...], Fraction]], rep: Mapping[str, linalg.Rows],
+    dims: DimVector, rows: int,
+) -> linalg.Rows:
+    """``sum(coeff * M(word))`` over the ``(word, coeff)`` terms, with
+    ``rows`` rows: the word ``(a, b)`` is ``M(b) @ M(a)`` and the empty word
     the identity (rows = cols).  A word adds nothing when rows is 0 or one
     of its arrows leaves a zero-dimensional vertex; any other word whose
     arrow has no matrix in ``rep`` raises :class:`ShapeMismatch`."""
-    total = [[Fraction(0)] * cols for _ in range(rows)]
+    total: list[dict] = [{} for _ in range(rows)]
     for word, c in terms:
         if c == 0 or rows == 0 or any(dims.get(q.arrow(name).src, 0) == 0 for name in word):
-            continue
-        if not word:
-            for i in range(rows):
-                total[i][i] += c
             continue
         for name in word:
             if name not in rep:
                 raise ShapeMismatch(f"arrow {name}: no matrix")
-        m = rep[word[0]]
+        m = rep[word[0]] if word else tuple({i: 1} for i in range(rows))
         for name in word[1:]:
             m = linalg.matmul(rep[name], m)
         for row, mrow in zip(total, m):
-            for j, x in enumerate(mrow):
-                row[j] += c * x
-    return tuple(map(tuple, total))
+            for j, x in mrow.items():
+                row[j] = row.get(j, 0) + c * x
+    return tuple({j: linalg.exact(x) for j, x in row.items() if x != 0} for row in total)
 
 
-def check_matrix(what: str, m: linalg.Matrix, rows: int, cols: int) -> None:
-    """Raise :class:`ShapeMismatch` unless ``m`` is ``rows`` rows of length
-    ``cols``; ``linalg.zeros(rows, cols)`` passes for every shape."""
+def check_matrix(what: str, m: linalg.Matrix, rows: int, cols: int) -> linalg.Rows:
+    """The dense ``m`` as :data:`linalg.Rows`, after raising
+    :class:`ShapeMismatch` unless it is ``rows`` rows of length ``cols``;
+    ``linalg.zeros(rows, cols)`` passes for every shape."""
     lengths = [len(row) for row in m]
     if lengths != [cols] * rows:
         raise ShapeMismatch(
             f"{what}: matrix has rows of lengths {lengths}, expected {rows} rows of length {cols}"
         )
+    return linalg.sparse(m)
+
+
+def representation_rows(q: Quiver, rep: Mapping[str, linalg.Matrix], dims: DimVector) -> dict:
+    """``rep``, a representation of ``q``, each matrix checked and converted
+    once by :func:`check_matrix`."""
+    return {
+        a.name: check_matrix(f"arrow {a.name}", rep[a.name], dims.get(a.tgt, 0), dims.get(a.src, 0))
+        for a in map(q.arrow, rep)
+    }
+
+
+def relation_residuals(
+    relations: RelationSet, rep: Mapping[str, linalg.Rows], dims: DimVector
+) -> list[int | Fraction]:
+    """Largest absolute matrix entry of each relation evaluated on ``rep``,
+    a representation of ``relations.quiver`` by :data:`linalg.Rows`."""
+    return [
+        max((abs(x) for row in word_sum_matrix(
+            relations.quiver, ((p.arrows, c) for p, c in r.poly.terms.items()), rep, dims,
+            dims.get(r.tgt, 0),
+        ) for x in row.values()), default=0)
+        for r in relations
+    ]
 
 
 def numeric_relation_residual(
     relations: RelationSet, rep: Mapping[str, linalg.Matrix], dims: DimVector
-) -> list[Fraction]:
-    """Largest absolute matrix entry of each relation evaluated on ``rep``,
-    a representation of ``relations.quiver``."""
-    q = relations.quiver
-    for name, m in rep.items():
-        a = q.arrow(name)
-        check_matrix(f"arrow {name}", m, dims.get(a.tgt, 0), dims.get(a.src, 0))
-    return [
-        linalg.max_abs(word_sum_matrix(
-            q, ((p.arrows, c) for p, c in r.poly.terms.items()), rep, dims,
-            dims.get(r.tgt, 0), dims.get(r.src, 0),
-        ))
-        for r in relations
-    ]
+) -> list[int | Fraction]:
+    """:func:`relation_residuals` of ``rep`` after :func:`representation_rows`."""
+    return relation_residuals(relations, representation_rows(relations.quiver, rep, dims), dims)

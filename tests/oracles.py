@@ -13,8 +13,10 @@ memoised row-chain counter as it was before its memo key was clipped and
 its counts split by first-row length (``row_chains``); the pyramid
 oracles build their stone poset from the geometry (``pyramid_stones``), not
 from the package.  Ideal membership and rank have dense Gaussian-elimination
-references here, independent of the package's sparse echelon form; the
-earlier sparse membership, one echelon form over the products of every
+references here, independent of the package's sparse echelon form, and so
+have the package's numeric products: the dense product and largest entry
+(``matmul_dense``, ``max_abs_dense``) that it used before ``linalg.Rows``;
+the earlier sparse membership, one echelon form over the products of every
 endpoint pair rebuilt per query (``ideal_membership_all_endpoints``), is
 kept as the reference for ``ncalg.MembershipSystem``.  So is that system as
 it was before it took in only the products a query reaches
@@ -429,6 +431,33 @@ def _dense_echelon(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, in
 def rank_dense(a) -> int:
     rows = [[Fraction(x) for x in r] for r in a]
     return len(_dense_echelon(rows, len(rows[0]) if rows else 0))
+
+
+def _shape_dense(a) -> tuple[int, int]:
+    return (len(a), len(a[0]) if a else 0)
+
+
+def matmul_dense(a, b):
+    """``a @ b`` of dense matrices by row-times-column sums; an ``a`` with
+    no rows has no width to check, and its product has no rows."""
+    ra, ca = _shape_dense(a)
+    rb, cb = _shape_dense(b)
+    if ra and ca != rb:
+        raise ValueError(f"shape mismatch in matmul: {_shape_dense(a)} x {_shape_dense(b)}")
+    bt = list(zip(*b)) if rb else [()] * cb
+    return tuple(
+        tuple(sum((a[i][k] * bt[j][k] for k in range(ca)), Fraction(0)) for j in range(cb))
+        for i in range(ra)
+    )
+
+
+def max_abs_dense(a) -> Fraction:
+    best = Fraction(0)
+    for row in a:
+        for x in row:
+            if abs(x) > best:
+                best = abs(x)
+    return best
 
 
 def solve_dense(a, b):
@@ -1145,7 +1174,7 @@ def expand_by_recursion(fq):
     previous arrow's target copy, seeded at the first arrow's source, and
     drops the assignments whose last target copy does not close the cycle.
     The expanded quiver's vertices and arrows are split copy by copy."""
-    from quiverdt import framing, linalg
+    from quiverdt import framing
     from quiverdt.ncalg import Arrow, Potential, Quiver
 
     def copy_name(base: str, index: int, rank: int) -> str:
@@ -1158,9 +1187,9 @@ def expand_by_recursion(fq):
         if not a.marked:
             continue
         m = fq.structure.matrices[a.name]
-        if linalg.max_abs(m) == 0:
+        if max_abs_dense(m) == 0:
             continue
-        if linalg.shape(m) != (1, 1) or a.src != a.tgt:
+        if _shape_dense(m) != (1, 1) or a.src != a.tgt:
             raise framing.FramingError(
                 f"marked arrow {a.name}: nonzero fixed matrices are supported "
                 "only for rank-one marked loops; use the zero matrix otherwise"

@@ -309,10 +309,10 @@ def test_monad_verify_numeric_on_framed_c3(tmp_path, capsys):
 def test_numeric_witness_violating_a_relation_exits_1(tmp_path, capsys, monkeypatch, template):
     def non_commuting(points):
         rep = {
-            "B1": linalg.mat([[0, 1], [0, 0]]),
-            "B2": linalg.mat([[0, 0], [1, 0]]),
+            "B1": ((0, 1), (0, 0)),
+            "B2": ((0, 0), (1, 0)),
             "B3": linalg.zeros(2, 2),
-            "I": linalg.mat([[1], [1]]),
+            "I": ((1,), (1,)),
             "J": linalg.zeros(1, 2),
         }
         return rep, {"0": 2, "inf": 1}, True

@@ -40,11 +40,11 @@ def test_specialize_shape_check():
 
 def test_specialize_nilpotency_check():
     fq = catalog.get_framed_example("adhm3d")
-    bad = framing.FramingStructure({"inf": 1}, {"Af": linalg.mat([[1]])})
+    bad = framing.FramingStructure({"inf": 1}, {"Af": ((1,),)})
     with pytest.raises(framing.NilpotencyViolated):
         framing.specialize(fq, bad)
     ok = framing.FramingStructure(
-        {"inf": 2}, {"Af": linalg.mat([[0, 1], [0, 0]])}
+        {"inf": 2}, {"Af": ((0, 1), (0, 0))}
     )
     bound = framing.specialize(fq, ok)
     assert bound.structure is ok
@@ -100,7 +100,7 @@ def test_adhm_relations_rank_one_scalar_marked_value():
 
 def test_nonscalar_marked_matrix_rejected_in_relations():
     fq = catalog.get_framed_example("adhm3d")
-    f = framing.FramingStructure({"inf": 2}, {"Af": linalg.mat([[0, 1], [0, 0]])})
+    f = framing.FramingStructure({"inf": 2}, {"Af": ((0, 1), (0, 0))})
     bound = framing.specialize(fq, f)  # binding is fine
     with pytest.raises(framing.FramingError):
         framing.framed_relations(bound)  # relation expansion is scoped out
@@ -108,7 +108,7 @@ def test_nonscalar_marked_matrix_rejected_in_relations():
 
 def test_marked_arrow_between_framing_vertices_needs_zero():
     fq = catalog.get_framed_example("chainsaw2")
-    nonzero = framing.FramingStructure({"inf0": 1, "inf1": 1}, {"K": linalg.mat([[1]])})
+    nonzero = framing.FramingStructure({"inf0": 1, "inf1": 1}, {"K": ((1,),)})
     with pytest.raises(framing.FramingError):
         framing.framed_relations(framing.specialize(fq, nonzero))
     zero = framing.FramingStructure.zero(fq)

@@ -180,8 +180,8 @@ def test_evaluate_total_cohomology_counts_points():
 def test_evaluate_rejects_bad_representation():
     c, rels = c3_complex()
     rep = {
-        "B1": linalg.mat([[0, 1], [0, 0]]),
-        "B2": linalg.mat([[0, 0], [1, 0]]),
+        "B1": ((0, 1), (0, 0)),
+        "B2": ((0, 0), (1, 0)),
         "B3": linalg.zeros(2, 2),
     }
     with pytest.raises(monad.RelationsViolated):

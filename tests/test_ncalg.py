@@ -694,8 +694,8 @@ def test_numeric_residual_commuting_diagonals():
     q = c3()
     rels = relations_from_potential(q, commutator_potential(q))
     rep = {
-        "B1": linalg.mat([[1, 0], [0, 2]]),
-        "B2": linalg.mat([[1, 0], [0, 2]]),
+        "B1": ((1, 0), (0, 2)),
+        "B2": ((1, 0), (0, 2)),
         "B3": linalg.zeros(2, 2),
     }
     residuals = numeric_relation_residual(rels, rep, {"0": 2})
@@ -706,8 +706,8 @@ def test_numeric_residual_noncommuting():
     q = c3()
     rels = relations_from_potential(q, commutator_potential(q))
     rep = {
-        "B1": linalg.mat([[0, 1], [0, 0]]),
-        "B2": linalg.mat([[0, 0], [1, 0]]),
+        "B1": ((0, 1), (0, 0)),
+        "B2": ((0, 0), (1, 0)),
         "B3": linalg.zeros(2, 2),
     }
     residuals = numeric_relation_residual(rels, rep, {"0": 2})
@@ -794,16 +794,18 @@ def test_word_sum_matrix_matches_loops_with_zero_dimensions(example):
     for _ in range(60):
         dims = {v: rng.randint(0, 2) for v in q.vertices}
         rep = {
-            a.name: linalg.mat(
-                [[rng.randint(-2, 2) for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+            a.name: tuple(
+                tuple(rng.randint(-2, 2) for _ in range(dims[a.src])) for _ in range(dims[a.tgt])
             )
             for a in q.arrows
         }
+        rows_rep = {name: linalg.sparse(m) for name, m in rep.items()}
         for r in rels:
             rows, cols = dims[r.tgt], dims[r.src]
             terms = r.poly.terms.items()
-            got = word_sum_matrix(q, ((p.arrows, c) for p, c in terms), rep, dims, rows, cols)
-            assert got == word_sum_by_loops(q, terms, rep, dims, rows, cols), (dims, r.arrow)
+            got = word_sum_matrix(q, ((p.arrows, c) for p, c in terms), rows_rep, dims, rows)
+            want = linalg.sparse(word_sum_by_loops(q, terms, rep, dims, rows, cols))
+            assert got == want, (dims, r.arrow)
 
 
 # -- the shared eliminator ---------------------------------------------------------
@@ -811,9 +813,9 @@ def test_word_sum_matrix_matches_loops_with_zero_dimensions(example):
 
 def test_rank_small_cases():
     assert linalg.rank(()) == 0
-    assert linalg.rank(linalg.zeros(3, 2)) == 0
-    assert linalg.rank(linalg.mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert linalg.rank(linalg.mat([[1, 2], [2, 4], [0, 0]])) == 1
+    assert linalg.rank(linalg.sparse(linalg.zeros(3, 2))) == 0
+    assert linalg.rank(linalg.sparse(((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
+    assert linalg.rank(linalg.sparse(((1, 2), (2, 4), (0, 0)))) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -836,8 +838,8 @@ def test_rank_matches_dense_oracle(rows, data):
         a, b = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
         k = data.draw(st.integers(-2, 2))
         rows.append([x + k * y for x, y in zip(rows[a], rows[b])])
-    m = linalg.mat(rows)
-    assert linalg.rank(m) == oracles.rank_dense(m)
+    m = tuple(map(tuple, rows))
+    assert linalg.rank(linalg.sparse(m)) == oracles.rank_dense(m)
     # a reduced vector is its remainder plus the reported combination of rows,
     # and the remainder is empty exactly when the vector lies in the row span
     span = linalg.Echelon()
@@ -848,6 +850,44 @@ def test_rank_matches_dense_oracle(rows, data):
     for j, x in enumerate(target):
         assert rem.get(j, 0) + sum(c * rows[i][j] for i, c in comb.items()) == x
     assert (not rem) == (oracles.rank_dense(m + (tuple(target),)) == len(span))
+
+
+ENTRIES = st.one_of(
+    st.integers(-2, 2), st.fractions(-3, 3, max_denominator=4).filter(lambda x: x.denominator > 1)
+)
+
+
+def dense_matrices(rows: int, cols: int):
+    return st.lists(
+        st.lists(ENTRIES, min_size=cols, max_size=cols).map(tuple), min_size=rows, max_size=rows
+    ).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(s[1], s[2]))
+    ),
+    st.integers(0, 4).flatmap(lambda n: dense_matrices(n, n)),
+    st.booleans(),
+)
+def test_sparse_matmul_and_nilpotency_match_dense_oracle(ab, square, strictly_upper):
+    """Shapes with 0 rows or 0 columns included; a strictly upper triangular
+    square matrix is nilpotent, so both verdicts are drawn."""
+    a, b = ab
+    got = linalg.matmul(linalg.sparse(a), linalg.sparse(b))
+    assert got == linalg.sparse(oracles.matmul_dense(a, b))
+    assert all(type(x) is int or x.denominator > 1 for row in got for x in row.values())
+    if strictly_upper:
+        square = tuple(tuple(x if j > i else 0 for j, x in enumerate(r)) for i, r in enumerate(square))
+    power, nilpotent = square, False
+    for _ in range(len(square) + 1):
+        if oracles.max_abs_dense(power) == 0:
+            nilpotent = True
+            break
+        power = oracles.matmul_dense(power, square)
+    assert linalg.is_nilpotent(linalg.sparse(square)) == nilpotent
+    assert nilpotent or not strictly_upper
 
 
 def test_echelon_keeps_int_input_exact_through_a_pivot_of_two():
