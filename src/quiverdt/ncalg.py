@@ -664,13 +664,12 @@ def relation_residuals(
 ) -> list[int | Fraction]:
     """Largest absolute matrix entry of each relation evaluated on ``rep``,
     a representation of ``relations.quiver`` by :data:`linalg.Rows`."""
-    return [
-        max((abs(x) for row in word_sum_matrix(
-            relations.quiver, ((p.arrows, c) for p, c in r.poly.terms.items()), rep, dims,
-            dims.get(r.tgt, 0),
-        ) for x in row.values()), default=0)
-        for r in relations
-    ]
+    residuals = []
+    for r in relations:
+        terms = ((p.arrows, c) for p, c in r.poly.terms.items())
+        m = word_sum_matrix(relations.quiver, terms, rep, dims, dims.get(r.tgt, 0))
+        residuals.append(max((abs(x) for row in m for x in row.values()), default=0))
+    return residuals
 
 
 def numeric_relation_residual(
