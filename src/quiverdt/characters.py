@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import ShiftMatrix
-from .qseries import QSeries, QSeriesError, factor_product
+from .qseries import QSeries, QSeriesError, compare_factor_products, factor_product
 
 EVEN, ODD = 0, 1
 VARS = ("q",)  # every character is a series in q
@@ -116,6 +116,16 @@ def generator_weights(p: Pyramid) -> WeightMultiset:
 Factors = dict[tuple[tuple[int, ...], int], int]  # ((exponent,), sign) -> power
 
 
+def _starts_by_sign(pochhammers) -> dict[int, dict[int, int]]:
+    """sign -> {start w: summed power} of pochhammers ``(w, power[, sign])``
+    (sign 1 if omitted), with the signs in the order they first occur."""
+    starts: dict[int, dict[int, int]] = {}
+    for w, power, *sign in pochhammers:
+        at = starts.setdefault(sign[0] if sign else 1, {})
+        at[w] = at.get(w, 0) + power
+    return starts
+
+
 def _pochhammer_factors(order: int, pochhammers) -> Factors:
     """Factor multiset of a product of pochhammers ``(w, power[, sign])``,
     each standing for prod_{k>=w} (1 - sign*q^k)**power (sign 1 if omitted):
@@ -123,12 +133,8 @@ def _pochhammer_factors(order: int, pochhammers) -> Factors:
     A negative order is refused first, as :func:`factor_product` refuses it."""
     if order < 0:
         raise QSeriesError("order must be non-negative")
-    starts: dict[int, dict[int, int]] = {}  # sign -> {w: summed power}
-    for w, power, *sign in pochhammers:
-        at = starts.setdefault(sign[0] if sign else 1, {})
-        at[w] = at.get(w, 0) + power
     factors: Factors = {}
-    for sign, at in starts.items():
+    for sign, at in _starts_by_sign(pochhammers).items():
         power = 0
         for k in range(min(at), order + 1):
             power += at.get(k, 0)
@@ -136,19 +142,49 @@ def _pochhammer_factors(order: int, pochhammers) -> Factors:
     return factors
 
 
-def character_factors(ws: WeightMultiset, order: int) -> Factors:
-    """Factor multiset of the vacuum character of a strong-generator weight
+def pochhammer_map(order: int, pochhammers) -> Factors:
+    """The pochhammers ``(w, power[, sign])`` as a map ``{((w,), sign):
+    power}``: starts above the order dropped, repeated starts added up and
+    zero powers dropped, except at a start below 1, which stays so that
+    :func:`compare_pochhammer_maps` refuses it.  A negative order is refused
+    first, as :func:`_pochhammer_factors` refuses it.
+
+    Per sign, the factor multiset's power at k is the running sum F(k) of
+    the powers at starts <= k, and the power at start w >= 1 is F(w) -
+    F(w - 1), so two maps whose starts are all >= 1 are equal exactly when
+    their factor multisets are equal once power-0 factors are dropped."""
+    if order < 0:
+        raise QSeriesError("order must be non-negative")
+    return {
+        ((w,), sign): power
+        for sign, at in _starts_by_sign(pochhammers).items()
+        for w, power in at.items()
+        if w <= order and (power or w < 1)
+    }
+
+
+def compare_pochhammer_maps(order: int, a: Factors, b: Factors):
+    """What :func:`compare_factor_products` returns for the factor multisets
+    of two pochhammer maps, with the same errors.  Equal maps whose starts
+    are all >= 1 return None without building either multiset; any others
+    are expanded by the running sum and compared, so a start below 1 is
+    refused with :class:`ConeViolation`, side a first, at any power."""
+    if a == b and all(w >= 1 for (w,), _ in a):
+        return None
+    a, b = (_pochhammer_factors(order, [(w, p, s) for ((w,), s), p in m.items()]) for m in (a, b))
+    return compare_factor_products(VARS, order, a, b)
+
+
+def character_pochhammers(ws: WeightMultiset) -> list:
+    """The pochhammers of the vacuum character of a strong-generator weight
     multiset: each even generator of weight w contributes
     prod_{k>=0} (1 - q^(w+k))^-1, each odd one prod_{k>=0} (1 + q^(w+k))."""
-    pochhammers = [
-        (w, -mult) if parity == EVEN else (w, mult, -1) for (w, parity), mult in ws.items()
-    ]
-    return _pochhammer_factors(order, pochhammers)
+    return [(w, -mult) if parity == EVEN else (w, mult, -1) for (w, parity), mult in ws.items()]
 
 
 def character(ws: WeightMultiset, order: int) -> QSeries:
     """Vacuum character of a strong-generator weight multiset."""
-    return factor_product(VARS, order, character_factors(ws, order))
+    return factor_product(VARS, order, _pochhammer_factors(order, character_pochhammers(ws)))
 
 
 def character_from_shift(shift, t: int, order: int) -> QSeries:
@@ -179,18 +215,18 @@ FIGURES = {
 }
 
 
-def figure_factors(kind: str, r: int, order: int) -> Factors:
-    """Factor multiset of the displayed vacuum-character product formula of
+def figure_pochhammers(kind: str, r: int) -> list:
+    """The pochhammers of the displayed vacuum-character product formula of
     a figure kind at rank r, with factors that do not depend on the inner
     product index read globally."""
     if kind not in FIGURES:
         raise CharacterError(f"unknown figure kind {kind!r}")
-    return _pochhammer_factors(order, FIGURES[kind][2](r))
+    return FIGURES[kind][2](r)
 
 
 def figure_series(kind: str, r: int, order: int) -> QSeries:
     """The displayed vacuum-character product formula of a figure kind."""
-    return factor_product(VARS, order, figure_factors(kind, r, order))
+    return factor_product(VARS, order, _pochhammer_factors(order, figure_pochhammers(kind, r)))
 
 
 # -- stable large-rank limits -------------------------------------------------
@@ -209,16 +245,18 @@ LIMITS = {
 }
 
 
-def limit_factors(m: int, n: int, sub: tuple[int, ...], order: int) -> Factors:
-    """Factor multiset of the closed-form large-rank limit of the vacuum
-    characters of the shift data (m, n, sub), from :data:`LIMITS`."""
+def limit_pochhammers(m: int, n: int, sub: tuple[int, ...], order: int) -> list:
+    """The pochhammers through q^order of the closed-form large-rank limit
+    of the vacuum characters of the shift data (m, n, sub), from
+    :data:`LIMITS`."""
     if (m, n, sub) not in LIMITS:
         raise CharacterError(f"no stored closed-form limit for m={m}, n={n}, sub={sub}")
-    return _pochhammer_factors(order, LIMITS[m, n, sub](order))
+    return LIMITS[m, n, sub](order)
 
 
 def limit_series(m: int, n: int, sub: tuple[int, ...], order: int) -> QSeries:
     """Closed-form large-rank limit of the vacuum characters of the shift
     data (m, n, sub), from :data:`LIMITS`."""
-    return factor_product(VARS, order, limit_factors(m, n, sub, order))
+    pochhammers = limit_pochhammers(m, n, sub, order)
+    return factor_product(VARS, order, _pochhammer_factors(order, pochhammers))
 

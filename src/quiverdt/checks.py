@@ -3,13 +3,13 @@ figures, limits, and monad certification.  These are the identities behind
 the ``compare`` CLI command; each is one :data:`COMPARE_TARGETS` row that
 yields its cases, and :func:`run_check` times and compares them.
 
-A case's two sides are q-series, or two factor multisets in q (the
+A case's two sides are q-series, or two pochhammer maps in q (the
 character targets: the pyramid character and the displayed product or the
-stored limit), or a detail string and None (monad certification).  Two
-factor multisets are compared as multisets, and expanded and compared
-coefficient by coefficient only when they differ: two expansions of one
-multiset cannot disagree, but two different multisets can still give one
-series.
+stored limit, each as ``{((start,), sign): power}``), or a detail string
+and None (monad certification).  Two pochhammer maps are compared as maps,
+and expanded into factor multisets and compared coefficient by coefficient
+only when they differ: equal maps give equal factor multisets, but two
+different maps can still give one series.
 
 Fixed-point signs.  The enumerators count unsigned objects.  For the
 Y_{m,n} geometry, the signed series that the closed-form product computes
@@ -37,7 +37,6 @@ from .qseries import (
     QSeries,
     Substitution,
     compare,
-    compare_factor_products,
     euler_factor,
     factor_product,
     macmahon,
@@ -53,8 +52,11 @@ class CheckResult:
     mismatch: tuple | None
     seconds: float
     detail: str | None = None  # why a check without a coefficient mismatch failed
+    certified: int | None = None  # templates certified, for a target without an order
 
     def describe(self) -> str:
+        if self.equal and self.certified is not None:
+            return f"{self.name}: {self.certified} templates certified ({self.seconds:.2f}s)"
         if self.equal:
             return f"{self.name}: equal through total degree {self.order} ({self.seconds:.2f}s)"
         if self.mismatch is None:
@@ -144,29 +146,30 @@ def _blowup(order):
     yield None, got, QSeries(qh, 2 * order, theta) * eta2
 
 
-def _shift_factors(shift, t: int, order: int):
-    """Factor multiset of the character of a shift matrix at family index t."""
+def _shift_map(shift, t: int, order: int):
+    """Pochhammer map of the character of a shift matrix at family index t."""
     ws = characters.generator_weights(characters.pyramid_from_shift(shift, t))
-    return characters.character_factors(ws, order)
+    return characters.pochhammer_map(order, characters.character_pochhammers(ws))
 
 
 def _character_figures(order):
     """Each figure's pyramid character against its displayed product, both
-    as factor multisets in q."""
+    as pochhammer maps in q."""
     for kind, (shift, t, _) in characters.FIGURES.items():
         for r in range(1, 6):
-            got = _shift_factors(shift, t(r), order)
-            yield f"{kind}, r={r}", got, characters.figure_factors(kind, r, order)
+            got = _shift_map(shift, t(r), order)
+            want = characters.pochhammer_map(order, characters.figure_pochhammers(kind, r))
+            yield f"{kind}, r={r}", got, want
 
 
 def _character_limits(order):
     """Each stored limit against the character at family index order +
     sum(sub), past which the coefficients through q^order are stable, both
-    as factor multisets in q.  The limit is built first, so a negative
+    as pochhammer maps in q.  The limit is built first, so a negative
     order is refused before it becomes a family index."""
     for m, n, sub in characters.LIMITS:
-        want = characters.limit_factors(m, n, sub, order)
-        got = _shift_factors(ShiftMatrix(m, n, sub), order + sum(sub), order)
+        want = characters.pochhammer_map(order, characters.limit_pochhammers(m, n, sub, order))
+        got = _shift_map(ShiftMatrix(m, n, sub), order + sum(sub), order)
         yield f"m={m}, n={n}, sub={sub}", got, want
 
 
@@ -212,22 +215,27 @@ def run_check(name: str, order: int | None = None) -> CheckResult:
     mismatching coefficient, or with its detail when it is not a series,
     and no later case is built, except what a target computes for all its
     cases at once (``nested-gl`` counts every rank in one call).  A case of
-    two factor multisets in q is decided by :func:`compare_factor_products`,
-    which expands the two products only when the multisets differ."""
+    two pochhammer maps in q is decided by
+    :func:`characters.compare_pochhammer_maps`: two equal maps are equal
+    cases, and two that differ are expanded into factor multisets and
+    compared by :func:`compare_factor_products`."""
     default, cases = COMPARE_TARGETS[name]
     if default is None:
         order = 0
     elif order is None:
         order = default
     t0 = time.perf_counter()
+    checked = 0
     for label, got, want in cases(order):
+        checked += 1
         if isinstance(got, QSeries):
             mismatch, detail = compare(got, want), None
         elif isinstance(got, dict):
-            mismatch, detail = compare_factor_products(characters.VARS, order, got, want), None
+            mismatch, detail = characters.compare_pochhammer_maps(order, got, want), None
         else:
             mismatch, detail = None, None if got == want else str(got)
         if mismatch is not None or detail is not None:
             failed = name if label is None else f"{name} ({label})"
             return CheckResult(failed, False, order, mismatch, time.perf_counter() - t0, detail)
-    return CheckResult(name, True, order, None, time.perf_counter() - t0)
+    certified = checked if default is None else None
+    return CheckResult(name, True, order, None, time.perf_counter() - t0, certified=certified)

@@ -87,6 +87,8 @@ def _load_points(path: str) -> list[tuple[Fraction, Fraction]]:
         raise ValueError(f"{path}: no 'points' key")
     if not isinstance(data["points"], list):
         raise ValueError(f"{path}: 'points' must be a list of [x, y] pairs, got {data['points']!r}")
+    if not data["points"]:
+        raise ValueError(f"{path}: 'points' is empty, so there is no point to check")
     points = []
     for k, p in enumerate(data["points"]):
         where = f"{path}: points[{k}]"
@@ -475,6 +477,20 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose ``expected one argument`` error says how to
+    give a value that starts with ``-``: argparse reads such a word as an
+    option unless it is a plain number, so a negative ``--pit`` or
+    ``--shift`` entry must be joined to its option with ``=``.  The
+    subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        if message.endswith(": expected one argument"):
+            option = message.split()[1].rstrip(":")
+            message += f" (a value that starts with '-' is given as {option}=VALUE)"
+        super().error(message)
+
+
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``quiverdt`` argument parser with every subcommand (``command``
@@ -490,7 +506,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     patches a ``cmd_*`` handler or adds a ``COMPARE_TARGETS`` key must call
     ``build_parser.cache_clear()`` before and after.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quiverdt",
         description="Quivers with potential, fixed-point counts, and vacuum characters",
     )

@@ -7,7 +7,13 @@ import oracles
 from quiverdt import characters as C
 from quiverdt import partitions as P
 from quiverdt.catalog import ShiftMatrix
-from quiverdt.qseries import coefficients_in_single_var, compare
+from quiverdt.qseries import (
+    ConeViolation,
+    QSeriesError,
+    coefficients_in_single_var,
+    compare,
+    compare_factor_products,
+)
 
 
 def test_pyramid_from_shift_aligned():
@@ -125,8 +131,10 @@ def test_figures_against_factor_by_factor_oracle(kind):
     # other side's multiset expanded one factor at a time
     for r in range(1, 6):
         ws = C.generator_weights(figure_pyramid(kind, r))
-        pyramid_side = oracles.factor_product_by_factors(("q",), 20, C.character_factors(ws, 20))
-        figure_side = oracles.factor_product_by_factors(("q",), 20, C.figure_factors(kind, r, 20))
+        pyramid = oracles.pochhammer_factors_by_k(20, C.character_pochhammers(ws))
+        figure = oracles.pochhammer_factors_by_k(20, C.figure_pochhammers(kind, r))
+        pyramid_side = oracles.factor_product_by_factors(("q",), 20, pyramid)
+        figure_side = oracles.factor_product_by_factors(("q",), 20, figure)
         assert C.character(ws, 20) == figure_side, (kind, r)
         assert C.figure_series(kind, r, 20) == pyramid_side, (kind, r)
 
@@ -161,6 +169,84 @@ def test_pochhammer_running_sum_edges(order, pochhammers):
     assert C._pochhammer_factors(order, pochhammers) == oracles.pochhammer_factors_by_k(
         order, pochhammers
     )
+
+
+def _random_pochhammer_pair(rng, order):
+    """Two pochhammer lists with signs +-1, starts 1..order + 3 and powers
+    -3..3: the second is the first shuffled, with powers split between
+    repeated starts and cancelling pairs added, and one time in two
+    changed by one pochhammer more."""
+    def draw():
+        return (rng.randint(1, order + 3), rng.randint(-3, 3), rng.choice((1, -1)))
+
+    a = [draw() for _ in range(rng.randint(0, 6))]
+    b = []
+    for w, power, sign in a:
+        part = rng.randint(-3, 3)
+        b += [(w, part, sign), (w, power - part, sign)] if rng.random() < 0.3 else [(w, power, sign)]
+    for _ in range(rng.randint(0, 2)):
+        w, power, sign = draw()
+        b += [(w, power, sign), (w, -power, sign)]
+    if rng.random() < 0.5:
+        b.append(draw())
+    rng.shuffle(b)
+    return a, b
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pochhammer_maps_are_equal_exactly_when_the_nonzero_factors_are(seed):
+    # the map keeps the differences of the running sum, which determine it
+    rng = random.Random(seed)
+    order = rng.randint(0, 12)
+    a, b = _random_pochhammer_pair(rng, order)
+    maps = [C.pochhammer_map(order, side) for side in (a, b)]
+    nonzero = [
+        {key: p for key, p in oracles.pochhammer_factors_by_k(order, side).items() if p}
+        for side in (a, b)
+    ]
+    assert (maps[0] == maps[1]) == (nonzero[0] == nonzero[1])
+    expanded = compare_factor_products(
+        C.VARS, order, C._pochhammer_factors(order, a), C._pochhammer_factors(order, b)
+    )
+    assert C.compare_pochhammer_maps(order, *maps) == expanded
+
+
+@pytest.mark.parametrize(
+    "order, pochhammers, want",
+    [
+        (0, [(1, 2), (1, -2, -1)], {}),  # every start beyond the order
+        (1, [(1, 2), (1, -2, -1)], {((1,), 1): 2, ((1,), -1): -2}),
+        (3, [(4, 1), (2, 2), (2, -2, -1), (2, 2, -1)], {((2,), 1): 2}),  # beyond, and 0
+        (4, [(0, 1), (0, -1), (-1, 0, -1), (2, 0)], {((0,), 1): 0, ((-1,), -1): 0}),
+    ],
+)
+def test_pochhammer_map_drops_late_starts_and_zero_powers_from_1_on(order, pochhammers, want):
+    assert C.pochhammer_map(order, pochhammers) == want
+
+
+def test_pochhammer_map_refuses_a_negative_order_first():
+    with pytest.raises(QSeriesError, match="order must be non-negative"):
+        C.pochhammer_map(-1, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([(0, 1), (0, -1), (1, -4)], [(0, 1), (0, -1), (1, -4)]),  # equal, power 0 at start 0
+        ([(1, -4)], [(-1, 2, -1), (1, -4)]),  # start -1 in b only
+        ([(9, 1, -1), (0, 2), (0, -3)], [(1, -1)]),  # first sign seen, not first kept
+    ],
+)
+def test_a_start_below_1_is_refused_as_the_factor_multiset_refuses_it(a, b):
+    order = 5
+    with pytest.raises(ConeViolation) as expanded:
+        compare_factor_products(
+            C.VARS, order, C._pochhammer_factors(order, a), C._pochhammer_factors(order, b)
+        )
+    with pytest.raises(ConeViolation) as got:
+        C.compare_pochhammer_maps(order, C.pochhammer_map(order, a), C.pochhammer_map(order, b))
+    assert str(got.value) == str(expanded.value)
 
 
 def test_figure_pyramids_match_the_typed_figure_annotations():

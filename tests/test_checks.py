@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from functools import partial
 from math import prod
 
@@ -105,6 +106,18 @@ def test_compare_all_applies_order_to_targets_that_take_one(capsys):
     assert set(orders.values()) == {5} and len(orders) == len(checks.COMPARE_TARGETS) - 1
 
 
+def test_monad_certification_text_line_counts_the_templates_certified(capsys):
+    assert run(["compare", "monad-certification"]) == 0
+    out = capsys.readouterr().out
+    templates = len(catalog.monad_template_ids())
+    assert re.fullmatch(rf"monad-certification: {templates} templates certified \(\d+\.\d\ds\)\n", out)
+
+    assert run(["compare", "monad-certification", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"name": "monad-certification", "equal": True, "order": 0, "mismatch": None}
+    ]
+
+
 def test_failed_monad_certification_exits_one_naming_the_entry(monkeypatch, capsys):
     real = catalog.monad_case
 
@@ -182,9 +195,35 @@ def test_character_targets_expand_no_product_when_the_multisets_agree(target, or
     def refuse(*args):
         raise AssertionError("factor_product was called")
 
+    def refuse_multiset(*args):
+        raise AssertionError("a factor multiset was built")
+
     for module in (qseries, characters, checks):
         monkeypatch.setattr(module, "factor_product", refuse)
+    monkeypatch.setattr(characters, "_pochhammer_factors", refuse_multiset)
     assert checks.run_check(target, order).equal
+
+
+# a figure row that starts at w = 0, once with power -4 and once with power
+# 0 there; the messages were captured before the targets compared maps
+CONE_VIOLATIONS = [
+    (lambda r: [(w, -4) for w in range(r + 1)], "(1 - m)**-4 for m = (0,)"),
+    (lambda r: [(0, 1), (0, -1)] + characters._upto(r, -4), "(1 - m)**0 for m = (0,)"),
+]
+
+
+@pytest.mark.parametrize("row, factor", CONE_VIOLATIONS)
+def test_a_figure_row_starting_at_w_0_is_refused_as_before(row, factor, monkeypatch, capsys):
+    monkeypatch.setitem(characters.FIGURES, "gl2-s0", (ShiftMatrix(2, 0, (0,)), lambda r: r, row))
+    message = (
+        f"{factor} leaves the truncation cone; m needs non-negative exponents and degree >= 1"
+    )
+    for order in (None, 0, 3):
+        with pytest.raises(qseries.ConeViolation) as refused:
+            checks.run_check("character-figures", order)
+        assert str(refused.value) == message
+    assert run(["compare", "character-figures"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_runner_names_the_first_differing_case_and_builds_no_later_one(monkeypatch, capsys):

@@ -278,6 +278,17 @@ def test_monad_verify_numeric_rejects_malformed_points(tmp_path, capsys, points,
     assert code == 2 and out == "" and named in err
 
 
+@pytest.mark.parametrize("template", ["c3", "pervsystem-c3"])
+def test_monad_verify_numeric_refuses_an_empty_point_list(tmp_path, capsys, template):
+    # no point would be checked, and the run would still exit 0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"points": []}))
+    argv = ["monad", "verify", template, "--numeric", str(path), "--json"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: 'points' is empty, so there is no point to check\n"
+
+
 @pytest.mark.parametrize(
     "template, unbound",
     [
@@ -426,6 +437,31 @@ def test_count_plane_malformed_pit_is_usage_error(capsys, pit):
     code, out, err = run_capture(capsys, ["count", "plane", "--order", "3", "--pit", pit])
     assert (code, out) == (2, "")
     assert "argument --pit: expected M,N (two comma-separated integers)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, cause",
+    [
+        (
+            ["count", "plane", "--order", "3"], "--pit", "-1,2",
+            "pit coordinates must be positive, or one of them zero",
+        ),
+        (
+            ["character", "--m", "2", "--n", "1", "--t", "1", "--order", "3"], "--shift", "-1;2",
+            "negative subdiagonal entry in (-1, 2)",
+        ),
+    ],
+)
+def test_a_value_starting_with_a_minus_sign_is_named_in_its_joined_form(
+    capsys, argv, option, value, cause
+):
+    # argparse reads a separate "-1,2" as an option; joined with "=", the
+    # value reaches the check that names what is wrong with it
+    code, out, err = run_capture(capsys, [*argv, option, value])
+    assert (code, out) == (2, "")
+    hint = f"(a value that starts with '-' is given as {option}=VALUE)"
+    assert f"error: argument {option}: expected one argument {hint}\n" in err
+    assert run_capture(capsys, [*argv, f"{option}={value}"]) == (2, "", f"error: {cause}\n")
 
 
 def test_count_blowup_prints_half_powers(capsys):

@@ -31,7 +31,10 @@ reach; every other byte of those cases is as before.  The ``--json`` form of
 The usage cases (files ``usage*.out``) store the exit code, stdout and
 stderr of help requests and usage errors, with ``COLUMNS=80`` so that
 argparse wraps its help and usage lines the same on every terminal; they
-were written before ``cli.run`` built only the invoked subcommand's parser.
+were written before ``cli.run`` built only the invoked subcommand's parser,
+except the two with a negative ``--pit`` or ``--shift`` value given as a
+separate word, which were written when the ``expected one argument`` error
+began to name the ``--option=VALUE`` form.
 To rewrite them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -127,6 +130,8 @@ def _usage_cases() -> list[list[str]]:
         ["compare", "nope"],
         ["catalog", "show"],
         ["count", "plane", "--order", "3", "--pit", "1,2,3"],
+        ["count", "plane", "--order", "3", "--pit", "-1,2"],
+        ["character", "--m", "2", "--n", "1", "--shift", "-1;2", "--t", "1", "--order", "3"],
         ["series", "eta", "--order", "3", "--power", "1"],
     ]
     return cases
