@@ -235,7 +235,8 @@ def test_pochhammer_map_refuses_a_negative_order_first():
     [
         ([(0, 1), (0, -1), (1, -4)], [(0, 1), (0, -1), (1, -4)]),  # equal, power 0 at start 0
         ([(1, -4)], [(-1, 2, -1), (1, -4)]),  # start -1 in b only
-        ([(9, 1, -1), (0, 2), (0, -3)], [(1, -1)]),  # first sign seen, not first kept
+        # sign -1 is seen first, at a start beyond the order: its factor is named
+        ([(9, 1, -1), (0, 2), (0, 1, -1)], [(1, -1)]),
     ],
 )
 def test_a_start_below_1_is_refused_as_the_factor_multiset_refuses_it(a, b):
